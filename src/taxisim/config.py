@@ -56,8 +56,6 @@ _SECTION_KEYS: dict[str, tuple[str, ...]] = {
         "cfl_safety",
         "dt_max",
         "blowup_threshold",
-        "elliptic_tol",
-        "elliptic_max_iter",
         "anchor_time",
         "time_scheme",
     ),
@@ -229,16 +227,6 @@ def _build_solver(sec: dict[str, str]) -> SolverConfig:
         )
         if not kwargs["blowup_threshold"] > 0.0:
             raise ValidationError("solver.blowup_threshold", "must be > 0")
-    if "elliptic_tol" in sec:
-        kwargs["elliptic_tol"] = _want_float("solver", "elliptic_tol", sec["elliptic_tol"])
-        if not kwargs["elliptic_tol"] > 0.0:
-            raise ValidationError("solver.elliptic_tol", "must be > 0")
-    if "elliptic_max_iter" in sec:
-        kwargs["elliptic_max_iter"] = _want_int(
-            "solver", "elliptic_max_iter", sec["elliptic_max_iter"]
-        )
-        if kwargs["elliptic_max_iter"] < 0:
-            raise ValidationError("solver.elliptic_max_iter", "must be >= 0")
     if "anchor_time" in sec:
         kwargs["anchor_time"] = _want_float("solver", "anchor_time", sec["anchor_time"])
         if not 0.0 <= kwargs["anchor_time"] < t_end:
@@ -384,8 +372,6 @@ def render_config(cfg: RunConfig) -> str:
     if cfg.solver.dt_max != float("inf"):
         lines.append(f"dt_max = {format_number(cfg.solver.dt_max)}")
     lines.append(f"blowup_threshold = {format_number(cfg.solver.blowup_threshold)}")
-    lines.append(f"elliptic_tol = {format_number(cfg.solver.elliptic_tol)}")
-    lines.append(f"elliptic_max_iter = {cfg.solver.elliptic_max_iter}")
     lines.append(f"anchor_time = {format_number(cfg.solver.anchor_time)}")
     lines.append(f"time_scheme = {cfg.solver.time_scheme}")
     lines.append("")

@@ -48,7 +48,6 @@ class TestParsing:
         assert s.cfl_safety == 0.4
         assert s.dt_max == math.inf
         assert s.blowup_threshold == 1e6
-        assert s.elliptic_tol == 1e-10
         assert s.anchor_time == 0.0
         assert s.time_scheme == "explicit"
 
@@ -76,6 +75,12 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match=r"model\.sigma"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1 sigma=2\n[solver] T_end=1")
+
+    @pytest.mark.parametrize("key", ["elliptic_tol", "elliptic_max_iter"])
+    def test_retired_solver_keys_rejected(self, key):
+        # The exact elliptic solve has no tolerance or iteration limit.
+        with pytest.raises(ValidationError, match=rf"solver\.{key}"):
+            parse_config(f"[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] T_end=1 {key}=5")
 
     def test_unknown_section_rejected(self):
         with pytest.raises(ValidationError, match=r"\[physics\]"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+import taxisim.stepper as stepper_mod
 from taxisim import (
     BoundednessVerdict,
     GridSpec,
@@ -131,10 +132,13 @@ class TestRunSweep:
         results = run_sweep(tiny_plan(theta_values=(0.1, 0.2)))
         assert len(results) == 2
 
-    def test_point_failure_becomes_inconclusive(self):
+    def test_point_failure_becomes_inconclusive(self, monkeypatch):
+        def always_reject(state, params, cfg, dt):
+            raise stepper_mod._RetryStep
+
+        monkeypatch.setattr(stepper_mod, "_attempt_step", always_reject)
         plan = tiny_plan(
             base_model=ModelParams(chi=1.0, xi=1.0, mu=10.0, tau=0),
-            base_solver=SolverConfig(t_end=1.0, output_every=0.25, elliptic_max_iter=0),
             scenario=ScenarioSpec(name="gaussian-bump"),
             grid=GridSpec((2.0,), (16,)),
         )

@@ -4,8 +4,9 @@ The format is plain UTF-8 text with ``[section]`` headers and ``key = value``
 assignments (spaces around ``=`` optional, several assignments may share a
 line, ``#`` starts a comment). Values must not contain whitespace; lists are
 comma separated. Unknown sections, unknown keys and duplicate keys are
-rejected, and every value is validated against the target type's invariants
-at parse time.
+rejected. One table maps every key to the dataclass field it sets and the
+parser of its value; the dataclasses own every range check, and a value they
+reject is reported as a ValidationError naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -13,10 +14,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from .grid import GridSpec
-from .model import SCENARIO_NAMES, ModelParams, ScenarioSpec
+from .model import ModelParams, ScenarioSpec
 from .stepper import SolverConfig
+from .sweep import SweepSettings
 
 __all__ = [
     "ConfigError",
@@ -47,37 +50,15 @@ class ValidationError(ConfigError):
         self.key = key
 
 
-_SECTION_KEYS: dict[str, tuple[str, ...]] = {
-    "grid": ("dim", "extent", "cells"),
-    "model": ("chi", "xi", "mu", "eta", "tau"),
-    "solver": (
-        "T_end",
-        "output_every",
-        "cfl_safety",
-        "dt_max",
-        "blowup_threshold",
-        "anchor_time",
-        "time_scheme",
-    ),
-    "scenario": ("name", "amplitude", "sigma", "center", "wbar", "seed", "u0", "v0", "w0"),
-    "outputs": ("dir", "p_values", "snapshots", "cadence"),
-    "sweep": ("mode", "fixed_value", "theta_values", "repetitions"),
-}
-
-
 @dataclass(frozen=True)
 class OutputOptions:
     directory: Path
     p_values: tuple[float, ...] = (2.0,)
     snapshots: bool = False
 
-
-@dataclass(frozen=True)
-class SweepSettings:
-    mode: str
-    fixed_value: float
-    theta_values: tuple[float, ...]
-    repetitions: int = 1
+    def __post_init__(self) -> None:
+        if not all(1.0 <= p < float("inf") for p in self.p_values):
+            raise ValueError("p_values entries must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -89,6 +70,73 @@ class RunConfig:
     outputs: OutputOptions
     sweep: SweepSettings | None = None
 
+
+def _number(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise ValueError(f"must be a number, got {raw!r}") from None
+
+
+def _integer(raw: str) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"must be an integer, got {raw!r}") from None
+
+
+def _boolean(raw: str) -> bool:
+    if raw in ("true", "false"):
+        return raw == "true"
+    raise ValueError(f"must be true or false, got {raw!r}")
+
+
+def _numbers(raw: str) -> tuple[float, ...]:
+    return tuple(_number(part) for part in raw.split(","))
+
+
+def _integers(raw: str) -> tuple[int, ...]:
+    return tuple(_integer(part) for part in raw.split(","))
+
+
+# Every accepted key, per section, and the parser of its value. A key sets
+# the dataclass field of the same name (or the one _FIELD_OF names); a key
+# left out takes the dataclass default. grid.dim and outputs.cadence are
+# checked here and set no field.
+_KEYS: dict[str, dict[str, Callable[[str], object]]] = {
+    "grid": {"dim": _integer, "extent": _numbers, "cells": _integers},
+    "model": {"chi": _number, "xi": _number, "mu": _number, "eta": _number, "tau": _integer},
+    "solver": {
+        "T_end": _number,
+        "output_every": _number,
+        "cfl_safety": _number,
+        "dt_max": _number,
+        "blowup_threshold": _number,
+        "anchor_time": _number,
+        "time_scheme": str,
+    },
+    "scenario": {
+        "name": str,
+        "amplitude": _number,
+        "sigma": _number,
+        "center": _numbers,
+        "wbar": _number,
+        "seed": _integer,
+        "u0": _number,
+        "v0": _number,
+        "w0": _number,
+    },
+    "outputs": {"dir": Path, "p_values": _numbers, "snapshots": _boolean, "cadence": _number},
+    "sweep": {"mode": str, "fixed_value": _number, "theta_values": _numbers, "repetitions": _integer},
+}
+_FIELD_OF = {"T_end": "t_end", "dir": "directory"}
+
+_REQUIRED = {
+    "grid": ("dim", "extent", "cells"),
+    "model": ("chi",),
+    "solver": ("T_end",),
+    "sweep": ("mode", "fixed_value", "theta_values"),
+}
 
 _ASSIGN_NORMALIZE = re.compile(r"\s*=\s*")
 
@@ -111,7 +159,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
             if not token.endswith("]") or len(token) < 3:
                 raise ParseError(lineno, f"malformed section header {token!r}")
             name = token[1:-1]
-            if name not in _SECTION_KEYS:
+            if name not in _KEYS:
                 raise ValidationError(f"[{name}]", "is not a known section")
             section = name
             data.setdefault(name, {})
@@ -123,7 +171,7 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
         key, _, value = token.partition("=")
         if not key or not value:
             raise ParseError(lineno, f"incomplete assignment {token!r}")
-        if key not in _SECTION_KEYS[section]:
+        if key not in _KEYS[section]:
             raise ValidationError(f"{section}.{key}", "is not a known key")
         if key in data[section]:
             raise ValidationError(f"{section}.{key}", "is assigned more than once")
@@ -131,180 +179,33 @@ def _read_sections(text: str) -> dict[str, dict[str, str]]:
     return data
 
 
-def _want_float(section: str, key: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(f"{section}.{key}", f"must be a number, got {raw!r}") from None
-
-
-def _want_int(section: str, key: str, raw: str) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValidationError(f"{section}.{key}", f"must be an integer, got {raw!r}") from None
-
-
-def _want_bool(section: str, key: str, raw: str) -> bool:
-    if raw == "true":
-        return True
-    if raw == "false":
-        return False
-    raise ValidationError(f"{section}.{key}", f"must be true or false, got {raw!r}")
-
-
-def _want_float_list(section: str, key: str, raw: str) -> tuple[float, ...]:
-    return tuple(_want_float(section, key, part) for part in raw.split(","))
-
-
-def _want_int_list(section: str, key: str, raw: str) -> tuple[int, ...]:
-    return tuple(_want_int(section, key, part) for part in raw.split(","))
-
-
-def _build_grid(sec: dict[str, str]) -> GridSpec:
-    for key in ("dim", "extent", "cells"):
+def _fields(section: str, sec: dict[str, str]) -> dict[str, object]:
+    """Parse the keys given in one section into {field: value}."""
+    for key in _REQUIRED.get(section, ()):
         if key not in sec:
-            raise ValidationError(f"grid.{key}", "is required")
-    dim = _want_int("grid", "dim", sec["dim"])
-    if dim not in (1, 2, 3):
-        raise ValidationError("grid.dim", "must be 1, 2 or 3")
-    extent = _want_float_list("grid", "extent", sec["extent"])
-    cells = _want_int_list("grid", "cells", sec["cells"])
-    if len(extent) != dim:
-        raise ValidationError("grid.extent", f"must have {dim} entries")
-    if len(cells) != dim:
-        raise ValidationError("grid.cells", f"must have {dim} entries")
-    if any(x <= 0 for x in extent):
-        raise ValidationError("grid.extent", "entries must be > 0")
-    if any(n < 2 for n in cells):
-        raise ValidationError("grid.cells", "entries must be >= 2")
-    return GridSpec(extent, cells)
+            raise ValidationError(f"{section}.{key}", "is required")
+    fields = {}
+    for key, raw in sec.items():
+        try:
+            fields[_FIELD_OF.get(key, key)] = _KEYS[section][key](raw)
+        except ValueError as exc:
+            raise ValidationError(f"{section}.{key}", str(exc)) from None
+    return fields
 
 
-def _build_model(sec: dict[str, str]) -> ModelParams:
-    if "chi" not in sec:
-        raise ValidationError("model.chi", "is required")
-    chi = _want_float("model", "chi", sec["chi"])
-    if not chi > 0.0:
-        raise ValidationError("model.chi", "must be > 0")
-    xi = _want_float("model", "xi", sec.get("xi", "0"))
-    mu = _want_float("model", "mu", sec.get("mu", "0"))
-    eta = _want_float("model", "eta", sec.get("eta", "0"))
-    if xi < 0.0:
-        raise ValidationError("model.xi", "must be >= 0")
-    if mu < 0.0:
-        raise ValidationError("model.mu", "must be >= 0")
-    if eta < 0.0:
-        raise ValidationError("model.eta", "must be >= 0")
-    tau = _want_int("model", "tau", sec.get("tau", "1"))
-    if tau not in (0, 1):
-        raise ValidationError("model.tau", "must be 0 or 1")
-    return ModelParams(chi=chi, xi=xi, mu=mu, eta=eta, tau=tau)
+def _build(section: str, cls, fields: dict[str, object]):
+    """cls(**fields), with a rejected field reported under its config key.
 
-
-def _build_solver(sec: dict[str, str]) -> SolverConfig:
-    if "T_end" not in sec:
-        raise ValidationError("solver.T_end", "is required")
-    t_end = _want_float("solver", "T_end", sec["T_end"])
-    if not t_end > 0.0:
-        raise ValidationError("solver.T_end", "must be > 0")
-    kwargs: dict = {"t_end": t_end}
-    if "output_every" in sec:
-        kwargs["output_every"] = _want_float("solver", "output_every", sec["output_every"])
-        if not kwargs["output_every"] > 0.0:
-            raise ValidationError("solver.output_every", "must be > 0")
-    if "cfl_safety" in sec:
-        kwargs["cfl_safety"] = _want_float("solver", "cfl_safety", sec["cfl_safety"])
-        if not 0.0 < kwargs["cfl_safety"] <= 1.0:
-            raise ValidationError("solver.cfl_safety", "must be in (0, 1]")
-    if "dt_max" in sec:
-        kwargs["dt_max"] = _want_float("solver", "dt_max", sec["dt_max"])
-        if not kwargs["dt_max"] > 0.0:
-            raise ValidationError("solver.dt_max", "must be > 0")
-    if "blowup_threshold" in sec:
-        kwargs["blowup_threshold"] = _want_float(
-            "solver", "blowup_threshold", sec["blowup_threshold"]
-        )
-        if not kwargs["blowup_threshold"] > 0.0:
-            raise ValidationError("solver.blowup_threshold", "must be > 0")
-    if "anchor_time" in sec:
-        kwargs["anchor_time"] = _want_float("solver", "anchor_time", sec["anchor_time"])
-        if not 0.0 <= kwargs["anchor_time"] < t_end:
-            raise ValidationError("solver.anchor_time", "must be in [0, T_end)")
-    if "time_scheme" in sec:
-        kwargs["time_scheme"] = sec["time_scheme"]
-        if kwargs["time_scheme"] not in ("explicit", "imex-diffusion"):
-            raise ValidationError(
-                "solver.time_scheme", "must be explicit or imex-diffusion"
-            )
-    return SolverConfig(**kwargs)
-
-
-def _build_scenario(sec: dict[str, str], dim: int) -> ScenarioSpec:
-    name = sec.get("name", "steady")
-    if name not in SCENARIO_NAMES:
-        raise ValidationError("scenario.name", f"must be one of {SCENARIO_NAMES}")
-    kwargs: dict = {"name": name}
-    if "amplitude" in sec:
-        kwargs["amplitude"] = _want_float("scenario", "amplitude", sec["amplitude"])
-        if kwargs["amplitude"] < 0.0:
-            raise ValidationError("scenario.amplitude", "must be >= 0")
-    if "sigma" in sec:
-        kwargs["sigma"] = _want_float("scenario", "sigma", sec["sigma"])
-        if not kwargs["sigma"] > 0.0:
-            raise ValidationError("scenario.sigma", "must be > 0")
-    if "center" in sec:
-        kwargs["center"] = _want_float_list("scenario", "center", sec["center"])
-        if len(kwargs["center"]) != dim:
-            raise ValidationError("scenario.center", f"must have {dim} entries")
-    if "wbar" in sec:
-        kwargs["wbar"] = _want_float("scenario", "wbar", sec["wbar"])
-        if kwargs["wbar"] < 0.0:
-            raise ValidationError("scenario.wbar", "must be >= 0")
-    if "seed" in sec:
-        kwargs["seed"] = _want_int("scenario", "seed", sec["seed"])
-    for key in ("u0", "v0", "w0"):
-        if key in sec:
-            kwargs[key] = _want_float("scenario", key, sec[key])
-            if kwargs[key] < 0.0:
-                raise ValidationError(f"scenario.{key}", "must be >= 0")
-    return ScenarioSpec(**kwargs)
-
-
-def _build_outputs(sec: dict[str, str], base_dir: Path) -> OutputOptions:
-    directory = Path(sec.get("dir", "out"))
-    if not directory.is_absolute():
-        directory = (base_dir / directory).resolve()
-    p_values = (2.0,)
-    if "p_values" in sec:
-        p_values = _want_float_list("outputs", "p_values", sec["p_values"])
-        if any(p < 1.0 for p in p_values):
-            raise ValidationError("outputs.p_values", "entries must be >= 1")
-    snapshots = _want_bool("outputs", "snapshots", sec.get("snapshots", "false"))
-    return OutputOptions(directory=directory, p_values=p_values, snapshots=snapshots)
-
-
-def _build_sweep(sec: dict[str, str]) -> SweepSettings:
-    for key in ("mode", "fixed_value", "theta_values"):
-        if key not in sec:
-            raise ValidationError(f"sweep.{key}", "is required")
-    mode = sec["mode"]
-    if mode not in ("fix_mu_vary_chi", "fix_chi_vary_mu"):
-        raise ValidationError("sweep.mode", "must be fix_mu_vary_chi or fix_chi_vary_mu")
-    fixed_value = _want_float("sweep", "fixed_value", sec["fixed_value"])
-    if not fixed_value > 0.0:
-        raise ValidationError("sweep.fixed_value", "must be > 0")
-    thetas = _want_float_list("sweep", "theta_values", sec["theta_values"])
-    if any(t <= 0.0 for t in thetas):
-        raise ValidationError("sweep.theta_values", "entries must be > 0")
-    if any(b <= a for a, b in zip(thetas, thetas[1:])):
-        raise ValidationError("sweep.theta_values", "must be strictly increasing")
-    repetitions = _want_int("sweep", "repetitions", sec.get("repetitions", "1"))
-    if repetitions < 1:
-        raise ValidationError("sweep.repetitions", "must be >= 1")
-    return SweepSettings(
-        mode=mode, fixed_value=fixed_value, theta_values=thetas, repetitions=repetitions
-    )
+    The dataclasses start every error message with the field name.
+    """
+    try:
+        return cls(**fields)
+    except ValueError as exc:
+        field, _, message = str(exc).partition(" ")
+        for key in _KEYS[section]:
+            if _FIELD_OF.get(key, key) == field:
+                raise ValidationError(f"{section}.{key}", message) from None
+        raise ValidationError(f"[{section}]", str(exc)) from None
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
@@ -318,19 +219,29 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     for required in ("grid", "model", "solver"):
         if required not in data:
             raise ValidationError(f"[{required}]", "section is required")
-    grid = _build_grid(data["grid"])
-    model = _build_model(data["model"])
-    solver = _build_solver(data["solver"])
-    scenario = _build_scenario(data.get("scenario", {}), grid.dim)
-    out_sec = data.get("outputs", {})
-    if "cadence" in out_sec:
-        cadence = _want_float("outputs", "cadence", out_sec["cadence"])
-        if abs(cadence - solver.output_every) > 1e-12 * solver.output_every:
-            raise ValidationError(
-                "outputs.cadence", "must agree with solver.output_every"
-            )
-    outputs = _build_outputs(out_sec, Path(base_dir))
-    sweep = _build_sweep(data["sweep"]) if "sweep" in data else None
+    grid_fields = _fields("grid", data["grid"])
+    dim = grid_fields.pop("dim")
+    if dim not in (1, 2, 3):
+        raise ValidationError("grid.dim", "must be 1, 2 or 3")
+    for key in ("extent", "cells"):
+        if len(grid_fields[key]) != dim:
+            raise ValidationError(f"grid.{key}", f"must have {dim} entries")
+    grid = _build("grid", GridSpec, grid_fields)
+    model = _build("model", ModelParams, _fields("model", data["model"]))
+    solver = _build("solver", SolverConfig, _fields("solver", data["solver"]))
+    scenario_fields = _fields("scenario", data.get("scenario", {}))
+    if len(scenario_fields.get("center", ())) not in (0, dim):
+        raise ValidationError("scenario.center", f"must have {dim} entries")
+    scenario = _build("scenario", ScenarioSpec, scenario_fields)
+    out_fields = _fields("outputs", data.get("outputs", {}))
+    cadence = out_fields.pop("cadence", solver.output_every)
+    if not abs(cadence - solver.output_every) <= 1e-12 * solver.output_every:
+        raise ValidationError("outputs.cadence", "must agree with solver.output_every")
+    directory = out_fields.get("directory", Path("out"))
+    if not directory.is_absolute():
+        out_fields["directory"] = (Path(base_dir) / directory).resolve()
+    outputs = _build("outputs", OutputOptions, out_fields)
+    sweep = _build("sweep", SweepSettings, _fields("sweep", data["sweep"])) if "sweep" in data else None
     return RunConfig(
         grid=grid, model=model, solver=solver, scenario=scenario, outputs=outputs, sweep=sweep
     )

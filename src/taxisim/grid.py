@@ -6,6 +6,10 @@ Neumann (no-flux) boundaries are encoded with mirror ghost cells: each ghost
 carries the value of its adjacent interior cell, so the discrete normal
 derivative vanishes at every boundary face and flux sums telescope to zero
 exactly at the discrete level.
+
+The three stencils share that face-flux form: each computes one quantity per
+interior face along every axis and scatters it into the cells below and
+above the face; boundary faces carry nothing.
 """
 
 from __future__ import annotations
@@ -46,14 +50,14 @@ class GridSpec:
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "cells", cells)
         if not 1 <= len(extent) <= 3:
-            raise ValueError("grid dimension must be 1, 2 or 3")
+            raise ValueError("extent must have 1, 2 or 3 entries")
         if len(cells) != len(extent):
-            raise ValueError("extent and cells must have one entry per axis")
-        if any(length <= 0.0 or not np.isfinite(length) for length in extent):
-            raise ValueError("extents must be finite and strictly positive")
+            raise ValueError("cells must have one entry per axis of extent")
+        if not all(0.0 < length < np.inf for length in extent):
+            raise ValueError("extent entries must be finite and > 0")
         # Two cells per axis suffice for the mirror-ghost stencils.
         if any(n < 2 for n in cells):
-            raise ValueError("cell counts must be at least 2")
+            raise ValueError("cells entries must be >= 2")
 
     @property
     def dim(self) -> int:
@@ -170,63 +174,49 @@ class VectorField:
         return all(c.is_finite() for c in self.components)
 
 
-def _axis_index(ndim: int, axis: int, index) -> tuple:
-    out: list = [slice(None)] * ndim
-    out[axis] = index
-    return tuple(out)
+def _faces(ndim: int, axis: int) -> tuple[tuple, tuple]:
+    """Index tuples of the cells below and above every interior face normal
+    to axis; boundary faces carry no flux and have no entry."""
+    below: list = [slice(None)] * ndim
+    above = list(below)
+    below[axis] = slice(None, -1)
+    above[axis] = slice(1, None)
+    return tuple(below), tuple(above)
 
 
 def laplacian(f: Field) -> Field:
-    """Second-order central Laplacian with mirror ghosts.
+    """Second-order Laplacian: divergence of the face fluxes (a_R - a_L) / h^2.
 
-    At a boundary cell the ghost equals the cell itself, so the stencil
-    degenerates to (neighbor - cell) / h^2 and the boundary face carries no
-    diffusive flux.
+    A mirror ghost equals its boundary cell, so boundary faces carry no flux
+    and a boundary cell sees only its interior neighbour.
     """
     grid = f.grid
     a = f.nd
     out = np.zeros_like(a)
-    ndim = grid.dim
     for axis, h in enumerate(grid.spacing):
-        inv_h2 = 1.0 / (h * h)
-        n = grid.cells[axis]
-        mid = _axis_index(ndim, axis, slice(1, n - 1))
-        left = _axis_index(ndim, axis, slice(0, n - 2))
-        right = _axis_index(ndim, axis, slice(2, n))
-        out[mid] += (a[right] - 2.0 * a[mid] + a[left]) * inv_h2
-        first = _axis_index(ndim, axis, 0)
-        second = _axis_index(ndim, axis, 1)
-        last = _axis_index(ndim, axis, n - 1)
-        prior = _axis_index(ndim, axis, n - 2)
-        out[first] += (a[second] - a[first]) * inv_h2
-        out[last] += (a[prior] - a[last]) * inv_h2
+        below, above = _faces(grid.dim, axis)
+        flux = (a[above] - a[below]) * (1.0 / (h * h))
+        out[below] += flux
+        out[above] -= flux
     return Field.from_nd(grid, out)
 
 
 def gradient(f: Field) -> VectorField:
-    """Central-difference gradient with mirror ghosts.
+    """Central-difference gradient: each cell sums the half-differences
+    (a_R - a_L) / (2h) of its two faces along the axis.
 
-    Boundary cells use the ghost value, which equals the cell itself, so the
-    one-sided estimate (neighbor - cell) / (2h) appears there.
+    Boundary faces carry a zero difference (mirror ghosts), so the one-sided
+    estimate (neighbor - cell) / (2h) appears at boundary cells.
     """
     grid = f.grid
     a = f.nd
-    ndim = grid.dim
     comps = []
     for axis, h in enumerate(grid.spacing):
-        inv_2h = 1.0 / (2.0 * h)
-        n = grid.cells[axis]
+        below, above = _faces(grid.dim, axis)
+        half = (a[above] - a[below]) * (1.0 / (2.0 * h))
         g = np.zeros_like(a)
-        mid = _axis_index(ndim, axis, slice(1, n - 1))
-        left = _axis_index(ndim, axis, slice(0, n - 2))
-        right = _axis_index(ndim, axis, slice(2, n))
-        g[mid] = (a[right] - a[left]) * inv_2h
-        first = _axis_index(ndim, axis, 0)
-        second = _axis_index(ndim, axis, 1)
-        last = _axis_index(ndim, axis, n - 1)
-        prior = _axis_index(ndim, axis, n - 2)
-        g[first] = (a[second] - a[first]) * inv_2h
-        g[last] = (a[last] - a[prior]) * inv_2h
+        g[below] = half
+        g[above] += half
         comps.append(Field.from_nd(grid, g))
     return VectorField(tuple(comps))
 
@@ -247,17 +237,14 @@ def taxis_divergence(carrier: Field, potential: Field, coeff: float) -> Field:
     c = carrier.nd
     p = potential.nd
     out = np.zeros_like(c)
-    ndim = grid.dim
     for axis, h in enumerate(grid.spacing):
-        n = grid.cells[axis]
-        lo = _axis_index(ndim, axis, slice(0, n - 1))
-        hi = _axis_index(ndim, axis, slice(1, n))
-        q = (p[hi] - p[lo]) * (coeff / h)
-        upwind = np.where(q > 0.0, c[lo], c[hi])
-        upwind = np.where(q == 0.0, 0.5 * (c[lo] + c[hi]), upwind)
-        face_div = (q * upwind) * (1.0 / h)
-        out[lo] += face_div
-        out[hi] -= face_div
+        below, above = _faces(grid.dim, axis)
+        q = (p[above] - p[below]) * (coeff / h)
+        upwind = np.where(q > 0.0, c[below], c[above])
+        upwind = np.where(q == 0.0, 0.5 * (c[below] + c[above]), upwind)
+        flux = (q * upwind) * (1.0 / h)
+        out[below] += flux
+        out[above] -= flux
     return Field.from_nd(grid, out)
 
 

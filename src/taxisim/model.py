@@ -50,14 +50,14 @@ class ModelParams:
     tau: int = 1
 
     def __post_init__(self) -> None:
-        if not (np.isfinite(self.chi) and self.chi > 0.0):
+        for name in ("chi", "xi", "mu", "eta"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite")
+        if not self.chi > 0.0:
             raise ValueError("chi must be > 0")
-        if not (np.isfinite(self.xi) and self.xi >= 0.0):
-            raise ValueError("xi must be >= 0")
-        if not (np.isfinite(self.mu) and self.mu >= 0.0):
-            raise ValueError("mu must be >= 0")
-        if not (np.isfinite(self.eta) and self.eta >= 0.0):
-            raise ValueError("eta must be >= 0")
+        for name in ("xi", "mu", "eta"):
+            if getattr(self, name) < 0.0:
+                raise ValueError(f"{name} must be >= 0")
         if self.tau not in (0, 1):
             raise ValueError("tau must be 0 or 1")
 
@@ -104,7 +104,8 @@ def rhs_u(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
 def rhs_v(u: Field, v: Field, params: ModelParams) -> Field:
     """dv/dt for tau = 1: diffusion, decay, production by the cells."""
     out = laplacian(v).values
-    out += u.values - v.values
+    out -= v.values
+    out += u.values
     return Field(v.grid, out)
 
 
@@ -141,15 +142,17 @@ class ScenarioSpec:
 
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
-            raise ValueError(f"unknown scenario {self.name!r}")
-        if self.amplitude < 0.0:
-            raise ValueError("amplitude must be >= 0")
-        if self.sigma is not None and self.sigma <= 0.0:
-            raise ValueError("sigma must be > 0")
-        if self.wbar < 0.0:
-            raise ValueError("wbar must be >= 0")
-        if min(self.u0, self.v0, self.w0) < 0.0:
-            raise ValueError("constant initial values must be >= 0")
+            raise ValueError(f"name must be one of {SCENARIO_NAMES}")
+        for name in ("amplitude", "wbar", "u0", "v0", "w0"):
+            value = getattr(self, name)
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
+            raise ValueError("sigma must be finite and > 0")
+        if self.center is not None and not np.isfinite(self.center).all():
+            raise ValueError("center entries must be finite")
 
     def with_seed(self, seed: int) -> ScenarioSpec:
         return replace(self, seed=int(seed))

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import diagnostics
 from .grid import Field, GridSpec, VectorField, gradient, laplacian, sup_norm
-from .model import InitialData, ModelParams, rhs_u
+from .model import InitialData, ModelParams, rhs_u, rhs_v, rhs_w
 
 __all__ = [
     "CFLViolation",
@@ -75,12 +75,12 @@ class SolverConfig:
     time_scheme: str = "explicit"
 
     def __post_init__(self) -> None:
-        if not self.t_end > 0.0:
-            raise ValueError("t_end must be > 0")
+        if not 0.0 < self.t_end < math.inf:
+            raise ValueError("t_end must be finite and > 0")
         if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 50.0)
-        if not self.output_every > 0.0:
-            raise ValueError("output_every must be > 0")
+        if not 0.0 < self.output_every < math.inf:
+            raise ValueError("output_every must be finite and > 0")
         if not 0.0 < self.cfl_safety <= 1.0:
             raise ValueError("cfl_safety must be in (0, 1]")
         if not self.dt_max > 0.0:
@@ -90,7 +90,7 @@ class SolverConfig:
         if not 0.0 <= self.anchor_time < self.t_end:
             raise ValueError("anchor_time must be in [0, t_end)")
         if self.time_scheme not in ("explicit", "imex-diffusion"):
-            raise ValueError("time_scheme must be 'explicit' or 'imex-diffusion'")
+            raise ValueError("time_scheme must be explicit or imex-diffusion")
 
 
 @dataclass
@@ -317,9 +317,7 @@ def _attempt_step(
         v_new_vals = _screened_solve(grid, b, alpha)
         floor = _ROUNDOFF_CLAMP * max(float(np.max(np.abs(b))), sup_norm(v))
     else:
-        v_new_vals = v.values + dt * (
-            laplacian(v).values - v.values + u.values
-        )
+        v_new_vals = v.values + dt * rhs_v(u, v, params).values
         floor = _ROUNDOFF_CLAMP * sup_norm(v)
     v_new_vals = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
@@ -348,12 +346,9 @@ def _attempt_step(
         # anchor keeps w == w_anchor * exp(-Iv) bitwise for the whole run.
         w_new_vals = anchor.w_s0.values * np.exp(-iv_new.values)
     else:
-        v_half = 0.5 * (v.values + v_new_vals)
-        k1 = -v.values * w.values + params.eta * w.values * (
-            1.0 - u.values - w.values
-        )
-        w_half = w.values + (0.5 * dt) * k1
-        k2 = -v_half * w_half + params.eta * w_half * (1.0 - u.values - w_half)
+        v_half = Field(grid, 0.5 * (v.values + v_new_vals))
+        w_half = Field(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
+        k2 = rhs_w(u, v_half, w_half, params).values
         w_new_vals = np.clip(w.values + dt * k2, 0.0, anchor.sup_w)
     w_new = Field(grid, w_new_vals)
 

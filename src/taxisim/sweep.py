@@ -22,6 +22,7 @@ from .model import ModelParams, ScenarioSpec
 from .stepper import RunOutcome, SolverConfig, run
 
 __all__ = [
+    "SweepSettings",
     "SweepPlan",
     "SweepResult",
     "run_sweep",
@@ -35,12 +36,38 @@ SWEEP_MODES = ("fix_mu_vary_chi", "fix_chi_vary_mu")
 
 
 @dataclass(frozen=True)
-class SweepPlan:
-    """One pass over a sorted list of theta values.
+class SweepSettings:
+    """The sweep axis: a sorted list of theta values and the held coefficient.
 
     fix_mu_vary_chi holds mu = fixed_value and sets chi = theta * mu;
     fix_chi_vary_mu holds chi = fixed_value and sets mu = chi / theta.
     """
+
+    mode: str
+    fixed_value: float
+    theta_values: tuple[float, ...]
+    repetitions: int = 1
+
+    def __post_init__(self) -> None:
+        if self.mode not in SWEEP_MODES:
+            raise ValueError(f"mode must be {' or '.join(SWEEP_MODES)}")
+        if not 0.0 < self.fixed_value < math.inf:
+            raise ValueError("fixed_value must be finite and > 0")
+        thetas = tuple(float(t) for t in self.theta_values)
+        object.__setattr__(self, "theta_values", thetas)
+        if not thetas:
+            raise ValueError("theta_values must be nonempty")
+        if not all(0.0 < t < math.inf for t in thetas):
+            raise ValueError("theta_values entries must be finite and > 0")
+        if any(b <= a for a, b in zip(thetas, thetas[1:])):
+            raise ValueError("theta_values must be strictly increasing")
+        if self.repetitions < 1:
+            raise ValueError("repetitions must be >= 1")
+
+
+@dataclass(frozen=True)
+class SweepPlan:
+    """One pass over the sweep axis (see SweepSettings) for a base problem."""
 
     mode: str
     fixed_value: float
@@ -52,20 +79,8 @@ class SweepPlan:
     repetitions: int = 1
 
     def __post_init__(self) -> None:
-        if self.mode not in SWEEP_MODES:
-            raise ValueError(f"mode must be one of {SWEEP_MODES}")
-        if not self.fixed_value > 0.0:
-            raise ValueError("fixed_value must be > 0")
-        thetas = tuple(float(t) for t in self.theta_values)
-        object.__setattr__(self, "theta_values", thetas)
-        if not thetas:
-            raise ValueError("theta_values must be nonempty")
-        if any(t <= 0.0 for t in thetas):
-            raise ValueError("theta values must be > 0")
-        if any(b <= a for a, b in zip(thetas, thetas[1:])):
-            raise ValueError("theta values must be strictly increasing")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        axis = SweepSettings(self.mode, self.fixed_value, self.theta_values, self.repetitions)
+        object.__setattr__(self, "theta_values", axis.theta_values)
 
 
 @dataclass
@@ -79,6 +94,7 @@ class SweepResult:
     wall_time: float
     pe_condition: bool
     outcome: RunOutcome | None = None
+    failure: str | None = None  # "<Type>: <message>" of a point that could not run
 
 
 def params_for_theta(plan: SweepPlan, theta: float) -> ModelParams:
@@ -113,6 +129,7 @@ def _execute_point(
     )
     pe = check_pe_condition(model, plan.grid.dim)
     tic = time.perf_counter()
+    failure = None
     try:
         init = scenario.build(plan.grid)
         outcome = run(init, model, plan.base_solver)
@@ -121,8 +138,10 @@ def _execute_point(
         else:
             verdict = classify(outcome.records, plan.base_solver)
         max_sup = outcome.max_sup_u
-    except Exception:
-        # A failed point must not abort the sweep.
+    except ValueError as exc:
+        # Initial data or a model that cannot run fails this point only;
+        # any other exception is a bug and propagates.
+        failure = f"{type(exc).__name__}: {exc}"
         outcome = None
         verdict = BoundednessVerdict("inconclusive", math.nan, math.nan)
         max_sup = math.nan
@@ -137,6 +156,7 @@ def _execute_point(
         wall_time=wall,
         pe_condition=pe,
         outcome=outcome if keep_outcome else None,
+        failure=failure,
     )
 
 

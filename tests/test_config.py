@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import pytest
 
@@ -15,7 +16,83 @@ MINIMAL = """
 """
 
 
+# A valid document with a [sweep] section, one dict of key -> value text per
+# section; with_value() swaps in one bad value.
+VALID = {
+    "grid": {"dim": "1", "extent": "2", "cells": "16"},
+    "model": {"chi": "1"},
+    "solver": {"T_end": "1"},
+    "scenario": {},
+    "outputs": {},
+    "sweep": {"mode": "fix_mu_vary_chi", "fixed_value": "10", "theta_values": "0.1,0.2"},
+}
+
+
+def with_value(key: str, value: str) -> str:
+    section, name = key.split(".")
+    doc = {sec: dict(keys) for sec, keys in VALID.items()}
+    doc[section][name] = value
+    return "\n".join(
+        f"[{sec}] " + " ".join(f"{k}={v}" for k, v in keys.items()) for sec, keys in doc.items()
+    )
+
+
+OUT_OF_RANGE = [
+    ("grid.dim", "4"),
+    ("grid.extent", "-1"),
+    ("grid.cells", "1"),
+    ("model.chi", "0"),
+    ("model.xi", "-1"),
+    ("model.mu", "-1"),
+    ("model.eta", "-1"),
+    ("model.tau", "2"),
+    ("solver.T_end", "0"),
+    ("solver.output_every", "0"),
+    ("solver.cfl_safety", "2"),
+    ("solver.dt_max", "0"),
+    ("solver.blowup_threshold", "0"),
+    ("solver.anchor_time", "1"),
+    ("solver.anchor_time", "-0.5"),
+    ("solver.time_scheme", "magic"),
+    ("scenario.name", "vortex"),
+    ("scenario.amplitude", "-1"),
+    ("scenario.sigma", "0"),
+    ("scenario.center", "0.5,0.5"),
+    ("scenario.wbar", "-1"),
+    ("scenario.u0", "-1"),
+    ("scenario.v0", "-1"),
+    ("scenario.w0", "-1"),
+    ("outputs.p_values", "0.5"),
+    ("outputs.cadence", "0.5"),
+    ("sweep.mode", "fix_nothing"),
+    ("sweep.fixed_value", "0"),
+    ("sweep.theta_values", "0,0.1"),
+    ("sweep.theta_values", "0.2,0.1"),
+    ("sweep.repetitions", "0"),
+]
+NON_FINITE = [
+    ("solver.T_end", "inf"),
+    ("solver.output_every", "inf"),
+    ("scenario.amplitude", "nan"),
+    ("scenario.sigma", "inf"),
+    ("scenario.center", "nan"),
+    ("scenario.wbar", "inf"),
+    ("scenario.u0", "nan"),
+    ("sweep.fixed_value", "inf"),
+    ("sweep.theta_values", "nan"),
+    ("sweep.theta_values", "0.1,inf"),
+    ("model.chi", "inf"),
+    ("model.xi", "nan"),
+    ("model.mu", "nan"),
+    ("model.eta", "inf"),
+    ("grid.extent", "inf"),
+    ("outputs.p_values", "inf"),
+    ("outputs.cadence", "nan"),
+]
+
+
 class TestParsing:
+
     def test_model_defaults(self):
         cfg = parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1 mu=10 xi=1\n[solver] T_end=1")
         m = cfg.model
@@ -126,6 +203,13 @@ class TestValidation:
             + "[outputs] cadence=0.5"
         )
         assert cfg.solver.output_every == 0.5
+
+    @pytest.mark.parametrize(
+        "key,value", OUT_OF_RANGE + NON_FINITE, ids=[f"{k}={v}" for k, v in OUT_OF_RANGE + NON_FINITE]
+    )
+    def test_bad_value_names_its_key(self, key, value):
+        with pytest.raises(ValidationError, match="^" + re.escape(key) + " "):
+            parse_config(with_value(key, value))
 
     def test_bad_time_scheme(self):
         with pytest.raises(ValidationError, match=r"solver\.time_scheme"):

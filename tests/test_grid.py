@@ -65,7 +65,7 @@ class TestLaplacian:
         out = laplacian(Field(g, [1.0, 2.0, 4.0]))
         assert np.allclose(out.values, [1.0, 1.0, -2.0], rtol=0, atol=0)
 
-    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_cosine_eigenfunction_convergence(self, dim):
         # cos(pi x / L) satisfies the mirror boundary condition exactly, so the
         # error against -(pi/L)^2 f must shrink like h^2 under refinement.

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 import taxisim.stepper as stepper_mod
+import taxisim.sweep as sweep_mod
 from taxisim import (
     BoundednessVerdict,
     GridSpec,
@@ -144,6 +145,23 @@ class TestRunSweep:
         )
         results = run_sweep(plan)
         assert results[0].verdict.classification == "inconclusive"
+
+    def test_point_bug_propagates(self, monkeypatch):
+        def broken_run(*args, **kwargs):
+            raise TypeError("run() got an unexpected keyword argument")
+
+        monkeypatch.setattr(sweep_mod, "run", broken_run)
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            run_sweep(tiny_plan())
+
+    def test_point_value_error_keeps_its_cause(self, monkeypatch):
+        def unrunnable(*args, **kwargs):
+            raise ValueError("no positive step available")
+
+        monkeypatch.setattr(sweep_mod, "run", unrunnable)
+        (result,) = run_sweep(tiny_plan())
+        assert result.verdict.classification == "inconclusive"
+        assert result.failure == "ValueError: no positive step available"
 
 
 class TestEstimateThreshold:

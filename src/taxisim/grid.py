@@ -9,12 +9,21 @@ exactly at the discrete level.
 
 The three stencils share that face-flux form: each computes one quantity per
 interior face along every axis and scatters it into the cells below and
-above the face; boundary faces carry nothing.
+above the face; boundary faces carry nothing. In the flat layout the face
+normal to axis a joins cells p and p + s_a, where s_a is the product of the
+cell counts of the axes before a, so x[s_a:] - x[:-s_a] yields every face
+difference of that axis in one contiguous pass. Where p is the last cell of
+its row along a, the pair (p, p + s_a) straddles a boundary and is no face;
+a per-grid table of face weights (1/h^2, 1/(2h), 1/h) holds 0 there, so
+those entries scatter nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +52,8 @@ class GridSpec:
 
     extent: tuple[float, ...]
     cells: tuple[int, ...]
+    spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    num_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         extent = tuple(float(x) for x in self.extent)
@@ -58,14 +69,12 @@ class GridSpec:
         # Two cells per axis suffice for the mirror-ghost stencils.
         if any(n < 2 for n in cells):
             raise ValueError("cells entries must be >= 2")
+        object.__setattr__(self, "spacing", tuple(L / n for L, n in zip(extent, cells)))
+        object.__setattr__(self, "num_cells", math.prod(cells))
 
     @property
     def dim(self) -> int:
         return len(self.extent)
-
-    @property
-    def spacing(self) -> tuple[float, ...]:
-        return tuple(L / n for L, n in zip(self.extent, self.cells))
 
     @property
     def volume_element(self) -> float:
@@ -79,13 +88,6 @@ class GridSpec:
         out = 1.0
         for L in self.extent:
             out *= L
-        return out
-
-    @property
-    def num_cells(self) -> int:
-        out = 1
-        for n in self.cells:
-            out *= n
         return out
 
     def cell_centers(self, axis: int) -> np.ndarray:
@@ -105,7 +107,16 @@ class Field:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        values = np.asarray(self.values, dtype=float).ravel()
+        values = self.values
+        # A flat, contiguous float64 array is kept as is: asarray and ravel
+        # would not copy it either.
+        if not (
+            type(values) is np.ndarray
+            and values.ndim == 1
+            and values.dtype == np.float64
+            and values.flags.c_contiguous
+        ):
+            values = np.asarray(values, dtype=float).ravel()
         if values.size != self.grid.num_cells:
             raise ValueError(
                 f"field has {values.size} values, grid has {self.grid.num_cells} cells"
@@ -147,7 +158,7 @@ class VectorField:
         if not self.components:
             raise ValueError("vector field needs at least one component")
         grid = self.components[0].grid
-        if any(c.grid != grid for c in self.components):
+        if any(c.grid is not grid and c.grid != grid for c in self.components):
             raise ValueError("all components must share one grid")
         if len(self.components) != grid.dim:
             raise ValueError("vector field needs one component per axis")
@@ -174,14 +185,34 @@ class VectorField:
         return all(c.is_finite() for c in self.components)
 
 
-def _faces(ndim: int, axis: int) -> tuple[tuple, tuple]:
-    """Index tuples of the cells below and above every interior face normal
-    to axis; boundary faces carry no flux and have no entry."""
-    below: list = [slice(None)] * ndim
-    above = list(below)
-    below[axis] = slice(None, -1)
-    above[axis] = slice(1, None)
-    return tuple(below), tuple(above)
+class _AxisFaces(NamedTuple):
+    """The faces normal to one axis in the flat layout: face p joins cells p
+    and p + stride, for p < num_cells - stride. The weight arrays hold
+    1/h^2, 1/(2h) and 1/h at real faces and 0 where p ends its row."""
+
+    stride: int
+    h: float
+    inv_h2: np.ndarray
+    inv_2h: np.ndarray
+    inv_h: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _face_table(grid: GridSpec) -> tuple[_AxisFaces, ...]:
+    """Per-axis face strides and weights of grid (shared, so read-only)."""
+    table = []
+    stride = 1
+    for n, h in zip(grid.cells, grid.spacing):
+        p = np.arange(grid.num_cells - stride)
+        inside = (p // stride) % n != n - 1
+        weights = []
+        for w in (1.0 / (h * h), 1.0 / (2.0 * h), 1.0 / h):
+            arr = np.where(inside, w, 0.0)
+            arr.flags.writeable = False
+            weights.append(arr)
+        table.append(_AxisFaces(stride, h, *weights))
+        stride *= n
+    return tuple(table)
 
 
 def laplacian(f: Field) -> Field:
@@ -190,15 +221,15 @@ def laplacian(f: Field) -> Field:
     A mirror ghost equals its boundary cell, so boundary faces carry no flux
     and a boundary cell sees only its interior neighbour.
     """
-    grid = f.grid
-    a = f.nd
-    out = np.zeros_like(a)
-    for axis, h in enumerate(grid.spacing):
-        below, above = _faces(grid.dim, axis)
-        flux = (a[above] - a[below]) * (1.0 / (h * h))
-        out[below] += flux
-        out[above] -= flux
-    return Field.from_nd(grid, out)
+    x = f.values
+    out = np.zeros(x.size)
+    for faces in _face_table(f.grid):
+        s = faces.stride
+        flux = x[s:] - x[:-s]
+        flux *= faces.inv_h2
+        out[:-s] += flux
+        out[s:] -= flux
+    return Field(f.grid, out)
 
 
 def gradient(f: Field) -> VectorField:
@@ -208,16 +239,16 @@ def gradient(f: Field) -> VectorField:
     Boundary faces carry a zero difference (mirror ghosts), so the one-sided
     estimate (neighbor - cell) / (2h) appears at boundary cells.
     """
-    grid = f.grid
-    a = f.nd
+    x = f.values
     comps = []
-    for axis, h in enumerate(grid.spacing):
-        below, above = _faces(grid.dim, axis)
-        half = (a[above] - a[below]) * (1.0 / (2.0 * h))
-        g = np.zeros_like(a)
-        g[below] = half
-        g[above] += half
-        comps.append(Field.from_nd(grid, g))
+    for faces in _face_table(f.grid):
+        s = faces.stride
+        half = x[s:] - x[:-s]
+        half *= faces.inv_2h
+        g = np.zeros(x.size)
+        g[:-s] = half
+        g[s:] += half
+        comps.append(Field(f.grid, g))
     return VectorField(tuple(comps))
 
 
@@ -225,27 +256,29 @@ def taxis_divergence(carrier: Field, potential: Field, coeff: float) -> Field:
     """Conservative upwind discretization of div(coeff * carrier * grad potential).
 
     Each interior face carries the velocity q = coeff * (p_R - p_L) / h and
-    transports the carrier value of the upstream cell (arithmetic mean at an
-    exact tie q = 0, where the flux vanishes anyway). Boundary faces carry no
-    flux, so the volume-weighted sum of the result telescopes to zero.
+    transports the carrier value of the upstream cell: the lower cell where
+    q > 0, else the upper one (at q = 0 the flux q * c is 0 either way).
+    Boundary faces carry no flux, so the volume-weighted sum of the result
+    telescopes to zero.
     """
-    if carrier.grid != potential.grid:
-        raise ValueError("carrier and potential must share a grid")
-    if not np.isfinite(coeff):
-        raise ValueError("taxis coefficient must be finite")
     grid = carrier.grid
-    c = carrier.nd
-    p = potential.nd
-    out = np.zeros_like(c)
-    for axis, h in enumerate(grid.spacing):
-        below, above = _faces(grid.dim, axis)
-        q = (p[above] - p[below]) * (coeff / h)
-        upwind = np.where(q > 0.0, c[below], c[above])
-        upwind = np.where(q == 0.0, 0.5 * (c[below] + c[above]), upwind)
-        flux = (q * upwind) * (1.0 / h)
-        out[below] += flux
-        out[above] -= flux
-    return Field.from_nd(grid, out)
+    if potential.grid is not grid and potential.grid != grid:
+        raise ValueError("carrier and potential must share a grid")
+    if not math.isfinite(coeff):
+        raise ValueError("taxis coefficient must be finite")
+    c = carrier.values
+    p = potential.values
+    out = np.zeros(c.size)
+    for faces in _face_table(grid):
+        s = faces.stride
+        q = p[s:] - p[:-s]
+        q *= coeff / faces.h
+        flux = np.where(q > 0.0, c[:-s], c[s:])
+        flux *= q
+        flux *= faces.inv_h
+        out[:-s] += flux
+        out[s:] -= flux
+    return Field(grid, out)
 
 
 def integrate(f: Field) -> float:

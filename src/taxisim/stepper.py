@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -31,6 +32,7 @@ __all__ = [
     "Diverged",
     "SolverConfig",
     "Snapshot",
+    "Extrema",
     "SimState",
     "RunOutcome",
     "take_snapshot",
@@ -110,12 +112,45 @@ class Snapshot:
     sup_w: float
 
 
+class Extrema(NamedTuple):
+    """Minimum and maximum of u, v and w over the cells of one state.
+
+    min and max propagate NaN, so all six are finite exactly when every value
+    of the three fields is.
+    """
+
+    min_u: float
+    max_u: float
+    min_v: float
+    max_v: float
+    min_w: float
+    max_w: float
+
+    @classmethod
+    def of(cls, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Extrema:
+        return cls(
+            float(u.min()), float(u.max()),
+            float(v.min()), float(v.max()),
+            float(w.min()), float(w.max()),
+        )
+
+    @property
+    def finite(self) -> bool:
+        return all(map(math.isfinite, self))
+
+
 @dataclass
 class SimState:
     """Fields at time t plus the accumulated signal integrals since the anchor.
 
     Iv holds the per-cell trapezoidal integral of v over (s0, t], Igv the same
     for grad v. grad_v caches the cell-centered gradient of the current v.
+    extrema is the one min/max pass over u, v and w that step makes on every
+    state it accepts; the divergence check, run and the next step read it.
+    It describes the fields as step left them. A non-finite value written
+    into them later still stops the next step, since it spreads into the new
+    fields or the transport speed, but a finite edit is not seen until
+    extrema is set to None, which makes the next step recompute it.
     """
 
     t: float
@@ -127,10 +162,17 @@ class SimState:
     grad_v: VectorField
     anchor: Snapshot | None
     last_dt: float = 0.0
+    extrema: Extrema | None = None
 
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
+
+    def field_extrema(self) -> Extrema:
+        """extrema, or a fresh pass over u, v and w when it is not set."""
+        if self.extrema is not None:
+            return self.extrema
+        return Extrema.of(self.u.values, self.v.values, self.w.values)
 
     def is_finite(self) -> bool:
         return self.u.is_finite() and self.v.is_finite() and self.w.is_finite()
@@ -193,8 +235,10 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     h_a / max|chi (grad v)_a| + |xi (grad w)_a|, and the reaction limit
     1 / (mu (1 + sup u + sup w)), then caps the result by dt_max and by exact
     landing on the next output time, the anchor time and the final time.
+    A NaN transport speed means a non-finite field and raises Diverged.
     """
-    if not state.is_finite():
+    ext = state.field_extrema()
+    if not ext.finite:
         raise Diverged(f"non-finite state at t={state.t!r}", state=state)
     grid = state.grid
 
@@ -205,11 +249,12 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     for axis, h in enumerate(grid.spacing):
         speed = np.abs(params.chi * state.grad_v.components[axis].values)
         speed += np.abs(params.xi * grad_w.components[axis].values)
-        limit = min(limit, h / (float(np.max(speed)) + _EPS_RATE))
+        peak = float(np.max(speed))
+        if math.isnan(peak):
+            raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
+        limit = min(limit, h / (peak + _EPS_RATE))
 
-    sup_u = float(np.max(state.u.values))
-    sup_w = float(np.max(state.w.values))
-    limit = min(limit, 1.0 / (params.mu * (1.0 + sup_u + sup_w) + _EPS_RATE))
+    limit = min(limit, 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + _EPS_RATE))
 
     dt = min(cfg.cfl_safety * limit, cfg.dt_max)
 
@@ -306,6 +351,8 @@ def _attempt_step(
 ) -> SimState:
     grid = state.grid
     u, v, w = state.u, state.v, state.w
+    # The clamp floors read max v as sup |v|: equal, since v >= 0.
+    ext = state.field_extrema()
 
     # (1) signal update. The exact inverse of I - alpha lap is nonnegative,
     # so the solve only needs its transform round-off clamped.
@@ -315,10 +362,10 @@ def _attempt_step(
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
         v_new_vals = _screened_solve(grid, b, alpha)
-        floor = _ROUNDOFF_CLAMP * max(float(np.max(np.abs(b))), sup_norm(v))
+        floor = _ROUNDOFF_CLAMP * max(float(np.max(np.abs(b))), ext.max_v)
     else:
         v_new_vals = v.values + dt * rhs_v(u, v, params).values
-        floor = _ROUNDOFF_CLAMP * sup_norm(v)
+        floor = _ROUNDOFF_CLAMP * ext.max_v
     v_new_vals = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
     grad_v_new = gradient(v_new)
@@ -354,9 +401,7 @@ def _attempt_step(
 
     # (3) cell update, using the fresh v and w
     u_new_vals = u.values + dt * rhs_u(u, v_new, w_new, params).values
-    u_new_vals = _clamp_negatives(
-        u_new_vals, _ROUNDOFF_CLAMP * max(float(np.max(u.values)), _EPS_RATE)
-    )
+    u_new_vals = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
 
     return SimState(
         t=state.t + dt,
@@ -368,13 +413,15 @@ def _attempt_step(
         grad_v=grad_v_new,
         anchor=anchor,
         last_dt=dt,
+        extrema=Extrema.of(u_new_vals, v_new_vals, w_new_vals),
     )
 
 
 def _check_divergence(state: SimState, cfg: SolverConfig) -> None:
-    if not state.is_finite():
+    ext = state.field_extrema()
+    if not ext.finite:
         raise Diverged(f"non-finite fields at t={state.t!r}", state=state)
-    sup_u = float(np.max(state.u.values))
+    sup_u = ext.max_u
     if sup_u > cfg.blowup_threshold:
         raise Diverged(
             f"sup u = {sup_u!r} crossed threshold at t={state.t!r}", state=state
@@ -443,11 +490,9 @@ def run(
         if snapshot_sink is not None:
             snapshot_sink(st)
 
-    min_u = float(np.min(state.u.values))
-    min_v = float(np.min(state.v.values))
-    min_w = float(np.min(state.w.values))
-    max_w = float(np.max(state.w.values))
-    max_sup_u = float(np.max(state.u.values))
+    ext = state.field_extrema()
+    min_u, min_v, min_w, max_w = ext.min_u, ext.min_v, ext.min_w, ext.max_w
+    max_sup_u = ext.max_u
     t_of_max = 0.0
     violations = 0
     steps = 0
@@ -466,19 +511,20 @@ def run(
             state = step(state, params, cfg)
             steps += 1
 
-            su = float(np.max(state.u.values))
-            if su > max_sup_u:
-                max_sup_u = su
+            ext = state.field_extrema()
+            if ext.max_u > max_sup_u:
+                max_sup_u = ext.max_u
                 t_of_max = state.t
-            mu_ = float(np.min(state.u.values))
-            mv_ = float(np.min(state.v.values))
-            mw_ = float(np.min(state.w.values))
-            xw_ = float(np.max(state.w.values))
-            min_u = min(min_u, mu_)
-            min_v = min(min_v, mv_)
-            min_w = min(min_w, mw_)
-            max_w = max(max_w, xw_)
-            if mu_ < 0.0 or mv_ < 0.0 or mw_ < 0.0 or xw_ > state.anchor.sup_w:
+            min_u = min(min_u, ext.min_u)
+            min_v = min(min_v, ext.min_v)
+            min_w = min(min_w, ext.min_w)
+            max_w = max(max_w, ext.max_w)
+            if (
+                ext.min_u < 0.0
+                or ext.min_v < 0.0
+                or ext.min_w < 0.0
+                or ext.max_w > state.anchor.sup_w
+            ):
                 violations += 1
 
             if anchor_pending and state.t >= cfg.anchor_time - tol_t:

@@ -97,13 +97,15 @@ class SweepResult:
     failure: str | None = None  # "<Type>: <message>" of a point that could not run
 
 
-def params_for_theta(plan: SweepPlan, theta: float) -> ModelParams:
+def _coefficients(plan: SweepPlan, theta: float) -> tuple[float, float]:
+    """(chi, mu) of the sweep point at theta; either may overflow to inf."""
     if plan.mode == "fix_mu_vary_chi":
-        mu = plan.fixed_value
-        chi = theta * mu
-    else:
-        chi = plan.fixed_value
-        mu = chi / theta
+        return theta * plan.fixed_value, plan.fixed_value
+    return plan.fixed_value, plan.fixed_value / theta
+
+
+def params_for_theta(plan: SweepPlan, theta: float) -> ModelParams:
+    chi, mu = _coefficients(plan, theta)
     return replace(plan.base_model, chi=chi, mu=mu)
 
 
@@ -123,14 +125,16 @@ def _execute_point(
     plan: SweepPlan, theta_index: int, repetition: int, keep_outcome: bool
 ) -> SweepResult:
     theta = plan.theta_values[theta_index]
-    model = params_for_theta(plan, theta)
+    chi, mu = _coefficients(plan, theta)
     scenario = plan.scenario.with_seed(
         _derived_seed(plan.scenario.seed, theta_index, repetition)
     )
-    pe = check_pe_condition(model, plan.grid.dim)
+    pe = False  # stays False for a point whose model cannot be built
     tic = time.perf_counter()
     failure = None
     try:
+        model = params_for_theta(plan, theta)
+        pe = check_pe_condition(model, plan.grid.dim)
         init = scenario.build(plan.grid)
         outcome = run(init, model, plan.base_solver)
         if outcome.status == "cfl_failed":
@@ -148,8 +152,8 @@ def _execute_point(
     wall = time.perf_counter() - tic
     return SweepResult(
         theta=theta,
-        chi=model.chi,
-        mu=model.mu,
+        chi=chi,
+        mu=mu,
         repetition=repetition,
         verdict=verdict,
         max_sup_u=max_sup,

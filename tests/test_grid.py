@@ -194,6 +194,94 @@ class TestTaxisDivergence:
             taxis_divergence(Field.zeros(a), Field.zeros(b), 1.0)
 
 
+def _slices(ndim, axis):
+    below = [slice(None)] * ndim
+    above = list(below)
+    below[axis] = slice(None, -1)
+    above[axis] = slice(1, None)
+    return tuple(below), tuple(above)
+
+
+def reference_laplacian(f):
+    """The nd-slice stencils the flat-stride kernels replaced, kept as oracles."""
+    a = f.nd
+    out = np.zeros_like(a)
+    for axis, h in enumerate(f.grid.spacing):
+        below, above = _slices(a.ndim, axis)
+        flux = (a[above] - a[below]) * (1.0 / (h * h))
+        out[below] += flux
+        out[above] -= flux
+    return out
+
+
+def reference_gradient(f):
+    a = f.nd
+    comps = []
+    for axis, h in enumerate(f.grid.spacing):
+        below, above = _slices(a.ndim, axis)
+        half = (a[above] - a[below]) * (1.0 / (2.0 * h))
+        g = np.zeros_like(a)
+        g[below] = half
+        g[above] += half
+        comps.append(g)
+    return comps
+
+
+def reference_taxis_divergence(carrier, potential, coeff):
+    c, p = carrier.nd, potential.nd
+    out = np.zeros_like(c)
+    for axis, h in enumerate(carrier.grid.spacing):
+        below, above = _slices(c.ndim, axis)
+        q = (p[above] - p[below]) * (coeff / h)
+        upwind = np.where(q > 0.0, c[below], c[above])
+        upwind = np.where(q == 0.0, 0.5 * (c[below] + c[above]), upwind)
+        flux = (q * upwind) * (1.0 / h)
+        out[below] += flux
+        out[above] -= flux
+    return out
+
+
+ORACLE_GRIDS = [
+    ((1.3,), (8,)),
+    ((0.7, 2.0), (2, 5)),
+    ((2.1, 0.9), (7, 3)),
+    ((1.0, 0.3, 2.5), (4, 2, 5)),
+    ((0.6, 1.7, 1.1), (3, 6, 2)),
+]
+
+
+class TestFlatStrideOracle:
+    """The flat-stride stencils equal the nd-slice ones bit for bit, on
+    unequal extents and cell counts, so every axis has row wraps whose zero
+    weights must scatter nothing, including a 2-cell axis."""
+
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    def test_random_signed_fields(self, extent, cells):
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(sum(cells))
+        for _ in range(5):
+            f = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
+            pot = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
+            assert np.array_equal(laplacian(f).nd, reference_laplacian(f))
+            for comp, ref in zip(gradient(f).components, reference_gradient(f)):
+                assert np.array_equal(comp.nd, ref)
+            for coeff in (1.7, -0.4, 0.0):
+                out = taxis_divergence(f, pot, coeff)
+                assert np.array_equal(out.nd, reference_taxis_divergence(f, pot, coeff))
+
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    def test_potentials_with_exact_ties(self, extent, cells):
+        # Few distinct potential values make q == 0 on many faces, where the
+        # reference takes the mean of both cells and the kernel the upper one.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(7 * sum(cells))
+        carrier = Field(g, rng.uniform(-1.0, 3.0, g.num_cells))
+        pot = Field(g, rng.integers(0, 2, g.num_cells).astype(float))
+        for coeff in (2.3, 0.0):
+            out = taxis_divergence(carrier, pot, coeff)
+            assert np.array_equal(out.nd, reference_taxis_divergence(carrier, pot, coeff))
+
+
 class TestReductions:
     def test_integrate_constant_gives_measure(self):
         g = GridSpec((2.0, 3.0), (5, 7))

@@ -165,6 +165,20 @@ class TestStep:
         with pytest.raises(Diverged):
             step(state, ModelParams(chi=1.0), big_caps())
 
+    @pytest.mark.parametrize("name,bad", [("u", math.inf), ("v", math.nan), ("w", math.nan)])
+    def test_state_edited_after_step_signals_divergence(self, name, bad):
+        # step keeps the extrema of the states it accepts; a non-finite value
+        # written into such a state afterwards must still stop the next step.
+        from taxisim import Diverged
+
+        g = GridSpec((1.0, 1.5), (6, 5))
+        sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
+        state = step(initial_state(sc.build(g)), p, big_caps())
+        getattr(state, name).values[7] = bad
+        with pytest.raises(Diverged):
+            step(state, p, big_caps())
+
     def test_retry_exhaustion_raises_cfl_violation(self, monkeypatch):
         calls = {"n": 0}
 
@@ -345,6 +359,36 @@ class TestRun:
         assert out.status == "blew_up"
         assert out.failure_time is not None
         assert out.records[-1].sup_u >= 0.9
+
+    def test_trackers_match_the_accepted_states(self, monkeypatch):
+        # run takes its trackers from the extrema step computes; recompute
+        # them from every state run saw: the initial one and each accepted one.
+        seen = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            if not seen:
+                seen.append(state)
+            new = original(state, params, cfg)
+            seen.append(new)
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        g = GridSpec((1.0, 1.5), (12, 16))
+        p = ModelParams(chi=40.0, xi=1.0, mu=1.0)
+        sc = ScenarioSpec(name="random-perturb", amplitude=0.3, seed=5, wbar=0.3)
+        out = run(sc.build(g), p, SolverConfig(t_end=0.2, output_every=0.1))
+        assert out.status == "completed"
+        assert len(seen) == out.steps + 1
+        sups = [float(np.max(st.u.values)) for st in seen]
+        peak = int(np.argmax(sups))  # first index of the maximum
+        assert 0.0 < seen[peak].t < out.t_final
+        assert out.max_sup_u == sups[peak]
+        assert out.t_of_max_sup_u == seen[peak].t
+        assert out.min_u == min(float(np.min(st.u.values)) for st in seen)
+        assert out.min_v == min(float(np.min(st.v.values)) for st in seen)
+        assert out.min_w == min(float(np.min(st.w.values)) for st in seen)
+        assert out.max_w == max(float(np.max(st.w.values)) for st in seen)
 
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))

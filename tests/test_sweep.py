@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 
 import taxisim.stepper as stepper_mod
@@ -162,6 +164,13 @@ class TestRunSweep:
         (result,) = run_sweep(tiny_plan())
         assert result.verdict.classification == "inconclusive"
         assert result.failure == "ValueError: no positive step available"
+
+    def test_overflowing_coefficient_becomes_inconclusive(self):
+        # theta * fixed_value overflows to chi = inf, which ModelParams rejects.
+        (result,) = run_sweep(tiny_plan(fixed_value=1e300, theta_values=(1e10,)))
+        assert result.verdict.classification == "inconclusive"
+        assert result.failure == "ValueError: chi must be finite"
+        assert result.chi == math.inf and result.mu == 1e300
 
 
 class TestEstimateThreshold:

@@ -4,7 +4,7 @@ Every output step records masses, extrema, Lp norms, the signal-gradient
 supremum, the residual of the exact substrate representation
 w = w_anchor * exp(-Iv), and the slack of a pointwise lower bound on the
 discrete Laplacian of the substrate built from the anchor snapshot and the
-accumulated signal integrals. A whole run is classified as bounded, growing,
+accumulated signal integral. A whole run is classified as bounded, growing,
 blown up, or inconclusive from its record series.
 """
 
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Field, GridSpec, integrate, laplacian, lp_norm
+from .grid import Field, GridSpec, gradient, integrate, laplacian, lp_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
@@ -119,7 +119,9 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
 def lemma22_check(state: SimState) -> Field:
     """Pointwise slack of the substrate curvature lower bound.
 
-    With E = exp(-Iv) the bound reads
+    With E = exp(-Iv) and Igv = grad Iv, the integral of grad v since the
+    anchor (the gradient is linear, so the discrete gradient of the
+    trapezoidal Iv is the trapezoidal integral of grad_h v), the bound reads
 
         lap w(t) >= lap w(s0) E - 2 E grad w(s0) . Igv
                     - w(s0)/e - w(s0) v(t) E,
@@ -132,7 +134,7 @@ def lemma22_check(state: SimState) -> Field:
         raise AnchorMissing("curvature bound needs an anchor snapshot")
     env = np.exp(-state.Iv.values)
     dot = np.zeros_like(env)
-    for gw, gi in zip(anchor.grad_w_s0.components, state.Igv.components):
+    for gw, gi in zip(anchor.grad_w_s0.components, gradient(state.Iv).components):
         dot += gw.values * gi.values
     bound = anchor.lap_w_s0.values * env
     bound -= 2.0 * env * dot
@@ -151,7 +153,7 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
     scale = anchor.M * (
         1.0
         + float(np.max(state.Iv.values))
-        + float(np.max(state.Igv.magnitude().values))
+        + float(np.max(gradient(state.Iv).magnitude().values))
     )
     return LEMMA22_TOL_FACTOR * (h * h + dt) * scale
 

@@ -252,29 +252,44 @@ def gradient(f: Field) -> VectorField:
     return VectorField(tuple(comps))
 
 
-def taxis_divergence(carrier: Field, potential: Field, coeff: float) -> Field:
-    """Conservative upwind discretization of div(coeff * carrier * grad potential).
+def taxis_divergence(
+    carrier: Field,
+    potential: Field,
+    coeff: float,
+    *more: tuple[Field, float],
+) -> Field:
+    """Conservative upwind discretization of div(coeff * carrier * grad potential),
+    plus one such term for every further (potential, coeff) pair in more.
 
-    Each interior face carries the velocity q = coeff * (p_R - p_L) / h and
-    transports the carrier value of the upstream cell: the lower cell where
-    q > 0, else the upper one (at q = 0 the flux q * c is 0 either way).
-    Boundary faces carry no flux, so the volume-weighted sum of the result
-    telescopes to zero.
+    Each interior face carries, per pair, the velocity
+    q = coeff * (p_R - p_L) / h and transports the carrier value of the
+    upstream cell: the lower cell where q > 0, else the upper one (at q = 0
+    the flux q * c is 0 either way). The fluxes of all pairs are summed per
+    face, scaled by 1/h and scattered once. Boundary faces carry no flux, so
+    the volume-weighted sum of the result telescopes to zero.
     """
     grid = carrier.grid
-    if potential.grid is not grid and potential.grid != grid:
-        raise ValueError("carrier and potential must share a grid")
-    if not math.isfinite(coeff):
-        raise ValueError("taxis coefficient must be finite")
+    pairs = ((potential, coeff), *more)
+    for pot, k in pairs:
+        if pot.grid is not grid and pot.grid != grid:
+            raise ValueError("carrier and potential must share a grid")
+        if not math.isfinite(k):
+            raise ValueError("taxis coefficient must be finite")
     c = carrier.values
-    p = potential.values
     out = np.zeros(c.size)
     for faces in _face_table(grid):
         s = faces.stride
-        q = p[s:] - p[:-s]
-        q *= coeff / faces.h
-        flux = np.where(q > 0.0, c[:-s], c[s:])
-        flux *= q
+        flux = None
+        for pot, k in pairs:
+            p = pot.values
+            q = p[s:] - p[:-s]
+            q *= k / faces.h
+            term = np.where(q > 0.0, c[:-s], c[s:])
+            term *= q
+            if flux is None:
+                flux = term
+            else:
+                flux += term
         flux *= faces.inv_h
         out[:-s] += flux
         out[s:] -= flux

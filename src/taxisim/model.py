@@ -94,8 +94,7 @@ class InitialData:
 def rhs_u(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
     """du/dt: diffusion, both taxis fluxes, and logistic competition."""
     out = laplacian(u).values
-    out -= taxis_divergence(u, v, params.chi).values
-    out -= taxis_divergence(u, w, params.xi).values
+    out -= taxis_divergence(u, v, params.chi, (w, params.xi)).values
     if params.mu != 0.0:
         out += params.mu * u.values * (1.0 - u.values - w.values)
     return Field(u.grid, out)

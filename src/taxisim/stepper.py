@@ -4,8 +4,9 @@ Each step advances the fields in a fixed order: the signal v first (explicit
 Euler, an implicit-diffusion variant, or a screened Poisson solve when it is
 slaved to the cells; both implicit variants use one exact cosine-transform
 solve), then the substrate w, then the cells u by explicit Euler
-with upwind transport. Trapezoidal accumulators carry the per-cell integrals
-of v and grad v since the anchor snapshot; with eta = 0 the substrate is
+with upwind transport. One trapezoidal accumulator, Iv, carries the per-cell
+integral of v since the anchor snapshot; the integral of grad v is its
+gradient, since the gradient is linear. With eta = 0 the substrate is
 evaluated directly from the representation w = w_anchor * exp(-Iv), which
 keeps that identity exact to round-off for the whole run.
 
@@ -46,6 +47,10 @@ __all__ = [
 _EPS_RATE = 1e-30
 _MAX_HALVINGS = 10
 _ROUNDOFF_CLAMP = 1e-13
+# A stability step below this fraction of t_end means more than 10^15 steps,
+# a run that cannot finish. It sits well below 1e-12: t_end = 1e9 on an
+# 8-cell 1D grid has ordinary steps of ~1e-12 t_end.
+_MIN_STEPS_FRACTION = 1e-15
 
 
 class CFLViolation(RuntimeError):
@@ -141,10 +146,11 @@ class Extrema(NamedTuple):
 
 @dataclass
 class SimState:
-    """Fields at time t plus the accumulated signal integrals since the anchor.
+    """Fields at time t plus the accumulated signal integral since the anchor.
 
-    Iv holds the per-cell trapezoidal integral of v over (s0, t], Igv the same
-    for grad v. grad_v caches the cell-centered gradient of the current v.
+    Iv holds the per-cell trapezoidal integral of v over (s0, t]; the integral
+    of grad v is gradient(Iv), so it is not accumulated. grad_v caches the
+    cell-centered gradient of the current v.
     extrema is the one min/max pass over u, v and w that step makes on every
     state it accepts; the divergence check, run and the next step read it.
     It describes the fields as step left them. A non-finite value written
@@ -158,7 +164,6 @@ class SimState:
     v: Field
     w: Field
     Iv: Field
-    Igv: VectorField
     grad_v: VectorField
     anchor: Snapshot | None
     last_dt: float = 0.0
@@ -210,7 +215,6 @@ def initial_state(init: InitialData) -> SimState:
         v=v,
         w=init.w0.copy(),
         Iv=Field.zeros(grid),
-        Igv=VectorField.zeros(grid),
         grad_v=gradient(v),
         anchor=take_snapshot(0.0, init.u0, init.v0, init.w0),
         last_dt=0.0,
@@ -218,12 +222,10 @@ def initial_state(init: InitialData) -> SimState:
 
 
 def _reanchor(state: SimState) -> SimState:
-    grid = state.grid
     return replace(
         state,
         anchor=take_snapshot(state.t, state.u, state.v, state.w),
-        Iv=Field.zeros(grid),
-        Igv=VectorField.zeros(grid),
+        Iv=Field.zeros(state.grid),
     )
 
 
@@ -235,7 +237,9 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     h_a / max|chi (grad v)_a| + |xi (grad w)_a|, and the reaction limit
     1 / (mu (1 + sup u + sup w)), then caps the result by dt_max and by exact
     landing on the next output time, the anchor time and the final time.
-    A NaN transport speed means a non-finite field and raises Diverged.
+    A NaN transport speed means a non-finite field and raises Diverged. A
+    stability step (before the caps) below 1e-15 * t_end, which would take
+    more than 10^15 steps, raises ValueError naming the limit that binds.
     """
     ext = state.field_extrema()
     if not ext.finite:
@@ -243,7 +247,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     grid = state.grid
 
     inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
-    limit = 1.0 / (2.0 * inv_h2_sum)
+    limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
 
     grad_w = gradient(state.w)
     for axis, h in enumerate(grid.spacing):
@@ -252,11 +256,22 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
         peak = float(np.max(speed))
         if math.isnan(peak):
             raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
-        limit = min(limit, h / (peak + _EPS_RATE))
+        transport = h / (peak + _EPS_RATE)
+        if transport < limit:
+            limit, binding = transport, f"transport (axis {axis})"
 
-    limit = min(limit, 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + _EPS_RATE))
+    reaction = 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + _EPS_RATE)
+    if reaction < limit:
+        limit, binding = reaction, "reaction"
 
-    dt = min(cfg.cfl_safety * limit, cfg.dt_max)
+    dt = cfg.cfl_safety * limit
+    if dt < _MIN_STEPS_FRACTION * cfg.t_end:
+        raise ValueError(
+            f"the {binding} limit gives dt={dt!r} at t={state.t!r}, below "
+            f"{_MIN_STEPS_FRACTION!r} * t_end: the run would need more than "
+            f"{1.0 / _MIN_STEPS_FRACTION:.0e} steps"
+        )
+    dt = min(dt, cfg.dt_max)
 
     # Land exactly on the next output time, the pending anchor and t_end.
     t = state.t
@@ -271,37 +286,65 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     return dt
 
 
-@lru_cache(maxsize=64)
 def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Orthonormal DCT-II matrix C (n x n) and the eigenvalues of -lap.
 
     Row k of C is the discrete Neumann eigenvector cos(pi k (j + 1/2) / n),
     whose eigenvalue under the mirror-ghost Laplacian is
-    -(2 - 2 cos(pi k / n)) / h^2. The arrays are shared, so read-only.
+    -(2 - 2 cos(pi k / n)) / h^2.
     """
     k = np.arange(n, dtype=float)
     c = np.cos(np.outer(k, k + 0.5) * (math.pi / n)) * math.sqrt(2.0 / n)
     c[0] *= math.sqrt(0.5)
     lam = (2.0 - 2.0 * np.cos(k * (math.pi / n))) / (h * h)
-    c.flags.writeable = False
-    lam.flags.writeable = False
     return c, lam
 
 
-def _apply_along_axes(x: np.ndarray, mats: list[np.ndarray]) -> np.ndarray:
+class _Spectrum(NamedTuple):
+    """The cosine transform of one grid: per-axis forward matrices, their
+    inverses (the transposes) and the summed eigenvalues of -lap, laid out
+    like the transformed array (the cell counts reversed)."""
+
+    forward: tuple[np.ndarray, ...]
+    inverse: tuple[np.ndarray, ...]
+    lam: np.ndarray
+
+
+@lru_cache(maxsize=64)
+def _spectrum(grid: GridSpec) -> _Spectrum:
+    """Cosine transform of grid (shared, so read-only)."""
+    modes = [_cosine_modes(n, h) for n, h in zip(grid.cells, grid.spacing)]
+    lam = np.zeros(grid.cells[::-1])
+    for axis, (_, lam_a) in enumerate(modes):
+        shape = [1] * grid.dim
+        shape[grid.dim - 1 - axis] = lam_a.size
+        lam += lam_a.reshape(shape)
+    forward = tuple(c for c, _ in modes)
+    for arr in (*forward, lam):
+        arr.flags.writeable = False
+    return _Spectrum(forward, tuple(c.T for c in forward), lam)
+
+
+def _apply_along_axes(x: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
     """Multiply x by mats[a] along grid axis a; x stores the last axis first.
 
-    Each axis is a stack of small matrix products, not one product over all
-    cells: that one crosses BLAS's threading threshold at 32^3, where thread
-    hand-off made the solve take 47 ms instead of 0.6 ms on a 2-CPU host.
+    The last array axis is x @ m.T and the one before it m @ x, which
+    broadcasts over a leading stack; axis 0 of a 3D array is swapped into
+    that place and back, as views. So each axis is a stack of small matrix
+    products and no copy is made to move axes. One product over all cells
+    would cross BLAS's threading threshold at 32^3, where thread hand-off
+    made the solve take 47 ms; stacked, it takes 0.35-0.65 ms there on a
+    2-CPU host (0.9-1.2 ms when the axes were moved with copies).
     """
     last = x.ndim - 1
     for axis, m in enumerate(mats):
         pos = last - axis
         if pos == last:
             x = x @ m.T
+        elif pos == last - 1:
+            x = m @ x
         else:
-            x = np.moveaxis(m @ np.moveaxis(x, pos, -2), -2, pos)
+            x = np.swapaxes(m @ np.swapaxes(x, 0, 1), 0, 1)
     return x
 
 
@@ -313,14 +356,10 @@ def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
     1 + alpha sum_a lam_a and the inverse transform. The flat layout (axis 0
     fastest) is read as a C-order array with the axes reversed.
     """
-    modes = [_cosine_modes(n, h) for n, h in zip(grid.cells, grid.spacing)]
-    x = _apply_along_axes(b.reshape(grid.cells[::-1]), [c for c, _ in modes])
-    denom = 1.0
-    for axis, (_, lam) in enumerate(modes):
-        shape = [1] * grid.dim
-        shape[grid.dim - 1 - axis] = lam.size
-        denom = denom + alpha * lam.reshape(shape)
-    x = _apply_along_axes(x / denom, [c.T for c, _ in modes])
+    spec = _spectrum(grid)
+    x = _apply_along_axes(b.reshape(grid.cells[::-1]), spec.forward)
+    x /= 1.0 + alpha * spec.lam
+    x = _apply_along_axes(x, spec.inverse)
     return x.ravel()
 
 
@@ -370,19 +409,8 @@ def _attempt_step(
     v_new = Field(grid, v_new_vals)
     grad_v_new = gradient(v_new)
 
-    # (4, computed early so the w update can reuse it) trapezoidal accumulators
+    # (4, computed early so the w update can reuse it) trapezoidal accumulator
     iv_new = Field(grid, state.Iv.values + (0.5 * dt) * (v.values + v_new_vals))
-    igv_new = VectorField(
-        tuple(
-            Field(
-                grid,
-                acc.values + (0.5 * dt) * (go.values + gn.values),
-            )
-            for acc, go, gn in zip(
-                state.Igv.components, state.grad_v.components, grad_v_new.components
-            )
-        )
-    )
 
     # (2) substrate update
     anchor = state.anchor
@@ -409,7 +437,6 @@ def _attempt_step(
         v=v_new,
         w=w_new,
         Iv=iv_new,
-        Igv=igv_new,
         grad_v=grad_v_new,
         anchor=anchor,
         last_dt=dt,
@@ -475,9 +502,12 @@ def run(
     Emits a diagnostics record at t = 0 and at every output_every of simulated
     time (and at t_end); optional sinks receive each record / the state at
     each emission. At t = anchor_time > 0 the anchor snapshot is re-captured
-    and the accumulators reset. Positivity and the substrate ceiling are
-    monitored after every accepted step; step failures become the outcome
-    status, never an exception.
+    and the accumulator reset. Positivity and the substrate ceiling are
+    monitored after every accepted step; step failures (divergence,
+    persistent negativity) become the outcome status. A run that cannot
+    proceed raises ValueError: the stability step falls below 1e-15 * t_end
+    (more than 10^15 steps; the message names the binding limit), or the
+    state has no anchor snapshot.
     """
     state = initial_state(init)
     records: list = []

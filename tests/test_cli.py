@@ -41,6 +41,18 @@ class TestRunCommand:
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_unfinishable_run_exits_one_and_names_the_limit(self, tmp_path, capsys):
+        text = (
+            "[grid] dim=1 extent=1 cells=4\n"
+            "[model] chi=1 xi=0 mu=1e300\n"
+            "[solver] T_end=0.01\n"
+            "[scenario] name=steady\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["run", str(cfg)]) == 1
+        assert "reaction limit" in capsys.readouterr().err
+
     def test_blowup_exits_two(self, tmp_path, capsys):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"

@@ -17,7 +17,6 @@ from taxisim import (
     ModelParams,
     ScenarioSpec,
     SolverConfig,
-    VectorField,
     classify,
     initial_state,
     lemma22_check,
@@ -115,23 +114,16 @@ class TestCurvatureBound:
             assert rec.lemma22_violation == 0.0
 
     def test_poisoned_accumulator_is_detected(self):
-        # Corrupt Igv against the anchor gradient of a strongly varying
-        # substrate: the bound must report a strictly positive violation.
+        # Corrupt Iv against a strongly varying substrate, so that its
+        # gradient (the integral of grad v) is -10 grad w(s0): the bound must
+        # report a strictly positive violation.
         g = GridSpec((2.0,), (64,))
         x = g.cell_centers(0)
         w_bump = Field(g, 0.2 + 0.5 * np.exp(-((x - 1.0) ** 2) / 0.09))
         init = InitialData(Field.full(g, 1.0), Field.full(g, 1.0), w_bump)
         state = initial_state(init)
         clean = float(np.max(lemma22_check(state).values))
-        poisoned = replace(
-            state,
-            Igv=VectorField(
-                tuple(
-                    Field(g, -10.0 * comp.values)
-                    for comp in state.anchor.grad_w_s0.components
-                )
-            ),
-        )
+        poisoned = replace(state, Iv=Field(g, -10.0 * state.anchor.w_s0.values))
         dirty = float(np.max(lemma22_check(poisoned).values))
         assert clean == 0.0
         assert dirty > 1.0

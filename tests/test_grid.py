@@ -192,6 +192,10 @@ class TestTaxisDivergence:
         b = GridSpec((2.0,), (4,))
         with pytest.raises(ValueError):
             taxis_divergence(Field.zeros(a), Field.zeros(b), 1.0)
+        with pytest.raises(ValueError):
+            taxis_divergence(Field.zeros(a), Field.zeros(a), 1.0, (Field.zeros(b), 1.0))
+        with pytest.raises(ValueError):
+            taxis_divergence(Field.zeros(a), Field.zeros(a), 1.0, (Field.zeros(a), np.inf))
 
 
 def _slices(ndim, axis):
@@ -241,6 +245,27 @@ def reference_taxis_divergence(carrier, potential, coeff):
     return out
 
 
+def reference_taxis_divergence_pairs(carrier, pairs):
+    """Both terms in one pass: per face, the upwind fluxes of all
+    (potential, coeff) pairs are summed, then scaled by 1/h and scattered."""
+    c = carrier.nd
+    out = np.zeros_like(c)
+    for axis, h in enumerate(carrier.grid.spacing):
+        below, above = _slices(c.ndim, axis)
+        fluxes = []
+        for potential, coeff in pairs:
+            p = potential.nd
+            q = (p[above] - p[below]) * (coeff / h)
+            fluxes.append(q * np.where(q > 0.0, c[below], c[above]))
+        flux = fluxes[0]
+        for more in fluxes[1:]:
+            flux = flux + more
+        flux = flux * (1.0 / h)
+        out[below] += flux
+        out[above] -= flux
+    return out
+
+
 ORACLE_GRIDS = [
     ((1.3,), (8,)),
     ((0.7, 2.0), (2, 5)),
@@ -280,6 +305,25 @@ class TestFlatStrideOracle:
         for coeff in (2.3, 0.0):
             out = taxis_divergence(carrier, pot, coeff)
             assert np.array_equal(out.nd, reference_taxis_divergence(carrier, pot, coeff))
+
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("chi,xi", [(1.7, 0.9), (1.7, -0.4), (2.3, 0.0)])
+    def test_two_potentials_in_one_call(self, extent, cells, chi, xi):
+        # One call with an extra (potential, coeff) pair sums both terms per
+        # face before it scatters; the second potential has exact ties.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(3 * sum(cells))
+        carrier = Field(g, rng.uniform(-1.0, 3.0, g.num_cells))
+        pot_v = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
+        pot_w = Field(g, rng.integers(0, 2, g.num_cells).astype(float))
+        out = taxis_divergence(carrier, pot_v, chi, (pot_w, xi))
+        ref = reference_taxis_divergence_pairs(carrier, [(pot_v, chi), (pot_w, xi)])
+        assert np.array_equal(out.nd, ref)
+        # The same as two single-term calls, up to the order of the sums.
+        single_v = taxis_divergence(carrier, pot_v, chi).values
+        single_w = taxis_divergence(carrier, pot_w, xi).values
+        sup = max(np.max(np.abs(single_v)), np.max(np.abs(single_w)))
+        assert np.max(np.abs(out.values - (single_v + single_w))) <= 1e-15 * sup
 
 
 class TestReductions:

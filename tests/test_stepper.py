@@ -17,6 +17,7 @@ from taxisim import (
     ModelParams,
     ScenarioSpec,
     SolverConfig,
+    gradient,
     initial_state,
     laplacian,
     ode_reference,
@@ -108,6 +109,17 @@ class TestStableDt:
         # landing on the next output time
         dt = stable_dt(state, p, SolverConfig(t_end=10.0, output_every=1e-5))
         assert dt == pytest.approx(1e-5, rel=1e-9)
+
+    def test_unfinishable_step_names_its_limit(self):
+        # mu = 1e300 gives a reaction limit of ~1e-301: reaching t_end = 0.01
+        # would take ~1e298 steps, so no step is offered.
+        g = GridSpec((1.0,), (4,))
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        p = ModelParams(chi=1.0, xi=0.0, mu=1e300)
+        with pytest.raises(ValueError, match="the reaction limit gives dt="):
+            stable_dt(state, p, SolverConfig(t_end=0.01))
+        with pytest.raises(ValueError, match="the reaction limit gives dt="):
+            run(ScenarioSpec(name="steady").build(g), p, SolverConfig(t_end=0.01))
 
 
 class TestStep:
@@ -389,6 +401,46 @@ class TestRun:
         assert out.min_v == min(float(np.min(st.v.values)) for st in seen)
         assert out.min_w == min(float(np.min(st.w.values)) for st in seen)
         assert out.max_w == max(float(np.max(st.w.values)) for st in seen)
+
+    def test_gradient_of_iv_is_the_integral_of_grad_v(self, monkeypatch):
+        # The curvature bound reads the integral of grad v since the anchor
+        # as gradient(Iv). Accumulate it as a trapezoid over the grad_v of
+        # the accepted states, as an accumulator of its own, restarting at
+        # each anchor, and compare at every accepted state.
+        ref = []
+        worst = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            if state.t == state.anchor.s0:
+                ref[:] = [np.zeros(state.grid.num_cells) for _ in range(state.grid.dim)]
+            new = original(state, params, cfg)
+            half_dt = 0.5 * new.last_dt
+            ref[:] = [
+                acc + half_dt * (go.values + gn.values)
+                for acc, go, gn in zip(ref, state.grad_v.components, new.grad_v.components)
+            ]
+            scale = max(float(np.max(np.abs(acc))) for acc in ref)
+            err = max(
+                float(np.max(np.abs(comp.values - acc)))
+                for comp, acc in zip(gradient(new.Iv).components, ref)
+            )
+            worst.append((err, scale, new.anchor.s0))
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        g = GridSpec((1.0, 1.5), (12, 16))
+        p = ModelParams(chi=5.0, xi=1.0, mu=1.0, eta=0.0)
+        sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
+        cfg = SolverConfig(t_end=0.2, output_every=0.05, anchor_time=0.1)
+        out = run(sc.build(g), p, cfg)
+        assert out.status == "completed"
+        assert len(worst) == out.steps
+        assert {s0 for _, _, s0 in worst} == {0.0, out.final_state.anchor.s0}
+        assert out.final_state.anchor.s0 == pytest.approx(0.1, abs=1e-12)
+        for err, scale, _ in worst:
+            assert scale > 0.0
+            assert err <= 1e-10 * scale
 
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))

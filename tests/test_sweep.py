@@ -172,6 +172,14 @@ class TestRunSweep:
         assert result.failure == "ValueError: chi must be finite"
         assert result.chi == math.inf and result.mu == 1e300
 
+    def test_unfinishable_point_becomes_inconclusive(self):
+        # theta = 1e-300 with mu = 1e300 gives chi = 1, a finite point whose
+        # reaction limit (~1e-301) would need ~1e298 steps to reach t_end.
+        (result,) = run_sweep(tiny_plan(fixed_value=1e300, theta_values=(1e-300,)))
+        assert result.chi == 1.0 and result.mu == 1e300
+        assert result.verdict.classification == "inconclusive"
+        assert result.failure.startswith("ValueError: the reaction limit gives dt=")
+
 
 class TestEstimateThreshold:
     def test_simple_bracket(self):

@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, ValidationError, format_number, parse_config, render_config
-from .diagnostics import classify, mass_bound_check
+from .diagnostics import MassBoundCheck, classify, mass_bound_check
 from .fileio import (
     read_timeseries,
     render_sweep_summary,
@@ -41,6 +42,16 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective.cfg").write_text(render_config(cfg), encoding="utf-8")
     return outdir
+
+
+def _print_mass_bound(mass: MassBoundCheck) -> None:
+    if mass.skipped:
+        print("mass bound: skipped (needs mu > 0 and eta = 0)")
+    else:
+        print(
+            f"mass bound: {'pass' if mass.passed else 'FAIL'}"
+            + f" (bound={format_number(mass.bound)}, margin={format_number(mass.margin)})"
+        )
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -76,13 +87,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         + format_number(outcome.max_sup_u)
         + f" at t={format_number(outcome.t_of_max_sup_u)}"
     )
-    if mass.skipped:
-        print("mass bound: skipped (needs mu > 0 and eta = 0)")
-    else:
-        print(
-            f"mass bound: {'pass' if mass.passed else 'FAIL'}"
-            + f" (bound={format_number(mass.bound)}, margin={format_number(mass.margin)})"
-        )
+    _print_mass_bound(mass)
     print(f"wrote {series_path}")
     return 0 if outcome.status == "completed" else 2
 
@@ -145,13 +150,24 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    """Re-run the classifier and the mass bound on a saved series.
+
+    The run's effective.cfg beside the series supplies the grid (domain
+    measure), mu, eta and blowup_threshold; --mu, --omega and
+    --blowup-threshold override them. Without it the threshold defaults to
+    1e6 and the mass bound needs --mu and --omega.
+    """
     records, _ = read_timeseries(args.timeseries)
     if not records:
         raise ConfigError(f"{args.timeseries}: no records to check")
+    effective = Path(args.timeseries).with_name("effective.cfg")
+    run_cfg = _load_config(str(effective)) if effective.is_file() else None
+
+    threshold = args.blowup_threshold
+    if threshold is None:
+        threshold = run_cfg.solver.blowup_threshold if run_cfg is not None else 1e6
     t_end = max(records[-1].t, 1e-9)
-    cfg = SolverConfig(
-        t_end=t_end, output_every=t_end, blowup_threshold=args.blowup_threshold
-    )
+    cfg = SolverConfig(t_end=t_end, output_every=t_end, blowup_threshold=threshold)
     verdict = classify(records, cfg)
     print(f"verdict: {verdict.classification}")
     print(
@@ -161,19 +177,16 @@ def _cmd_check(args: argparse.Namespace) -> int:
     )
     if verdict.crossing_time is not None:
         print(f"crossing time: {format_number(verdict.crossing_time)}")
-    if args.mu is not None and args.omega is not None:
+
+    grid, params = (run_cfg.grid, run_cfg.model) if run_cfg is not None else (None, None)
+    if args.omega is not None:
         grid = GridSpec((args.omega,), (2,))
-        params = ModelParams(chi=1.0, mu=args.mu)
-        mass = mass_bound_check(records, grid, params)
-        if mass.skipped:
-            print("mass bound: skipped (needs mu > 0)")
-        else:
-            print(
-                f"mass bound: {'pass' if mass.passed else 'FAIL'}"
-                + f" (bound={format_number(mass.bound)}, margin={format_number(mass.margin)})"
-            )
-    else:
+    if args.mu is not None:
+        params = ModelParams(chi=1.0, mu=args.mu) if params is None else replace(params, mu=args.mu)
+    if grid is None or params is None:
         print("mass bound: skipped (pass --mu and --omega to evaluate)")
+    else:
+        _print_mass_bound(mass_bound_check(records, grid, params))
     return 0
 
 
@@ -196,9 +209,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="re-evaluate checks on a saved series")
     p_check.add_argument("timeseries", help="path to a timeseries.csv")
-    p_check.add_argument("--blowup-threshold", type=float, default=1e6)
-    p_check.add_argument("--mu", type=float, default=None)
-    p_check.add_argument("--omega", type=float, default=None, help="domain measure")
+    p_check.add_argument(
+        "--blowup-threshold", type=float, default=None,
+        help="default: the run's effective.cfg, else 1e6",
+    )
+    p_check.add_argument("--mu", type=float, default=None, help="default: the run's effective.cfg")
+    p_check.add_argument(
+        "--omega", type=float, default=None, help="domain measure; default: the run's effective.cfg"
+    )
     return parser
 
 

@@ -7,6 +7,7 @@ re-serialization is byte-identical.
 
 from __future__ import annotations
 
+import io
 import math
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -60,6 +61,7 @@ SWEEP_COLUMNS = (
     "t_of_max",
     "crossing_time",
     "pe_condition",
+    "failure",
 )
 
 
@@ -235,29 +237,34 @@ def _optional_number(x: float | None) -> str:
 def write_sweep_table(results: list[SweepResult], path: str | Path) -> Path:
     """Write one row per sweep point.
 
+    failure holds the "<Type>: <message>" of a point that could not run and
+    is empty otherwise; a cell with a comma or quote is quoted as CSV.
     Wall-clock timings are intentionally not serialized: the table must be
     bitwise reproducible across runs of the same plan.
     """
+    import csv  # here, not at import: only the sweep command writes a table
+
     path = Path(path)
-    lines = [",".join(SWEEP_COLUMNS)]
+    text = io.StringIO()
+    table = csv.writer(text, lineterminator="\n")
+    table.writerow(SWEEP_COLUMNS)
     for res in results:
-        lines.append(
-            ",".join(
-                [
-                    format_number(res.theta),
-                    format_number(res.chi),
-                    format_number(res.mu),
-                    str(res.repetition),
-                    res.verdict.classification,
-                    format_number(res.max_sup_u),
-                    format_number(res.verdict.t_of_max),
-                    _optional_number(res.verdict.crossing_time),
-                    "true" if res.pe_condition else "false",
-                ]
-            )
+        table.writerow(
+            [
+                format_number(res.theta),
+                format_number(res.chi),
+                format_number(res.mu),
+                str(res.repetition),
+                res.verdict.classification,
+                format_number(res.max_sup_u),
+                format_number(res.verdict.t_of_max),
+                _optional_number(res.verdict.crossing_time),
+                "true" if res.pe_condition else "false",
+                res.failure or "",
+            ]
         )
     try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        path.write_text(text.getvalue(), encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write sweep table {path}: {exc}") from exc
     return path

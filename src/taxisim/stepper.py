@@ -149,14 +149,18 @@ class SimState:
     """Fields at time t plus the accumulated signal integral since the anchor.
 
     Iv holds the per-cell trapezoidal integral of v over (s0, t]; the integral
-    of grad v is gradient(Iv), so it is not accumulated. grad_v caches the
-    cell-centered gradient of the current v.
+    of grad v is gradient(Iv), so it is not accumulated. grad_v is not stored
+    either: the property computes the cell-centered gradient of the current v
+    on each access (the records read it once per output).
     extrema is the one min/max pass over u, v and w that step makes on every
     state it accepts; the divergence check, run and the next step read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step, since it spreads into the new
-    fields or the transport speed, but a finite edit is not seen until
-    extrema is set to None, which makes the next step recompute it.
+    fields: u and v are read by every step (v through rhs_v, the implicit
+    right-hand side, or Iv and w when tau = 0). With eta = 0 the step reads
+    w nowhere but stable_dt, so stable_dt takes the range of w from w itself,
+    never from extrema. A finite edit is not seen until extrema is set to
+    None, which makes the next step recompute it.
     """
 
     t: float
@@ -164,7 +168,6 @@ class SimState:
     v: Field
     w: Field
     Iv: Field
-    grad_v: VectorField
     anchor: Snapshot | None
     last_dt: float = 0.0
     extrema: Extrema | None = None
@@ -172,6 +175,10 @@ class SimState:
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
+
+    @property
+    def grad_v(self) -> VectorField:
+        return gradient(self.v)
 
     def field_extrema(self) -> Extrema:
         """extrema, or a fresh pass over u, v and w when it is not set."""
@@ -207,15 +214,12 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
 
 
 def initial_state(init: InitialData) -> SimState:
-    grid = init.grid
-    v = init.v0.copy()
     return SimState(
         t=0.0,
         u=init.u0.copy(),
-        v=v,
+        v=init.v0.copy(),
         w=init.w0.copy(),
-        Iv=Field.zeros(grid),
-        grad_v=gradient(v),
+        Iv=Field.zeros(init.grid),
         anchor=take_snapshot(0.0, init.u0, init.v0, init.w0),
         last_dt=0.0,
     )
@@ -229,6 +233,33 @@ def _reanchor(state: SimState) -> SimState:
     )
 
 
+def _outputs_reached(t: float, out: float) -> int:
+    """How many output times k * out (k >= 1) lie before t or within
+    1e-9 * out after it: the index of the last output the clock has reached."""
+    k = math.floor(t / out)
+    if (k + 1) * out <= t + 1e-9 * out:
+        k += 1
+    return k
+
+
+def _landing_tol(cfg: SolverConfig) -> float:
+    """Distance below which two clock times count as one landing."""
+    return 1e-9 * min(cfg.output_every, cfg.t_end)
+
+
+def _next_landing(t: float, cfg: SolverConfig) -> float:
+    """The next time after t that a step must end on exactly: the next output
+    time k * output_every, the pending anchor time or t_end. An output time
+    within _landing_tol of t_end is t_end, so no sliver step is left."""
+    tol = _landing_tol(cfg)
+    landing = (_outputs_reached(t, cfg.output_every) + 1) * cfg.output_every
+    if landing > cfg.t_end - tol:
+        landing = cfg.t_end
+    if t + tol < cfg.anchor_time < landing:
+        landing = cfg.anchor_time
+    return landing
+
+
 def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     """Largest safe step for the explicit updates.
 
@@ -237,6 +268,14 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     h_a / max|chi (grad v)_a| + |xi (grad w)_a|, and the reaction limit
     1 / (mu (1 + sup u + sup w)), then caps the result by dt_max and by exact
     landing on the next output time, the anchor time and the final time.
+
+    The central gradient of a field is at most its range R = max - min over
+    2 h_a, so the transport limit on axis a is at least
+    2 h_a^2 / (chi R_v + xi R_w). When that is at least twice the diffusion
+    limit on every axis, transport cannot bind and the gradients are not
+    computed; the factor 2 covers the rounding of both sides. Otherwise, or
+    when a range is not finite, the exact limit is computed as above. R_v
+    comes from the state's extrema, R_w from w itself (see SimState).
     A NaN transport speed means a non-finite field and raises Diverged. A
     stability step (before the caps) below 1e-15 * t_end, which would take
     more than 10^15 steps, raises ValueError naming the limit that binds.
@@ -249,16 +288,23 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
     limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
 
-    grad_w = gradient(state.w)
-    for axis, h in enumerate(grid.spacing):
-        speed = np.abs(params.chi * state.grad_v.components[axis].values)
-        speed += np.abs(params.xi * grad_w.components[axis].values)
-        peak = float(np.max(speed))
-        if math.isnan(peak):
-            raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
-        transport = h / (peak + _EPS_RATE)
-        if transport < limit:
-            limit, binding = transport, f"transport (axis {axis})"
+    w = state.w.values
+    spread = params.chi * (ext.max_v - ext.min_v) + params.xi * (
+        float(w.max()) - float(w.min())
+    )
+    h_min = min(grid.spacing)
+    if not spread * limit <= h_min * h_min:  # NaN and inf fail it as well
+        grad_v = gradient(state.v)
+        grad_w = gradient(state.w)
+        for axis, h in enumerate(grid.spacing):
+            speed = np.abs(params.chi * grad_v.components[axis].values)
+            speed += np.abs(params.xi * grad_w.components[axis].values)
+            peak = float(np.max(speed))
+            if math.isnan(peak):
+                raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
+            transport = h / (peak + _EPS_RATE)
+            if transport < limit:
+                limit, binding = transport, f"transport (axis {axis})"
 
     reaction = 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + _EPS_RATE)
     if reaction < limit:
@@ -271,16 +317,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
             f"{_MIN_STEPS_FRACTION!r} * t_end: the run would need more than "
             f"{1.0 / _MIN_STEPS_FRACTION:.0e} steps"
         )
-    dt = min(dt, cfg.dt_max)
-
-    # Land exactly on the next output time, the pending anchor and t_end.
-    t = state.t
-    out = cfg.output_every
-    snap = 1e-9 * out
-    next_out = (math.floor(t / out + 1e-9) + 1.0) * out
-    dt = min(dt, next_out - t, cfg.t_end - t)
-    if cfg.anchor_time > t + snap:
-        dt = min(dt, cfg.anchor_time - t)
+    dt = min(dt, cfg.dt_max, _next_landing(state.t, cfg) - state.t)
     if dt <= 0.0:
         raise ValueError("no positive step available (already at t_end?)")
     return dt
@@ -407,7 +444,6 @@ def _attempt_step(
         floor = _ROUNDOFF_CLAMP * ext.max_v
     v_new_vals = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
-    grad_v_new = gradient(v_new)
 
     # (4, computed early so the w update can reuse it) trapezoidal accumulator
     iv_new = Field(grid, state.Iv.values + (0.5 * dt) * (v.values + v_new_vals))
@@ -437,7 +473,6 @@ def _attempt_step(
         v=v_new,
         w=w_new,
         Iv=iv_new,
-        grad_v=grad_v_new,
         anchor=anchor,
         last_dt=dt,
         extrema=Extrema.of(u_new_vals, v_new_vals, w_new_vals),
@@ -456,14 +491,22 @@ def _check_divergence(state: SimState, cfg: SolverConfig) -> None:
 
 
 def step(state: SimState, params: ModelParams, cfg: SolverConfig) -> SimState:
-    """Advance one accepted step; retries with halved dt on rejection."""
+    """Advance one accepted step; retries with halved dt on rejection.
+
+    A step that ends within 1e-9 * min(output_every, t_end) of the next
+    landing time (output, anchor or t_end) sets t to that time exactly, so
+    the rounding of t + dt never accumulates into the clock.
+    """
     dt = stable_dt(state, params, cfg)
+    landing = _next_landing(state.t, cfg)
     for _ in range(_MAX_HALVINGS + 1):
         try:
             new = _attempt_step(state, params, cfg, dt)
         except _RetryStep:
             dt *= 0.5
             continue
+        if landing - new.t <= _landing_tol(cfg):
+            new.t = landing
         _check_divergence(new, cfg)
         return new
     raise CFLViolation(f"persistent negativity at t={state.t!r}")
@@ -532,12 +575,12 @@ def run(
     emit(state)
 
     out = cfg.output_every
-    tol_t = 1e-9 * min(out, cfg.t_end)
-    next_out = out
+    tol_t = _landing_tol(cfg)
+    emitted = 0  # index k of the last output time k * out emitted
     anchor_pending = cfg.anchor_time > 0.0
 
     try:
-        while state.t < cfg.t_end - tol_t:
+        while state.t < cfg.t_end:
             state = step(state, params, cfg)
             steps += 1
 
@@ -561,10 +604,10 @@ def run(
                 state = _reanchor(state)
                 anchor_pending = False
 
-            if state.t >= next_out - tol_t or state.t >= cfg.t_end - tol_t:
+            reached = _outputs_reached(state.t, out)
+            if reached > emitted or state.t >= cfg.t_end:
                 emit(state)
-                while next_out <= state.t + tol_t:
-                    next_out += out
+                emitted = reached
     except Diverged as exc:
         status = "blew_up"
         if exc.state is not None:

@@ -6,6 +6,8 @@ criterion; each test also prints an explicit [acceptance] line.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import time
 from dataclasses import dataclass
@@ -330,9 +332,9 @@ def test_criterion_09_slaved_signal_regime(tau0_sweep, tmp_path):
     assert res.verdict.classification == "bounded"
     assert res.pe_condition is True
     table = write_sweep_table(results, tmp_path / "sweep.csv").read_text()
-    rows = table.splitlines()
-    assert rows[0].split(",")[-1] == "pe_condition"
-    assert rows[1].split(",")[-1] == "true"
+    rows = list(csv.DictReader(io.StringIO(table)))
+    assert rows[0]["pe_condition"] == "true"
+    assert rows[0]["failure"] == ""
     summary = render_sweep_summary(results, estimate_threshold(results), plan.base_model.tau)
     assert "pe_condition=true" in summary
     report(9, "slaved-signal comparison regime")

@@ -167,8 +167,47 @@ class TestCheckCommand:
         assert "mass bound: pass" in out
 
     def test_mass_check_skipped_without_flags(self, tmp_path, capsys):
+        # A series with no effective.cfg beside it: no mu or domain to use.
         cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
         main(["run", str(cfg)])
         capsys.readouterr()
-        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        series = alone / "timeseries.csv"
+        series.write_bytes((tmp_path / "out" / "timeseries.csv").read_bytes())
+        assert main(["check", str(series)]) == 0
         assert "mass bound: skipped" in capsys.readouterr().out
+
+    def test_repeats_the_run_verdict_from_its_effective_cfg(self, tmp_path, capsys):
+        # The run crosses its own blowup_threshold of 3; the default 1e6 used
+        # to turn that into "growing", with the mass bound skipped.
+        text = (
+            "[grid] dim=1 extent=4 cells=32\n"
+            "[model] chi=30 xi=0 mu=0.1 tau=0\n"
+            "[solver] T_end=2 output_every=0.25 blowup_threshold=3\n"
+            "[scenario] name=gaussian-bump amplitude=0.5 sigma=0.5 wbar=0.3\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_cfg(tmp_path, text))]) == 2
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert "verdict: blew_up" in ran
+        for prefix in ("verdict:", "max sup u:", "mass bound:"):
+            (line,) = [x for x in ran if x.startswith(prefix)]
+            assert line in checked
+        assert any(x.startswith("mass bound: pass") for x in checked)
+
+    def test_flags_override_the_effective_cfg(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
+        main(["run", str(cfg)])
+        capsys.readouterr()
+        series = str(tmp_path / "out" / "timeseries.csv")
+        assert main(["check", series]) == 0
+        assert "mass bound: pass (bound=4.0," in capsys.readouterr().out
+        assert main(["check", series, "--omega", "10", "--blowup-threshold", "0.5"]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: blew_up" in out
+        assert "mass bound: pass (bound=10.0," in out
+        assert main(["check", series, "--mu", "0"]) == 0
+        assert "mass bound: skipped (needs mu > 0 and eta = 0)" in capsys.readouterr().out

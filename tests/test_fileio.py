@@ -131,4 +131,5 @@ class TestSweepTable:
             "t_of_max",
             "crossing_time",
             "pe_condition",
+            "failure",
         )

@@ -122,6 +122,148 @@ class TestStableDt:
             run(ScenarioSpec(name="steady").build(g), p, SolverConfig(t_end=0.01))
 
 
+def exact_stable_dt(state, params, cfg):
+    """stable_dt with the transport limit always computed from the gradients:
+    the formula before the range bound, kept as the reference. Returns the
+    step before the landing caps and the name of the binding limit."""
+    ext = state.field_extrema()
+    grid = state.grid
+    inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
+    limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
+    grad_v = gradient(state.v)
+    grad_w = gradient(state.w)
+    for axis, h in enumerate(grid.spacing):
+        speed = np.abs(params.chi * grad_v.components[axis].values)
+        speed += np.abs(params.xi * grad_w.components[axis].values)
+        transport = h / (float(np.max(speed)) + stepper_mod._EPS_RATE)
+        if transport < limit:
+            limit, binding = transport, f"transport (axis {axis})"
+    reaction = 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + stepper_mod._EPS_RATE)
+    if reaction < limit:
+        limit, binding = reaction, "reaction"
+    return min(cfg.cfl_safety * limit, cfg.dt_max), binding
+
+
+def _ramp_state(g, slope):
+    x = g.cell_centers(0)
+    return initial_state(InitialData(Field.full(g, 1.0), Field(g, slope * x), Field.zeros(g)))
+
+
+def _random_state(g, seed):
+    sc = ScenarioSpec(name="random-perturb", amplitude=0.9, seed=seed, wbar=0.3)
+    return initial_state(sc.build(g))
+
+
+def _smooth_state(g, seed):
+    rng = np.random.default_rng(seed)
+    u = smooth_field(g, rng, nonneg=True)
+    v = smooth_field(g, rng, nonneg=True)
+    w = smooth_field(g, rng, nonneg=True, amplitude=0.2)
+    return initial_state(InitialData(u, v, w))
+
+
+# name: (state, params, the limit that binds, whether the range bound rules
+# transport out so that no gradient is computed)
+DT_CASES = {
+    "smooth-1d": (
+        lambda: _smooth_state(GridSpec((2.0,), (64,)), 1),
+        ModelParams(chi=1.0, xi=1.0, mu=1.0), "diffusion", True,
+    ),
+    "smooth-2d": (
+        lambda: _smooth_state(GridSpec((6.0, 6.0), (64, 64)), 2),
+        ModelParams(chi=1.0, xi=1.0, mu=10.0), "diffusion", True,
+    ),
+    "smooth-3d": (
+        lambda: _smooth_state(GridSpec((3.0,) * 3, (16,) * 3), 3),
+        ModelParams(chi=1.0, xi=1.0, mu=1.0), "diffusion", True,
+    ),
+    "rough-1d": (
+        lambda: _random_state(GridSpec((6.0,), (64,)), 4),
+        ModelParams(chi=1.0, xi=1.0, mu=10.0), "diffusion", True,
+    ),
+    "rough-2d": (
+        lambda: _random_state(GridSpec((1.0, 1.5), (12, 16)), 5),
+        ModelParams(chi=4.0, xi=1.0, mu=1.0), "diffusion", False,
+    ),
+    "rough-3d": (
+        lambda: _random_state(GridSpec((1.0,) * 3, (8,) * 3), 6),
+        ModelParams(chi=2.0, xi=2.0, mu=1.0), "diffusion", True,
+    ),
+    "anisotropic-2d-axis0": (
+        lambda: _random_state(GridSpec((0.5, 6.0), (16, 8)), 7),
+        ModelParams(chi=8.0, xi=1.0, mu=1.0), "transport (axis 0)", False,
+    ),
+    "anisotropic-2d-axis1": (
+        lambda: _random_state(GridSpec((6.0, 0.5), (8, 16)), 7),
+        ModelParams(chi=8.0, xi=1.0, mu=1.0), "transport (axis 1)", False,
+    ),
+    "anisotropic-3d": (
+        lambda: _smooth_state(GridSpec((0.8, 1.9, 3.1), (4, 7, 5)), 8),
+        ModelParams(chi=3.0, xi=0.5, mu=1.0), "diffusion", False,
+    ),
+    "steep-ramp": (
+        lambda: _ramp_state(GridSpec((1.0,), (10,)), 40.0),
+        ModelParams(chi=1.0, xi=0.0, mu=0.0), "transport (axis 0)", False,
+    ),
+    "chi64-random-1d": (
+        lambda: _random_state(GridSpec((6.0,), (64,)), 9),
+        ModelParams(chi=64.0, xi=1.0, mu=10.0), "transport (axis 0)", False,
+    ),
+    "chi64-random-2d": (
+        lambda: _random_state(GridSpec((1.0, 3.0), (16, 24)), 10),
+        ModelParams(chi=64.0, xi=1.0, mu=1.0), "transport (axis 0)", False,
+    ),
+    "reaction": (
+        lambda: _random_state(GridSpec((100.0,), (4,)), 11),
+        ModelParams(chi=1.0, xi=1.0, mu=2.0), "reaction", True,
+    ),
+}
+
+
+def count_gradients(monkeypatch) -> list:
+    """Wrap the gradient that taxisim.stepper calls; return the call log."""
+    calls = []
+    monkeypatch.setattr(stepper_mod, "gradient", lambda f: calls.append(f) or gradient(f))
+    return calls
+
+
+class TestStableDtRangeBound:
+    """stable_dt skips the gradients when the field ranges rule transport out;
+    its step must equal the exact formula bit for bit either way."""
+
+    @pytest.mark.parametrize("case", sorted(DT_CASES))
+    def test_equals_exact_formula(self, case, monkeypatch):
+        make, params, binding, skips = DT_CASES[case]
+        state = make()
+        cfg = big_caps()
+        dt, found = exact_stable_dt(state, params, cfg)
+        assert found == binding
+        calls = count_gradients(monkeypatch)
+        assert stable_dt(state, params, cfg) == dt
+        assert len(calls) == (0 if skips else 2)
+        # States that step produced carry their extrema, which stable_dt
+        # reads for the range of v.
+        for _ in range(3):
+            state = step(state, params, cfg)
+            assert state.extrema is not None
+            assert stable_dt(state, params, cfg) == exact_stable_dt(state, params, cfg)[0]
+
+    def test_steps_of_a_run_take_no_gradient(self, monkeypatch):
+        # A 2D bump run: gradient runs once for the anchor snapshot and once
+        # per record (sup_grad_v), never per step.
+        calls = count_gradients(monkeypatch)
+        g = GridSpec((2.0, 2.0), (16, 16))
+        sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.4, wbar=0.3)
+        out = run(
+            sc.build(g),
+            ModelParams(chi=1.0, xi=1.0, mu=1.0),
+            SolverConfig(t_end=0.2, output_every=0.05),
+        )
+        assert out.status == "completed"
+        assert out.steps > 10 * len(out.records)
+        assert len(calls) == 1 + len(out.records)
+
+
 class TestStep:
     def test_steady_state_is_fixed_point(self):
         g = GridSpec((2.0,), (16,))
@@ -177,19 +319,31 @@ class TestStep:
         with pytest.raises(Diverged):
             step(state, ModelParams(chi=1.0), big_caps())
 
-    @pytest.mark.parametrize("name,bad", [("u", math.inf), ("v", math.nan), ("w", math.nan)])
-    def test_state_edited_after_step_signals_divergence(self, name, bad):
+    @pytest.mark.parametrize(
+        "name,bad,tau,scheme",
+        [
+            pytest.param(name, bad, tau, scheme, id=f"{name}-{bad}{suffix}")
+            for tau, scheme, suffix in [
+                (1, "explicit", ""), (0, "explicit", "-tau0"), (1, "imex-diffusion", "-imex")
+            ]
+            for name, bad in [("u", math.inf), ("v", math.nan), ("w", math.nan)]
+        ],
+    )
+    def test_state_edited_after_step_signals_divergence(self, name, bad, tau, scheme):
         # step keeps the extrema of the states it accepts; a non-finite value
-        # written into such a state afterwards must still stop the next step.
+        # written into such a state afterwards must still stop the next step,
+        # whichever way the signal is advanced. With eta = 0 only stable_dt
+        # reads w, so it must take the range of w from w, not from extrema.
         from taxisim import Diverged
 
         g = GridSpec((1.0, 1.5), (6, 5))
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
-        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
-        state = step(initial_state(sc.build(g)), p, big_caps())
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=tau)
+        cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
+        state = step(initial_state(sc.build(g)), p, cfg)
         getattr(state, name).values[7] = bad
         with pytest.raises(Diverged):
-            step(state, p, big_caps())
+            step(state, p, cfg)
 
     def test_retry_exhaustion_raises_cfl_violation(self, monkeypatch):
         calls = {"n": 0}
@@ -316,6 +470,56 @@ class TestRun:
         assert np.allclose(times, [0.0, 0.25, 0.5, 0.75, 1.0], atol=1e-9)
         assert out.status == "completed"
         assert out.steps > 0
+
+    def test_clock_lands_exactly_on_outputs_and_t_end(self, monkeypatch):
+        # 2000 diffusion-limited steps of 0.05 between outputs 0.1 apart:
+        # rounding in t + dt used to drift the clock, ending the run at
+        # 99.99999999999613 instead of 100.
+        dts = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            new = original(state, params, cfg)
+            dts.append(new.last_dt)
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        g = GridSpec((1.0,), (2,))
+        out = run(
+            ScenarioSpec(name="steady").build(g),
+            ModelParams(chi=1.0, mu=1.0),
+            SolverConfig(t_end=100.0, output_every=0.1),
+        )
+        assert out.status == "completed"
+        assert out.t_final == 100.0
+        assert out.steps == 2000
+        assert [rec.t for rec in out.records] == [k * 0.1 for k in range(1001)]
+        assert min(dts) >= 0.05 * (1.0 - 1e-12)
+
+    def test_step_ending_a_rounding_error_short_of_an_output_lands_on_it(self):
+        g = GridSpec((1.0,), (2,))  # steady state, dt = 0.05
+        p = ModelParams(chi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1.0, output_every=0.1)
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        state.t = 0.05 - 1e-12
+        new = step(state, p, cfg)
+        assert new.last_dt == 0.05
+        assert new.t == 0.1
+        assert step(new, p, cfg).t == 0.1 + 0.05
+
+    @pytest.mark.parametrize("t_end", [0.23, 0.45])
+    def test_last_output_time_within_rounding_of_t_end_is_t_end(self, t_end):
+        # The 50th default output time, 50 * (t_end / 50), misses t_end by
+        # one rounding (below it for 0.23, above for 0.45); the run still
+        # ends on t_end with one record per output and no sliver step.
+        g = GridSpec((1.0,), (4,))
+        p = ModelParams(chi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=t_end)
+        out = run(ScenarioSpec(name="steady").build(g), p, cfg)
+        assert out.t_final == t_end
+        assert len(out.records) == 51
+        assert out.records[-1].t == t_end
+        assert min(rec.dt_used for rec in out.records[1:]) > 1e-9 * cfg.output_every
 
     def test_positivity_on_rough_data(self):
         g = GridSpec((2.0,), (48,))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import pytest
@@ -180,6 +182,24 @@ class TestRunSweep:
         assert result.verdict.classification == "inconclusive"
         assert result.failure.startswith("ValueError: the reaction limit gives dt=")
 
+
+    def test_failure_reaches_the_sweep_table(self, tmp_path):
+        # The cause of a point that could not run is written to sweep.csv,
+        # quoted where it holds a comma; a point that ran has an empty cell.
+        ok = run_sweep(tiny_plan())
+        failed = run_sweep(tiny_plan(fixed_value=1e300, theta_values=(1e-300, 1e10)))
+        text = write_sweep_table(ok + failed, tmp_path / "sweep.csv").read_text()
+        rows = list(csv.DictReader(io.StringIO(text)))
+        assert [row["failure"] for row in rows] == ["", failed[0].failure, failed[1].failure]
+        assert "," in failed[0].failure
+        assert rows[1]["classification"] == "inconclusive"
+        assert rows[1]["max_sup_u"] == "nan"
+        lines = text.splitlines()
+        assert lines[0].endswith(",pe_condition,failure")
+        assert lines[1] == ",".join(
+            ["0.1", "1.0", "10.0", "0", ok[0].verdict.classification]
+            + [repr(ok[0].max_sup_u), repr(ok[0].verdict.t_of_max), "", "true", ""]
+        )
 
 class TestEstimateThreshold:
     def test_simple_bracket(self):

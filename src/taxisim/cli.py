@@ -22,7 +22,7 @@ from .fileio import (
 )
 from .grid import GridSpec
 from .model import ModelParams, ode_reference
-from .stepper import SolverConfig, run
+from .stepper import SolverConfig, _outputs_reached, run
 from .sweep import SweepPlan, estimate_threshold, run_sweep
 
 __all__ = ["main"]
@@ -128,18 +128,17 @@ def _cmd_ode(args: argparse.Namespace) -> int:
     dt = cfg.solver.dt_max if cfg.solver.dt_max != float("inf") else cfg.solver.t_end / 1000.0
     traj = ode_reference(cfg.model, y0, cfg.solver.t_end, dt)
 
-    # Thin to the output cadence (always keeping the first and last samples).
+    # Thin to the output cadence with run's output-index rule: the first
+    # sample to reach each k * output_every, plus the first and last samples.
     out = cfg.solver.output_every
     lines = ["t,u,v,w"]
-    next_t = 0.0
+    emitted = -1
     for i, t in enumerate(traj.times):
-        if t >= next_t - 1e-9 * out or i == len(traj.times) - 1:
+        reached = _outputs_reached(t, out)
+        if reached > emitted or i == len(traj.times) - 1:
             u, v, w = traj.states[i]
-            lines.append(
-                ",".join(format_number(x) for x in (t, u, v, w))
-            )
-            while next_t <= t + 1e-9 * out:
-                next_t += out
+            lines.append(",".join(format_number(x) for x in (t, u, v, w)))
+            emitted = reached
     path = outdir / "ode.csv"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"wrote {path}")

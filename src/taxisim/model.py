@@ -242,9 +242,10 @@ def ode_reference(
 
         u' = mu u (1 - u - w),  tau v' = u - v,  w' = -v w + eta w (1 - u - w)
 
-    For tau = 0 the signal is set to u algebraically each step. Integration
-    stops early, with the trajectory flagged as diverged, as soon as any
-    component exceeds 1e12 in magnitude.
+    For tau = 0 the signal is set to u algebraically each step. The time
+    after step i is i * dt (a running sum drifts by round-off), and the
+    last time is t_end. Integration stops early, with the trajectory
+    flagged as diverged, as soon as any component exceeds 1e12 in magnitude.
     """
     if dt <= 0.0:
         raise ValueError("dt must be > 0")
@@ -273,15 +274,13 @@ def ode_reference(
         remainder = 0.0
     step_sizes = [dt] * n_full + ([remainder] if remainder > 0.0 else [])
 
-    t = 0.0
-    for h in step_sizes:
+    for i, h in enumerate(step_sizes, start=1):
         k1 = rates(y, params)
         k2 = rates(y + 0.5 * h * k1, params)
         k3 = rates(y + 0.5 * h * k2, params)
         k4 = rates(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        times.append(t)
+        times.append(t_end if i == len(step_sizes) else i * dt)
         states.append(to_state(y))
         if not np.isfinite(y).all() or np.max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
             return OdeTrajectory(np.array(times), np.array(states), diverged=True)

@@ -102,9 +102,9 @@ class SolverConfig:
 
 @dataclass
 class Snapshot:
-    """Frozen substrate/signal data at the anchor time s0.
+    """Frozen substrate data at the anchor time s0.
 
-    M bounds the suprema of all fields and of |grad w|, |lap w| at s0; it
+    M bounds the suprema of u, v, w and of |grad w|, |lap w| at s0; it
     scales the tolerance of the curvature lower-bound monitor.
     """
 
@@ -112,7 +112,6 @@ class Snapshot:
     w_s0: Field
     grad_w_s0: VectorField
     lap_w_s0: Field
-    v_s0: Field
     M: float
     sup_w: float
 
@@ -191,7 +190,8 @@ class SimState:
 
 
 def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
-    """Freeze w, grad w, lap w and v at time t, plus the scale bound M."""
+    """Freeze w, grad w and lap w at time t, plus the scale bound M, which
+    also reads the suprema of u and v."""
     grad_w = gradient(w)
     lap_w = laplacian(w)
     sup_w = float(np.max(w.values))
@@ -207,7 +207,6 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
         w_s0=w.copy(),
         grad_w_s0=grad_w,
         lap_w_s0=lap_w,
-        v_s0=v.copy(),
         M=m,
         sup_w=sup_w,
     )

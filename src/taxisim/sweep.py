@@ -3,17 +3,15 @@
 Each sweep point runs one independent simulation per repetition, classifies
 its boundedness, and the collected table yields an empirical bracket
 (theta_lo, theta_hi) around the boundedness threshold when the outcomes are
-monotone in theta. Runs are embarrassingly parallel; results are returned in
-plan order regardless of scheduling, and seeds derive from the plan seed and
-the point indices, so a sweep is deterministic end to end.
+monotone in theta. Points run serially in plan order (theta index, then
+repetition), and seeds derive from the plan seed and the point indices, so a
+sweep is deterministic end to end.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .diagnostics import BoundednessVerdict, classify
@@ -31,7 +29,6 @@ __all__ = [
     "params_for_theta",
 ]
 
-WORKERS_ENV_VAR = "TAXISIM_WORKERS"
 SWEEP_MODES = ("fix_mu_vary_chi", "fix_chi_vary_mu")
 
 
@@ -65,22 +62,14 @@ class SweepSettings:
             raise ValueError("repetitions must be >= 1")
 
 
-@dataclass(frozen=True)
-class SweepPlan:
-    """One pass over the sweep axis (see SweepSettings) for a base problem."""
+@dataclass(frozen=True, kw_only=True)
+class SweepPlan(SweepSettings):
+    """A sweep axis (the SweepSettings fields and checks) over a base problem."""
 
-    mode: str
-    fixed_value: float
-    theta_values: tuple[float, ...]
     base_model: ModelParams
     base_solver: SolverConfig
     scenario: ScenarioSpec
     grid: GridSpec
-    repetitions: int = 1
-
-    def __post_init__(self) -> None:
-        axis = SweepSettings(self.mode, self.fixed_value, self.theta_values, self.repetitions)
-        object.__setattr__(self, "theta_values", axis.theta_values)
 
 
 @dataclass
@@ -164,27 +153,13 @@ def _execute_point(
     )
 
 
-def run_sweep(
-    plan: SweepPlan, workers: int | None = None, keep_outcomes: bool = False
-) -> list[SweepResult]:
-    """Run every (theta, repetition) point and return results in plan order."""
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV_VAR, "1"))
-    if workers < 1:
-        raise ValueError("workers must be >= 1")
-    tasks = [
-        (i, rep)
+def run_sweep(plan: SweepPlan, *, keep_outcomes: bool = False) -> list[SweepResult]:
+    """Run every (theta, repetition) point serially, in plan order."""
+    return [
+        _execute_point(plan, i, rep, keep_outcomes)
         for i in range(len(plan.theta_values))
         for rep in range(plan.repetitions)
     ]
-    if workers == 1:
-        return [_execute_point(plan, i, rep, keep_outcomes) for i, rep in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(_execute_point, plan, i, rep, keep_outcomes)
-            for i, rep in tasks
-        ]
-        return [f.result() for f in futures]
 
 
 def estimate_threshold(results: list[SweepResult]) -> tuple[float, float] | None:

@@ -113,6 +113,24 @@ class TestOdeCommand:
         assert main(["ode", str(cfg)]) == 2
         assert "diverged" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("t_end,dt_max", [(100, 0.01), (2000, 0.05)])
+    def test_clock_is_exact_at_output_times(self, tmp_path, t_end, dt_max):
+        text = (
+            "[grid] dim=1 extent=4 cells=4\n"
+            "[model] chi=1 mu=1\n"
+            f"[solver] T_end={t_end} output_every=0.1 dt_max={dt_max}\n"
+            "[scenario] name=constant u0=2 v0=0.5 w0=0.5\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        assert main(["ode", str(cfg)]) == 0
+        rows = (tmp_path / "out" / "ode.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) == math.floor(t_end / 0.1) + 1
+        assert times[-1] == t_end
+        for k, t in enumerate(times):
+            assert abs(t - k * 0.1) <= 4 * math.ulp(t)
+
     def test_matches_closed_form_decay(self, tmp_path):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"
@@ -153,6 +171,27 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "threshold bracket" in out
         assert (tmp_path / "out" / "sweep_summary.txt").exists()
+
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_workers_variable_is_ignored(self, tmp_path, monkeypatch, workers):
+        # Sweeps run serially; a leftover TAXISIM_WORKERS setting (bench/run.py
+        # still sets it) must neither fail nor change a sweep.
+        text = (
+            "[grid] dim=1 extent=2 cells=16\n"
+            "[model] chi=1 xi=1 mu=10\n"
+            "[solver] T_end=0.5 output_every=0.25\n"
+            "[scenario] name=random-perturb amplitude=0.2 seed=7\n"
+            "[outputs] dir={out}\n"
+            "[sweep] mode=fix_mu_vary_chi fixed_value=10 theta_values=0.05,0.1,0.2\n"
+        )
+        monkeypatch.delenv("TAXISIM_WORKERS", raising=False)
+        plain = write_cfg(tmp_path, text.format(out=tmp_path / "plain"), "plain.cfg")
+        assert main(["sweep", str(plain)]) == 0
+        monkeypatch.setenv("TAXISIM_WORKERS", workers)
+        env = write_cfg(tmp_path, text.format(out=tmp_path / "env"), "env.cfg")
+        assert main(["sweep", str(env)]) == 0
+        expected = (tmp_path / "plain" / "sweep.csv").read_bytes()
+        assert (tmp_path / "env" / "sweep.csv").read_bytes() == expected
 
 
 class TestCheckCommand:

@@ -9,13 +9,18 @@ exactly at the discrete level.
 
 The three stencils share that face-flux form: each computes one quantity per
 interior face along every axis and scatters it into the cells below and
-above the face; boundary faces carry nothing. In the flat layout the face
-normal to axis a joins cells p and p + s_a, where s_a is the product of the
-cell counts of the axes before a, so x[s_a:] - x[:-s_a] yields every face
-difference of that axis in one contiguous pass. Where p is the last cell of
-its row along a, the pair (p, p + s_a) straddles a boundary and is no face;
-a per-grid table of face weights (1/h^2, 1/(2h), 1/h) holds 0 there, so
-those entries scatter nothing.
+above the face; boundary faces carry nothing. taxis_divergence computes the
+whole flux of the cell equation in one such pass: its upwind taxis flux is a
+central flux plus numerical diffusion, and an optional carrier diffusion
+adds to the same face coefficient, so no face needs a branch.
+
+In the flat layout the face normal to axis a joins cells p and p + s_a,
+where s_a is the product of the cell counts of the axes before a, so
+x[s_a:] - x[:-s_a] yields every face difference of that axis in one
+contiguous pass. Where p is the last cell of its row along a, the pair
+(p, p + s_a) straddles a boundary and is no face; a per-grid table of face
+weights (1/h^2, 1/(2h), 1/h) holds 0 there, so those entries scatter
+nothing.
 """
 
 from __future__ import annotations
@@ -257,16 +262,25 @@ def taxis_divergence(
     potential: Field,
     coeff: float,
     *more: tuple[Field, float],
+    diffusion: float = 0.0,
 ) -> Field:
     """Conservative upwind discretization of div(coeff * carrier * grad potential),
-    plus one such term for every further (potential, coeff) pair in more.
+    plus one such term for every further (potential, coeff) pair in more,
+    minus diffusion * lap(carrier).
 
     Each interior face carries, per pair, the velocity
     q = coeff * (p_R - p_L) / h and transports the carrier value of the
-    upstream cell: the lower cell where q > 0, else the upper one (at q = 0
-    the flux q * c is 0 either way). The fluxes of all pairs are summed per
-    face, scaled by 1/h and scattered once. Boundary faces carry no flux, so
-    the volume-weighted sum of the result telescopes to zero.
+    upstream cell: q+ c_L + q- c_R with q+ = max(q, 0), q- = min(q, 0).
+    Since q+ = (q + |q|) / 2 and q- = (q - |q|) / 2, that flux is the central
+    flux plus |q| / 2 of numerical diffusion, so the pairs and the carrier
+    diffusion -diffusion (c_R - c_L) / h add up, per face, to
+
+        (c_L + c_R) Q + (c_L - c_R) A,
+        Q = sum_i k_i dp_i / (2h),  A = sum_i |k_i dp_i| / (2h) + diffusion / h,
+
+    up to round-off; no face selects its upstream cell by a branch. The flux
+    is scaled by 1/h and scattered once. Boundary faces carry no flux, so the
+    volume-weighted sum of the result telescopes to zero.
     """
     grid = carrier.grid
     pairs = ((potential, coeff), *more)
@@ -275,21 +289,28 @@ def taxis_divergence(
             raise ValueError("carrier and potential must share a grid")
         if not math.isfinite(k):
             raise ValueError("taxis coefficient must be finite")
+    if not math.isfinite(diffusion):
+        raise ValueError("diffusion must be finite")
     c = carrier.values
     out = np.zeros(c.size)
     for faces in _face_table(grid):
         s = faces.stride
-        flux = None
+        lower, upper = c[:-s], c[s:]
+        central = upwind = None
         for pot, k in pairs:
             p = pot.values
             q = p[s:] - p[:-s]
-            q *= k / faces.h
-            term = np.where(q > 0.0, c[:-s], c[s:])
-            term *= q
-            if flux is None:
-                flux = term
+            q *= k / (2.0 * faces.h)
+            if central is None:
+                central, upwind = q, np.abs(q)
             else:
-                flux += term
+                central += q
+                upwind += np.abs(q)
+        upwind += diffusion / faces.h
+        flux = lower + upper
+        flux *= central
+        upwind *= lower - upper
+        flux += upwind
         flux *= faces.inv_h
         out[:-s] += flux
         out[s:] -= flux

@@ -92,9 +92,14 @@ class InitialData:
 
 
 def rhs_u(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
-    """du/dt: diffusion, both taxis fluxes, and logistic competition."""
-    out = laplacian(u).values
-    out -= taxis_divergence(u, v, params.chi, (w, params.xi)).values
+    """du/dt: diffusion, both taxis fluxes, and logistic competition.
+
+    Diffusion and taxis are one conservative flux divergence, so one face
+    pass of taxis_divergence computes both: the cell diffusion enters each
+    face's upwind coefficient (see taxis_divergence).
+    """
+    out = taxis_divergence(u, v, params.chi, (w, params.xi), diffusion=1.0).values
+    np.negative(out, out=out)
     if params.mu != 0.0:
         out += params.mu * u.values * (1.0 - u.values - w.values)
     return Field(u.grid, out)

@@ -151,8 +151,10 @@ class SimState:
     of grad v is gradient(Iv), so it is not accumulated. grad_v is not stored
     either: the property computes the cell-centered gradient of the current v
     on each access (the records read it once per output).
-    extrema is the one min/max pass over u, v and w that step makes on every
-    state it accepts; the divergence check, run and the next step read it.
+    extrema holds the minima and maxima of u, v and w that step finds on
+    every state it accepts: min u and min v come from the positivity clamps,
+    which take them anyway, and one pass each gives the other four. The
+    divergence check, run and the next step read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step, since it spreads into the new
     fields: u and v are read by every step (v through rhs_v, the implicit
@@ -298,7 +300,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
         for axis, h in enumerate(grid.spacing):
             speed = np.abs(params.chi * grad_v.components[axis].values)
             speed += np.abs(params.xi * grad_w.components[axis].values)
-            peak = float(np.max(speed))
+            peak = float(speed.max())
             if math.isnan(peak):
                 raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
             transport = h / (peak + _EPS_RATE)
@@ -410,15 +412,19 @@ def solve_elliptic(u: Field, cfg: SolverConfig | None = None) -> Field:
     return Field(u.grid, _screened_solve(u.grid, u.values, 1.0))
 
 
-def _clamp_negatives(values: np.ndarray, floor: float) -> np.ndarray:
-    """Zero out negativity within |floor|; reject anything worse."""
-    low = float(np.min(values))
+def _clamp_negatives(values: np.ndarray, floor: float) -> float:
+    """Zero out negativity within |floor| in place; reject anything worse.
+
+    Returns the minimum of values after the clamp: max(low, 0.0) of the
+    minimum low before it, which is low itself when it is NaN.
+    """
+    low = float(values.min())
     if low >= 0.0:
-        return values
+        return low
     if low < -floor:
         raise _RetryStep
     np.maximum(values, 0.0, out=values)
-    return values
+    return max(low, 0.0)
 
 
 def _attempt_step(
@@ -431,17 +437,18 @@ def _attempt_step(
 
     # (1) signal update. The exact inverse of I - alpha lap is nonnegative,
     # so the solve only needs its transform round-off clamped.
-    if params.tau == 0 or cfg.time_scheme == "imex-diffusion":
-        if params.tau == 0:
-            b, alpha = u.values, 1.0
-        else:
-            b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
-        v_new_vals = _screened_solve(grid, b, alpha)
-        floor = _ROUNDOFF_CLAMP * max(float(np.max(np.abs(b))), ext.max_v)
+    if params.tau == 0:
+        # The right-hand side is u, so sup |u| comes from its extrema.
+        v_new_vals = _screened_solve(grid, u.values, 1.0)
+        floor = _ROUNDOFF_CLAMP * max(ext.max_u, -ext.min_u, ext.max_v)
+    elif cfg.time_scheme == "imex-diffusion":
+        b = (1.0 - dt) * v.values + dt * u.values
+        v_new_vals = _screened_solve(grid, b, dt)
+        floor = _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
     else:
         v_new_vals = v.values + dt * rhs_v(u, v, params).values
         floor = _ROUNDOFF_CLAMP * ext.max_v
-    v_new_vals = _clamp_negatives(v_new_vals, floor)
+    min_v = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
 
     # (4, computed early so the w update can reuse it) trapezoidal accumulator
@@ -464,7 +471,7 @@ def _attempt_step(
 
     # (3) cell update, using the fresh v and w
     u_new_vals = u.values + dt * rhs_u(u, v_new, w_new, params).values
-    u_new_vals = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
+    min_u = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
 
     return SimState(
         t=state.t + dt,
@@ -474,7 +481,11 @@ def _attempt_step(
         Iv=iv_new,
         anchor=anchor,
         last_dt=dt,
-        extrema=Extrema.of(u_new_vals, v_new_vals, w_new_vals),
+        extrema=Extrema(
+            min_u, float(u_new_vals.max()),
+            min_v, float(v_new_vals.max()),
+            float(w_new_vals.min()), float(w_new_vals.max()),
+        ),
     )
 
 

@@ -7,6 +7,17 @@ import numpy as np
 from taxisim import Field, GridSpec
 
 
+# Unequal extents and cell counts, so every axis has row wraps in the flat
+# layout, including a 2-cell axis.
+ORACLE_GRIDS = [
+    ((1.3,), (8,)),
+    ((0.7, 2.0), (2, 5)),
+    ((2.1, 0.9), (7, 3)),
+    ((1.0, 0.3, 2.5), (4, 2, 5)),
+    ((0.6, 1.7, 1.1), (3, 6, 2)),
+]
+
+
 def smooth_field(
     grid: GridSpec, rng: np.random.Generator, nonneg: bool = False, amplitude: float = 1.0
 ) -> Field:

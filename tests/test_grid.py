@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from conftest import grid_for_dim, smooth_field
+from conftest import ORACLE_GRIDS, grid_for_dim, smooth_field
 from taxisim import (
     Field,
     GridSpec,
@@ -165,14 +165,21 @@ class TestTaxisDivergence:
         out = taxis_divergence(carrier, Field(g, [1.0, 0.0]), 1.0)
         assert np.array_equal(out.values, [0.0, 0.0])
 
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_volume_sum_telescopes_to_zero(self, dim):
+    @pytest.mark.parametrize(
+        "dim, diffusion",
+        [
+            pytest.param(dim, d, id=f"{dim}-diffusion" if d else f"{dim}")
+            for d in (0.0, 1.0)
+            for dim in (1, 2, 3)
+        ],
+    )
+    def test_volume_sum_telescopes_to_zero(self, dim, diffusion):
         rng = np.random.default_rng(5 * dim + 1)
         g = grid_for_dim(dim)
         for _ in range(10):
             carrier = smooth_field(g, rng, nonneg=True)
             pot = smooth_field(g, rng)
-            out = taxis_divergence(carrier, pot, 1.3)
+            out = taxis_divergence(carrier, pot, 1.3, diffusion=diffusion)
             scale = integrate(Field(g, np.abs(out.values))) + 1e-300
             assert abs(integrate(out)) <= 1e-12 * scale
 
@@ -187,6 +194,33 @@ class TestTaxisDivergence:
         parts += 0.5 * taxis_divergence(c2, pot, 1.0).values
         assert np.allclose(combo.values, parts, rtol=1e-12, atol=1e-14)
 
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("two_pairs", [False, True])
+    @pytest.mark.parametrize("diffusion", [1.0, 0.25])
+    def test_diffusion_folds_into_the_face_flux(self, extent, cells, two_pairs, diffusion):
+        # diffusion=d subtracts d * lap(carrier) within the same face pass.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(11 * sum(cells))
+        carrier = Field(g, rng.uniform(0.0, 3.0, g.num_cells))
+        pot_v = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
+        pot_w = Field(g, rng.uniform(0.0, 1.0, g.num_cells))
+        more = ((pot_w, 0.6),) if two_pairs else ()
+        out = taxis_divergence(carrier, pot_v, 1.7, *more, diffusion=diffusion).values
+        taxis = taxis_divergence(carrier, pot_v, 1.7, *more).values
+        diff = diffusion * laplacian(carrier).values
+        sup = max(np.max(np.abs(taxis)), np.max(np.abs(diff)))
+        assert np.max(np.abs(out - (taxis - diff))) <= 1e-15 * sup
+        pairs = [(pot_v, 1.7), *more]
+        ref = reference_branch_free_taxis(carrier, pairs, diffusion)
+        assert np.array_equal(Field(g, out).nd, ref)
+
+    def test_diffusion_only_is_minus_the_laplacian(self):
+        # A constant potential leaves only the diffusion part of the flux.
+        g = GridSpec((3.0,), (3,))
+        carrier = Field(g, [1.0, 2.0, 4.0])
+        out = taxis_divergence(carrier, Field.full(g, 0.5), 1.0, diffusion=1.0)
+        assert np.array_equal(out.values, -laplacian(carrier).values)
+
     def test_grid_mismatch_rejected(self):
         a = GridSpec((1.0,), (4,))
         b = GridSpec((2.0,), (4,))
@@ -196,6 +230,8 @@ class TestTaxisDivergence:
             taxis_divergence(Field.zeros(a), Field.zeros(a), 1.0, (Field.zeros(b), 1.0))
         with pytest.raises(ValueError):
             taxis_divergence(Field.zeros(a), Field.zeros(a), 1.0, (Field.zeros(a), np.inf))
+        with pytest.raises(ValueError):
+            taxis_divergence(Field.zeros(a), Field.zeros(a), 1.0, diffusion=np.nan)
 
 
 def _slices(ndim, axis):
@@ -266,19 +302,41 @@ def reference_taxis_divergence_pairs(carrier, pairs):
     return out
 
 
-ORACLE_GRIDS = [
-    ((1.3,), (8,)),
-    ((0.7, 2.0), (2, 5)),
-    ((2.1, 0.9), (7, 3)),
-    ((1.0, 0.3, 2.5), (4, 2, 5)),
-    ((0.6, 1.7, 1.1), (3, 6, 2)),
-]
+def reference_branch_free_taxis(carrier, pairs, diffusion=0.0):
+    """The kernel's face arithmetic on nd slices: per face
+    (c_L + c_R) Q + (c_L - c_R) A with Q = sum k dp / (2h) and
+    A = sum |k dp| / (2h) + diffusion / h, scaled by 1/h and scattered."""
+    c = carrier.nd
+    out = np.zeros_like(c)
+    for axis, h in enumerate(carrier.grid.spacing):
+        below, above = _slices(c.ndim, axis)
+        central = np.zeros_like(c[below])
+        upwind = np.zeros_like(c[below])
+        for potential, coeff in pairs:
+            p = potential.nd
+            q = (p[above] - p[below]) * (coeff / (2.0 * h))
+            central = central + q
+            upwind = upwind + np.abs(q)
+        upwind = upwind + diffusion / h
+        flux = (c[below] + c[above]) * central + upwind * (c[below] - c[above])
+        flux = flux * (1.0 / h)
+        out[below] += flux
+        out[above] -= flux
+    return out
+
+
+def assert_close_to_scheme(out, ref):
+    """The branch-free flux and the select-based upwind flux agree to
+    round-off, measured against the largest value of the reference."""
+    sup = np.max(np.abs(ref))
+    assert np.max(np.abs(out - ref)) <= 1e-15 * sup
 
 
 class TestFlatStrideOracle:
     """The flat-stride stencils equal the nd-slice ones bit for bit, on
     unequal extents and cell counts, so every axis has row wraps whose zero
-    weights must scatter nothing, including a 2-cell axis."""
+    weights must scatter nothing, including a 2-cell axis. The taxis kernel
+    is also held to the select-based upwind scheme, within round-off."""
 
     @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
     def test_random_signed_fields(self, extent, cells):
@@ -292,19 +350,23 @@ class TestFlatStrideOracle:
                 assert np.array_equal(comp.nd, ref)
             for coeff in (1.7, -0.4, 0.0):
                 out = taxis_divergence(f, pot, coeff)
-                assert np.array_equal(out.nd, reference_taxis_divergence(f, pot, coeff))
+                assert np.array_equal(out.nd, reference_branch_free_taxis(f, [(pot, coeff)]))
+                assert_close_to_scheme(out.nd, reference_taxis_divergence(f, pot, coeff))
 
     @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
     def test_potentials_with_exact_ties(self, extent, cells):
         # Few distinct potential values make q == 0 on many faces, where the
-        # reference takes the mean of both cells and the kernel the upper one.
+        # scheme reference takes the mean of both cells and the kernel adds
+        # 0 * (c_L + c_R) and 0 * (c_L - c_R).
         g = GridSpec(extent, cells)
         rng = np.random.default_rng(7 * sum(cells))
         carrier = Field(g, rng.uniform(-1.0, 3.0, g.num_cells))
         pot = Field(g, rng.integers(0, 2, g.num_cells).astype(float))
         for coeff in (2.3, 0.0):
             out = taxis_divergence(carrier, pot, coeff)
-            assert np.array_equal(out.nd, reference_taxis_divergence(carrier, pot, coeff))
+            ref = reference_branch_free_taxis(carrier, [(pot, coeff)])
+            assert np.array_equal(out.nd, ref)
+            assert_close_to_scheme(out.nd, reference_taxis_divergence(carrier, pot, coeff))
 
     @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
     @pytest.mark.parametrize("chi,xi", [(1.7, 0.9), (1.7, -0.4), (2.3, 0.0)])
@@ -316,9 +378,10 @@ class TestFlatStrideOracle:
         carrier = Field(g, rng.uniform(-1.0, 3.0, g.num_cells))
         pot_v = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
         pot_w = Field(g, rng.integers(0, 2, g.num_cells).astype(float))
+        pairs = [(pot_v, chi), (pot_w, xi)]
         out = taxis_divergence(carrier, pot_v, chi, (pot_w, xi))
-        ref = reference_taxis_divergence_pairs(carrier, [(pot_v, chi), (pot_w, xi)])
-        assert np.array_equal(out.nd, ref)
+        assert np.array_equal(out.nd, reference_branch_free_taxis(carrier, pairs))
+        assert_close_to_scheme(out.nd, reference_taxis_divergence_pairs(carrier, pairs))
         # The same as two single-term calls, up to the order of the sums.
         single_v = taxis_divergence(carrier, pot_v, chi).values
         single_w = taxis_divergence(carrier, pot_w, xi).values

@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import grid_for_dim, smooth_field
+from conftest import ORACLE_GRIDS, grid_for_dim, smooth_field
 from taxisim import (
     Field,
     GridSpec,
@@ -20,6 +20,7 @@ from taxisim import (
     rhs_u,
     rhs_v,
     rhs_w,
+    taxis_divergence,
 )
 
 
@@ -88,9 +89,25 @@ class TestRightHandSides:
         ref = laplacian(u)
         assert np.allclose(out.values, ref.values, rtol=0, atol=1e-16)
 
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("xi,mu", [(0.0, 0.0), (0.8, 0.0), (0.8, 1.5)])
+    def test_rhs_u_matches_separate_diffusion_and_taxis(self, extent, cells, xi, mu):
+        # rhs_u computes diffusion and taxis in one face pass; the reference
+        # is the separate form: laplacian - taxis_divergence + reaction.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(13 * sum(cells))
+        u = Field(g, rng.uniform(0.0, 3.0, g.num_cells))
+        v = Field(g, rng.uniform(0.0, 2.0, g.num_cells))
+        w = Field(g, rng.uniform(0.0, 1.0, g.num_cells))
+        p = ModelParams(chi=1.7, xi=xi, mu=mu)
+        ref = laplacian(u).values - taxis_divergence(u, v, p.chi, (w, p.xi)).values
+        ref += mu * u.values * (1.0 - u.values - w.values)
+        out = rhs_u(u, v, w, p).values
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_transport_part_conserves_mass(self, dim):
-        from taxisim import lp_norm, taxis_divergence
+        from taxisim import lp_norm
 
         rng = np.random.default_rng(40 + dim)
         g = grid_for_dim(dim)

@@ -19,6 +19,7 @@ from taxisim import (
     SolverConfig,
     gradient,
     initial_state,
+    integrate,
     laplacian,
     ode_reference,
     run,
@@ -31,6 +32,38 @@ from taxisim import (
 def big_caps(t_end=1e9):
     # Solver config whose landing caps never bind.
     return SolverConfig(t_end=t_end, output_every=t_end, dt_max=math.inf)
+
+
+SCHEMES = [
+    pytest.param(1, "explicit", id="explicit"),
+    pytest.param(0, "explicit", id="tau0"),
+    pytest.param(1, "imex-diffusion", id="imex"),
+]
+
+
+def record_attempts(monkeypatch):
+    """Patch _attempt_step to keep every state it returns, which step accepts
+    unless it diverged; the attempts that raised count as rejections."""
+    accepted, rejected = [], []
+    original = stepper_mod._attempt_step
+
+    def recording(state, params, cfg, dt):
+        try:
+            new = original(state, params, cfg, dt)
+        except stepper_mod._RetryStep:
+            rejected.append(dt)
+            raise
+        accepted.append(new)
+        return new
+
+    monkeypatch.setattr(stepper_mod, "_attempt_step", recording)
+    return accepted, rejected
+
+
+def assert_extrema_are_fresh(state):
+    # A NaN extremum must stand where a fresh pass finds NaN as well.
+    fresh = stepper_mod.Extrema.of(state.u.values, state.v.values, state.w.values)
+    np.testing.assert_array_equal(np.array(state.extrema), np.array(fresh))
 
 
 class TestSolverConfig:
@@ -329,21 +362,29 @@ class TestStep:
             for name, bad in [("u", math.inf), ("v", math.nan), ("w", math.nan)]
         ],
     )
-    def test_state_edited_after_step_signals_divergence(self, name, bad, tau, scheme):
+    def test_state_edited_after_step_signals_divergence(
+        self, monkeypatch, name, bad, tau, scheme
+    ):
         # step keeps the extrema of the states it accepts; a non-finite value
         # written into such a state afterwards must still stop the next step,
         # whichever way the signal is advanced. With eta = 0 only stable_dt
         # reads w, so it must take the range of w from w, not from extrema.
+        # The extrema of the diverged state, NaN or not, are those of its
+        # fields.
         from taxisim import Diverged
 
+        accepted, _ = record_attempts(monkeypatch)
         g = GridSpec((1.0, 1.5), (6, 5))
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
         p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=tau)
         cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
         state = step(initial_state(sc.build(g)), p, cfg)
+        assert_extrema_are_fresh(state)
         getattr(state, name).values[7] = bad
         with pytest.raises(Diverged):
             step(state, p, cfg)
+        for new in accepted[1:]:
+            assert_extrema_are_fresh(new)
 
     def test_retry_exhaustion_raises_cfl_violation(self, monkeypatch):
         calls = {"n": 0}
@@ -653,6 +694,95 @@ class TestRun:
         out = run(sc.build(g), p, SolverConfig(t_end=1.0, output_every=0.25))
         assert out.status == "completed"
         assert out.invariant_violations == 0
+
+
+def half_box_data(grid):
+    """u = 0 on the upper half of axis 0 and a bump below it; v and w vary
+    along every axis."""
+    mesh = grid.meshgrid()
+    x0 = mesh[0] / grid.extent[0]
+    u = np.where(x0 < 0.5, 1.0 + np.cos(2.0 * np.pi * x0), 0.0)
+    v = np.ones(grid.cells)
+    w = np.full(grid.cells, 0.3)
+    for x, length in zip(mesh, grid.extent):
+        v = v + 0.3 * np.cos(np.pi * x / length)
+        w = w + 0.1 * np.sin(np.pi * x / length)
+    return InitialData(Field.from_nd(grid, u), Field.from_nd(grid, v), Field.from_nd(grid, w))
+
+
+class TestPositivityAndExtrema:
+    @pytest.mark.parametrize("tau, scheme", SCHEMES)
+    @pytest.mark.parametrize(
+        "extent, cells", [((2.0,), (32,)), ((1.0, 1.5), (12, 10)), ((1.0,) * 3, (6, 5, 4))]
+    )
+    def test_compact_support_stays_nonnegative_and_keeps_mass(
+        self, monkeypatch, extent, cells, tau, scheme
+    ):
+        # Strong taxis against a front with u = 0 beyond it. mu = eta = 0
+        # leaves transport alone to move u, so its mass holds to round-off.
+        accepted, rejected = record_attempts(monkeypatch)
+        g = GridSpec(extent, cells)
+        init = half_box_data(g)
+        p = ModelParams(chi=4.0, xi=2.0, tau=tau)
+        cfg = SolverConfig(t_end=0.02, output_every=0.01, time_scheme=scheme)
+        out = run(init, p, cfg)
+        assert out.status == "completed"
+        assert rejected == []
+        assert len(accepted) == out.steps
+        assert out.min_u >= 0.0
+        assert out.invariant_violations == 0
+        mass0 = integrate(init.u0)
+        assert abs(integrate(out.final_state.u) - mass0) <= 1e-13 * mass0
+        # The front moved: cells that started empty now hold cells.
+        assert np.max(out.final_state.u.values[init.u0.values == 0.0]) > 0.0
+        for state in accepted:
+            assert_extrema_are_fresh(state)
+
+    @pytest.mark.parametrize("tau, scheme", SCHEMES)
+    def test_extrema_after_clamps_match_the_fields(self, monkeypatch, tau, scheme):
+        # Dip u (all schemes) and the solved v (tau = 0, IMEX) 1e-16 below
+        # zero in one cell per step: the clamps fire, and the minima they
+        # report must be those of the clamped fields.
+        accepted, rejected = record_attempts(monkeypatch)
+        exact_solve = stepper_mod._screened_solve
+        exact_rhs_u = stepper_mod.rhs_u
+
+        def dipped_solve(grid, b, alpha):
+            x = exact_solve(grid, b, alpha)
+            x[3] = -1e-16 * np.max(np.abs(b))
+            return x
+
+        def dipped_rhs_u(u, v, w, params):
+            # u is 0 in cell 9, so a negative rate there dips u_new below 0.
+            out = exact_rhs_u(u, v, w, params)
+            out.values[9] = -1e-16 * np.max(u.values)
+            return out
+
+        monkeypatch.setattr(stepper_mod, "_screened_solve", dipped_solve)
+        monkeypatch.setattr(stepper_mod, "rhs_u", dipped_rhs_u)
+        g = GridSpec((1.0, 1.5), (6, 5))
+        init = half_box_data(g)
+        init.u0.values[9] = 0.0
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=tau)
+        out = run(init, p, SolverConfig(t_end=0.01, output_every=0.01, time_scheme=scheme))
+        assert out.status == "completed"
+        assert rejected == []
+        assert out.min_u == 0.0
+        for state in accepted:
+            assert state.u.values[9] == 0.0
+            assert_extrema_are_fresh(state)
+        if tau == 0 or scheme == "imex-diffusion":
+            assert out.min_v == 0.0
+            assert all(state.v.values[3] == 0.0 for state in accepted)
+
+    def test_clamp_reports_the_minimum_it_leaves(self):
+        values = np.array([2.0, -1e-15, 0.5])
+        assert stepper_mod._clamp_negatives(values, 1e-13) == 0.0
+        assert np.array_equal(values, [2.0, 0.0, 0.5])
+        assert stepper_mod._clamp_negatives(np.array([2.0, 0.25]), 1e-13) == 0.25
+        assert math.isnan(stepper_mod._clamp_negatives(np.array([1.0, math.nan]), 1e-13))
+        with pytest.raises(stepper_mod._RetryStep):
+            stepper_mod._clamp_negatives(np.array([1.0, -1e-12]), 1e-13)
 
 
 class TestSpatialConvergence:

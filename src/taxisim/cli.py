@@ -98,14 +98,11 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("[sweep]", "section is required for the sweep command")
     outdir = _prepare_outdir(cfg)
     plan = SweepPlan(
-        mode=cfg.sweep.mode,
-        fixed_value=cfg.sweep.fixed_value,
-        theta_values=cfg.sweep.theta_values,
+        **vars(cfg.sweep),
         base_model=cfg.model,
         base_solver=cfg.solver,
         scenario=cfg.scenario,
         grid=cfg.grid,
-        repetitions=cfg.sweep.repetitions,
     )
     results = run_sweep(plan)
     table_path = write_sweep_table(results, outdir / "sweep.csv")

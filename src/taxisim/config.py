@@ -5,8 +5,9 @@ assignments (spaces around ``=`` optional, several assignments may share a
 line, ``#`` starts a comment). Values must not contain whitespace; lists are
 comma separated. Unknown sections, unknown keys and duplicate keys are
 rejected. One table maps every key to the dataclass field it sets and the
-parser of its value; the dataclasses own every range check, and a value they
-reject is reported as a ValidationError naming its ``section.key``.
+parser of its value, and the echo writes the fields back through the same
+table; the dataclasses own every range check, and a value they reject is
+reported as a ValidationError naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -57,6 +58,13 @@ class OutputOptions:
     snapshots: bool = False
 
     def __post_init__(self) -> None:
+        # The echo writes the directory as one config value, which cannot
+        # hold whitespace or a comment.
+        if any(c.isspace() or c == "#" for c in str(self.directory)):
+            raise ValueError(
+                f"directory must contain no whitespace or '#', got {str(self.directory)!r};"
+                " set dir to an absolute path without them"
+            )
         if not all(1.0 <= p < float("inf") for p in self.p_values):
             raise ValueError("p_values entries must be finite and >= 1")
 
@@ -102,7 +110,7 @@ def _integers(raw: str) -> tuple[int, ...]:
 # Every accepted key, per section, and the parser of its value. A key sets
 # the dataclass field of the same name (or the one _FIELD_OF names); a key
 # left out takes the dataclass default. grid.dim and outputs.cadence are
-# checked here and set no field.
+# checked here and set no field. render_config echoes the same table.
 _KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "grid": {"dim": _integer, "extent": _numbers, "cells": _integers},
     "model": {"chi": _number, "xi": _number, "mu": _number, "eta": _number, "tau": _integer},
@@ -252,63 +260,33 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def _fmt_list(values) -> str:
-    return ",".join(format_number(v) for v in values)
+def _format_value(value: object) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format_number(value)
+    if isinstance(value, tuple):
+        return ",".join(_format_value(v) for v in value)
+    return str(value)
 
 
 def render_config(cfg: RunConfig) -> str:
     """Canonical echo of the effective configuration.
 
-    Parsing the echo reproduces the configuration exactly (the output
-    directory is rendered absolute), so re-running a tool on its own echo
-    reproduces its outputs.
+    Every key of _KEYS that has a value is written, in table order; a key
+    whose field is None (or that sets no field) is left out. Parsing the echo
+    reproduces the configuration exactly (the output directory is rendered
+    absolute), so re-running a tool on its own echo reproduces its outputs.
     """
     lines: list[str] = []
-    lines.append("[grid]")
-    lines.append(f"dim = {cfg.grid.dim}")
-    lines.append(f"extent = {_fmt_list(cfg.grid.extent)}")
-    lines.append("cells = " + ",".join(str(n) for n in cfg.grid.cells))
-    lines.append("")
-    lines.append("[model]")
-    lines.append(f"chi = {format_number(cfg.model.chi)}")
-    lines.append(f"xi = {format_number(cfg.model.xi)}")
-    lines.append(f"mu = {format_number(cfg.model.mu)}")
-    lines.append(f"eta = {format_number(cfg.model.eta)}")
-    lines.append(f"tau = {cfg.model.tau}")
-    lines.append("")
-    lines.append("[solver]")
-    lines.append(f"T_end = {format_number(cfg.solver.t_end)}")
-    lines.append(f"output_every = {format_number(cfg.solver.output_every)}")
-    lines.append(f"cfl_safety = {format_number(cfg.solver.cfl_safety)}")
-    if cfg.solver.dt_max != float("inf"):
-        lines.append(f"dt_max = {format_number(cfg.solver.dt_max)}")
-    lines.append(f"blowup_threshold = {format_number(cfg.solver.blowup_threshold)}")
-    lines.append(f"anchor_time = {format_number(cfg.solver.anchor_time)}")
-    lines.append(f"time_scheme = {cfg.solver.time_scheme}")
-    lines.append("")
-    lines.append("[scenario]")
-    lines.append(f"name = {cfg.scenario.name}")
-    lines.append(f"amplitude = {format_number(cfg.scenario.amplitude)}")
-    if cfg.scenario.sigma is not None:
-        lines.append(f"sigma = {format_number(cfg.scenario.sigma)}")
-    if cfg.scenario.center is not None:
-        lines.append(f"center = {_fmt_list(cfg.scenario.center)}")
-    lines.append(f"wbar = {format_number(cfg.scenario.wbar)}")
-    lines.append(f"seed = {cfg.scenario.seed}")
-    lines.append(f"u0 = {format_number(cfg.scenario.u0)}")
-    lines.append(f"v0 = {format_number(cfg.scenario.v0)}")
-    lines.append(f"w0 = {format_number(cfg.scenario.w0)}")
-    lines.append("")
-    lines.append("[outputs]")
-    lines.append(f"dir = {cfg.outputs.directory}")
-    lines.append(f"p_values = {_fmt_list(cfg.outputs.p_values)}")
-    lines.append(f"snapshots = {'true' if cfg.outputs.snapshots else 'false'}")
-    if cfg.sweep is not None:
+    for section, keys in _KEYS.items():
+        obj = getattr(cfg, section)
+        if obj is None:
+            continue
+        lines.append(f"[{section}]")
+        for key in keys:
+            value = getattr(obj, _FIELD_OF.get(key, key), None)
+            if value is not None:
+                lines.append(f"{key} = {_format_value(value)}")
         lines.append("")
-        lines.append("[sweep]")
-        lines.append(f"mode = {cfg.sweep.mode}")
-        lines.append(f"fixed_value = {format_number(cfg.sweep.fixed_value)}")
-        lines.append(f"theta_values = {_fmt_list(cfg.sweep.theta_values)}")
-        lines.append(f"repetitions = {cfg.sweep.repetitions}")
-    lines.append("")
     return "\n".join(lines)

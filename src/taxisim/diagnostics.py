@@ -88,10 +88,11 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
 
     The representation residual and the curvature-bound slack apply to the
     eta = 0 system with an anchor present; otherwise they are reported as 0.
-    Non-finite states yield a record flagged finite=False.
+    Non-finite states yield a record flagged finite=False. The extrema of
+    u, v and w, and so the finite flag, come from state.field_extrema().
     """
-    u, v, w = state.u.values, state.v.values, state.w.values
-    finite = state.is_finite()
+    ext = state.field_extrema()
+    finite = ext.finite
     lem = 0.0
     rep = 0.0
     if finite and eta == 0.0 and state.anchor is not None:
@@ -102,12 +103,12 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         dt_used=state.last_dt,
         mass_u=integrate(state.u),
         mass_v=integrate(state.v),
-        min_u=float(np.min(u)),
-        sup_u=float(np.max(u)),
-        min_v=float(np.min(v)),
-        sup_v=float(np.max(v)),
-        min_w=float(np.min(w)),
-        sup_w=float(np.max(w)),
+        min_u=ext.min_u,
+        sup_u=ext.max_u,
+        min_v=ext.min_v,
+        sup_v=ext.max_v,
+        min_w=ext.min_w,
+        sup_w=ext.max_w,
         sup_grad_v=float(np.max(state.grad_v.magnitude().values)),
         lemma22_violation=lem,
         repr_residual=rep,

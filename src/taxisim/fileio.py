@@ -50,6 +50,8 @@ BASE_COLUMNS = (
     "lemma22_violation",
     "repr_residual",
 )
+# The DiagnosticsRecord field of each base column, in column order.
+_RECORD_FIELDS = tuple("dt_used" if c == "dt" else c for c in BASE_COLUMNS)
 
 SWEEP_COLUMNS = (
     "theta",
@@ -79,21 +81,7 @@ def _record_row(rec: DiagnosticsRecord, p_values: tuple[float, ...]) -> str:
     lp_map = {float(p): v for p, v in rec.lp_u}
     if set(lp_map) != {float(p) for p in p_values}:
         raise ValueError("record Lp norms do not match the configured p values")
-    cells = [
-        rec.t,
-        rec.dt_used,
-        rec.mass_u,
-        rec.mass_v,
-        rec.min_u,
-        rec.sup_u,
-        rec.min_v,
-        rec.sup_v,
-        rec.min_w,
-        rec.sup_w,
-        rec.sup_grad_v,
-        rec.lemma22_violation,
-        rec.repr_residual,
-    ] + [lp_map[float(p)] for p in p_values]
+    cells = [getattr(rec, f) for f in _RECORD_FIELDS] + [lp_map[float(p)] for p in p_values]
     return ",".join(format_number(x) for x in cells)
 
 
@@ -142,19 +130,7 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
         records.append(
             DiagnosticsRecord(
-                t=base[0],
-                dt_used=base[1],
-                mass_u=base[2],
-                mass_v=base[3],
-                min_u=base[4],
-                sup_u=base[5],
-                min_v=base[6],
-                sup_v=base[7],
-                min_w=base[8],
-                sup_w=base[9],
-                sup_grad_v=base[10],
-                lemma22_violation=base[11],
-                repr_residual=base[12],
+                **dict(zip(_RECORD_FIELDS, base)),
                 lp_u=lp,
                 finite=all(math.isfinite(x) for x in vals),
             )

@@ -172,10 +172,6 @@ class VectorField:
     def grid(self) -> GridSpec:
         return self.components[0].grid
 
-    @classmethod
-    def zeros(cls, grid: GridSpec) -> VectorField:
-        return cls(tuple(Field.zeros(grid) for _ in range(grid.dim)))
-
     def copy(self) -> VectorField:
         return VectorField(tuple(c.copy() for c in self.components))
 

@@ -154,7 +154,7 @@ class SimState:
     extrema holds the minima and maxima of u, v and w that step finds on
     every state it accepts: min u and min v come from the positivity clamps,
     which take them anyway, and one pass each gives the other four. The
-    divergence check, run and the next step read it.
+    divergence check, run, the records and the next step read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step, since it spreads into the new
     fields: u and v are read by every step (v through rhs_v, the implicit
@@ -186,9 +186,6 @@ class SimState:
         if self.extrema is not None:
             return self.extrema
         return Extrema.of(self.u.values, self.v.values, self.w.values)
-
-    def is_finite(self) -> bool:
-        return self.u.is_finite() and self.v.is_finite() and self.w.is_finite()
 
 
 def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
@@ -274,10 +271,10 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     2 h_a, so the transport limit on axis a is at least
     2 h_a^2 / (chi R_v + xi R_w). When that is at least twice the diffusion
     limit on every axis, transport cannot bind and the gradients are not
-    computed; the factor 2 covers the rounding of both sides. Otherwise, or
-    when a range is not finite, the exact limit is computed as above. R_v
-    comes from the state's extrema, R_w from w itself (see SimState).
-    A NaN transport speed means a non-finite field and raises Diverged. A
+    computed; the factor 2 covers the rounding of both sides. Otherwise the
+    exact limit is computed as above. R_v comes from the state's extrema,
+    R_w from w itself (see SimState). A non-finite extremum, range of w or
+    NaN transport speed means a non-finite field and raises Diverged. A
     stability step (before the caps) below 1e-15 * t_end, which would take
     more than 10^15 steps, raises ValueError naming the limit that binds.
     """
@@ -290,9 +287,10 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
 
     w = state.w.values
-    spread = params.chi * (ext.max_v - ext.min_v) + params.xi * (
-        float(w.max()) - float(w.min())
-    )
+    range_w = float(w.max()) - float(w.min())
+    if not math.isfinite(range_w):
+        raise Diverged(f"non-finite substrate at t={state.t!r}", state=state)
+    spread = params.chi * (ext.max_v - ext.min_v) + params.xi * range_w
     h_min = min(grid.spacing)
     if not spread * limit <= h_min * h_min:  # NaN and inf fail it as well
         grad_v = gradient(state.v)
@@ -416,10 +414,11 @@ def _clamp_negatives(values: np.ndarray, floor: float) -> float:
     """Zero out negativity within |floor| in place; reject anything worse.
 
     Returns the minimum of values after the clamp: max(low, 0.0) of the
-    minimum low before it, which is low itself when it is NaN.
+    minimum low before it, which is low itself when it is NaN or -inf (a
+    non-finite state, which no smaller dt repairs).
     """
     low = float(values.min())
-    if low >= 0.0:
+    if not -math.inf < low < 0.0:
         return low
     if low < -floor:
         raise _RetryStep
@@ -547,13 +546,12 @@ def run(
     cfg: SolverConfig,
     *,
     p_list: tuple[float, ...] = (2.0,),
-    record_sink=None,
     snapshot_sink=None,
 ) -> RunOutcome:
     """Integrate from t = 0 to t_end or until divergence.
 
     Emits a diagnostics record at t = 0 and at every output_every of simulated
-    time (and at t_end); optional sinks receive each record / the state at
+    time (and at t_end); the optional snapshot_sink receives the state at
     each emission. At t = anchor_time > 0 the anchor snapshot is re-captured
     and the accumulator reset. Positivity and the substrate ceiling are
     monitored after every accepted step; step failures (divergence,
@@ -568,8 +566,6 @@ def run(
     def emit(st: SimState) -> None:
         rec = diagnostics.record(st, list(p_list), eta=params.eta)
         records.append(rec)
-        if record_sink is not None:
-            record_sink(rec)
         if snapshot_sink is not None:
             snapshot_sink(st)
 
@@ -622,11 +618,10 @@ def run(
         status = "blew_up"
         if exc.state is not None:
             state = exc.state
-            if state.is_finite():
-                su = float(np.max(state.u.values))
-                if su > max_sup_u:
-                    max_sup_u = su
-                    t_of_max = state.t
+            ext = state.field_extrema()
+            if ext.finite and ext.max_u > max_sup_u:
+                max_sup_u = ext.max_u
+                t_of_max = state.t
             emit(state)
         failure_time = state.t
     except CFLViolation:

@@ -126,11 +126,14 @@ def _execute_point(
         pe = check_pe_condition(model, plan.grid.dim)
         init = scenario.build(plan.grid)
         outcome = run(init, model, plan.base_solver)
-        if outcome.status == "cfl_failed":
-            verdict = BoundednessVerdict("inconclusive", outcome.max_sup_u, outcome.t_of_max_sup_u)
-        else:
-            verdict = classify(outcome.records, plan.base_solver)
+        # classify sees only the output records; the peak over every step,
+        # and its time, come from the run.
+        classification, crossing = "inconclusive", None
+        if outcome.status != "cfl_failed":
+            seen = classify(outcome.records, plan.base_solver)
+            classification, crossing = seen.classification, seen.crossing_time
         max_sup = outcome.max_sup_u
+        verdict = BoundednessVerdict(classification, max_sup, outcome.t_of_max_sup_u, crossing)
     except ValueError as exc:
         # Initial data or a model that cannot run fails this point only;
         # any other exception is a bug and propagates.

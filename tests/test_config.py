@@ -8,6 +8,7 @@ import re
 import pytest
 
 from taxisim import ParseError, ValidationError, parse_config, render_config
+from taxisim.config import _KEYS
 
 MINIMAL = """
 [grid] dim=1 extent=2 cells=16
@@ -222,12 +223,17 @@ class TestEcho:
             "[grid] dim=2 extent=1.5,2 cells=12,16\n"
             "[model] chi=0.7 xi=0.2 mu=3 eta=0.1 tau=1\n"
             "[solver] T_end=2 output_every=0.25 cfl_safety=0.3 dt_max=0.001\n"
-            "[scenario] name=gaussian-bump amplitude=0.4 sigma=0.33 wbar=0.2 seed=99\n"
-            "[outputs] dir=results p_values=1,2,4 snapshots=true\n"
+            "  blowup_threshold=50 anchor_time=0.5 time_scheme=imex-diffusion\n"
+            "[scenario] name=gaussian-bump amplitude=0.4 sigma=0.33 center=0.5,1.25\n"
+            "  wbar=0.2 seed=99 u0=2 v0=3 w0=0.5\n"
+            "[outputs] dir=results p_values=1,2,4 snapshots=true cadence=0.25\n"
             "[sweep] mode=fix_chi_vary_mu fixed_value=2 theta_values=0.1,0.2 repetitions=2\n"
         )
         cfg = parse_config(text, base_dir=tmp_path)
         echo = render_config(cfg)
+        # Every key is echoed but cadence, which sets no field.
+        echoed = {line.split(" = ")[0] for line in echo.splitlines() if " = " in line}
+        assert echoed == {key for keys in _KEYS.values() for key in keys} - {"cadence"}
         cfg2 = parse_config(echo, base_dir=tmp_path)
         assert cfg2 == cfg
         assert render_config(cfg2) == echo

@@ -70,10 +70,7 @@ class TestTimeseries:
         assert p_values == (1.0, 2.0)
         second = write_timeseries(records, tmp_path / "b.csv", p_values)
         assert first.read_bytes() == second.read_bytes()
-        for orig, back in zip(out.records, records):
-            assert back.t == orig.t
-            assert back.mass_u == orig.mass_u
-            assert back.lp_u == orig.lp_u
+        assert records == out.records
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -353,24 +353,29 @@ class TestStep:
             step(state, ModelParams(chi=1.0), big_caps())
 
     @pytest.mark.parametrize(
-        "name,bad,tau,scheme",
+        "name,bad,cell,tau,scheme",
         [
-            pytest.param(name, bad, tau, scheme, id=f"{name}-{bad}{suffix}")
+            pytest.param(name, bad, cell, tau, scheme, id=f"{name}-{bad}{suffix}")
             for tau, scheme, suffix in [
                 (1, "explicit", ""), (0, "explicit", "-tau0"), (1, "imex-diffusion", "-imex")
             ]
-            for name, bad in [("u", math.inf), ("v", math.nan), ("w", math.nan)]
+            for name, bad, cell in [
+                ("u", math.inf, 7), ("v", math.nan, 7), ("w", math.nan, 7),
+                ("u", -math.inf, 0), ("w", math.inf, 0), ("w", -math.inf, 0),
+            ]
         ],
     )
     def test_state_edited_after_step_signals_divergence(
-        self, monkeypatch, name, bad, tau, scheme
+        self, monkeypatch, name, bad, cell, tau, scheme
     ):
         # step keeps the extrema of the states it accepts; a non-finite value
         # written into such a state afterwards must still stop the next step,
         # whichever way the signal is advanced. With eta = 0 only stable_dt
-        # reads w, so it must take the range of w from w, not from extrema.
-        # The extrema of the diverged state, NaN or not, are those of its
-        # fields.
+        # reads w, so it must take the range of w from w, not from extrema,
+        # and an infinite range is divergence, not a zero transport limit.
+        # A -inf that reaches a positivity clamp is divergence too, not
+        # negativity to retry with a smaller dt. The extrema of the diverged
+        # state, NaN or not, are those of its fields.
         from taxisim import Diverged
 
         accepted, _ = record_attempts(monkeypatch)
@@ -380,7 +385,7 @@ class TestStep:
         cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
         state = step(initial_state(sc.build(g)), p, cfg)
         assert_extrema_are_fresh(state)
-        getattr(state, name).values[7] = bad
+        getattr(state, name).values[cell] = bad
         with pytest.raises(Diverged):
             step(state, p, cfg)
         for new in accepted[1:]:
@@ -781,6 +786,7 @@ class TestPositivityAndExtrema:
         assert np.array_equal(values, [2.0, 0.0, 0.5])
         assert stepper_mod._clamp_negatives(np.array([2.0, 0.25]), 1e-13) == 0.25
         assert math.isnan(stepper_mod._clamp_negatives(np.array([1.0, math.nan]), 1e-13))
+        assert stepper_mod._clamp_negatives(np.array([1.0, -math.inf]), 1e-13) == -math.inf
         with pytest.raises(stepper_mod._RetryStep):
             stepper_mod._clamp_negatives(np.array([1.0, -1e-12]), 1e-13)
 

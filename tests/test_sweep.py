@@ -132,6 +132,27 @@ class TestRunSweep:
         (result,) = run_sweep(tiny_plan(), keep_outcomes=True)
         assert result.outcome is not None
 
+    def test_peak_and_its_time_come_from_the_run(self):
+        # classify sees only the output records, so its maximum may sit at
+        # another time than the run's peak over every step; the table pairs
+        # the run's peak with the run's time of it. On this plan most points
+        # peak between outputs.
+        plan = tiny_plan(
+            theta_values=(0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4),
+            base_solver=SolverConfig(
+                t_end=0.25, output_every=0.05, time_scheme="imex-diffusion"
+            ),
+            scenario=ScenarioSpec(name="random-perturb", amplitude=0.3, wbar=0.3, seed=0),
+            grid=GridSpec((6.0,), (64,)),
+        )
+        results = run_sweep(plan, keep_outcomes=True)
+        for res in results:
+            assert res.max_sup_u == res.outcome.max_sup_u
+            assert res.verdict.max_sup_u == res.outcome.max_sup_u
+            assert res.verdict.t_of_max == res.outcome.t_of_max_sup_u
+        record_times = {rec.t for res in results for rec in res.outcome.records}
+        assert any(res.verdict.t_of_max not in record_times for res in results)
+
     def test_point_failure_becomes_inconclusive(self, monkeypatch):
         def always_reject(state, params, cfg, dt):
             raise stepper_mod._RetryStep

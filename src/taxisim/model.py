@@ -13,6 +13,7 @@ the signal to the cells through a screened Poisson solve.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -157,6 +158,8 @@ class ScenarioSpec:
             raise ValueError("sigma must be finite and > 0")
         if self.center is not None and not np.isfinite(self.center).all():
             raise ValueError("center entries must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
     def with_seed(self, seed: int) -> ScenarioSpec:
         return replace(self, seed=int(seed))
@@ -194,14 +197,91 @@ class ScenarioSpec:
                 Field.full(grid, 1.0),
                 Field.full(grid, self.wbar),
             )
-        # random-perturb: seeded uniform noise around the coexistence state.
-        rng = np.random.default_rng(self.seed)
+        # random-perturb: seeded uniform noise around the coexistence state;
+        # u takes the first n draws and v the next n.
         n = grid.num_cells
-        u = 1.0 + self.amplitude * rng.uniform(-1.0, 1.0, size=n)
-        v = 1.0 + self.amplitude * rng.uniform(-1.0, 1.0, size=n)
+        noise = 1.0 + self.amplitude * _uniform_draws(self.seed, 2 * n)
         return InitialData(
-            Field(grid, u), Field(grid, v), Field.full(grid, self.wbar)
+            Field(grid, noise[:n]), Field(grid, noise[n:]), Field.full(grid, self.wbar)
         )
+
+
+# The hash constants of numpy's SeedSequence and the multiplier of its PCG64
+# generator (O'Neill, HMC-CS-2014-0905, 2014).
+_MASK32 = (1 << 32) - 1
+_MASK128 = (1 << 128) - 1
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list[int]:
+    """numpy's SeedSequence(seed).generate_state(4, uint64), for seed >= 0.
+
+    The seed's little-endian 32-bit words are hashed into a pool of four
+    words, the pool words are mixed with each other, and any further seed
+    words are mixed into every pool word. The 64-bit state words are then
+    hashed from the pool, each from two 32-bit words, low word first.
+    """
+    seed = operator.index(seed)
+    words = [seed >> k & _MASK32 for k in range(0, max(seed.bit_length(), 1), 32)]
+    hash_const = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        value = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return value ^ value >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+
+    hash_const = _INIT_B
+    out = []
+    for i in range(8):
+        value = pool[i % 4] ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        value = value * hash_const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[2 * k] | out[2 * k + 1] << 32 for k in range(4)]
+
+
+def _uniform_draws(seed: int, n: int) -> np.ndarray:
+    """numpy's default_rng(seed).uniform(-1.0, 1.0, n), bit for bit.
+
+    default_rng seeds a PCG64 generator (128-bit LCG, XSL-RR output)
+    through SeedSequence; each draw steps the state, takes the top 53 bits
+    of the 64-bit output as a double d in [0, 1) and maps it to -1 + 2 d.
+    The stream is computed here so that the initial data do not depend on
+    numpy's Generator, whose output numpy does not keep stable across
+    versions (NEP 19), and so that numpy's random module is never imported.
+    """
+    s0, s1, s2, s3 = _seed_state(seed)
+    # Seeding: state 0, one step, add the initial state, one more step.
+    inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+    state = (inc + (s0 << 64 | s1)) * _PCG_MULT + inc & _MASK128
+    states = []
+    for _ in range(n):
+        state = state * _PCG_MULT + inc & _MASK128
+        states.append(state.to_bytes(16, "little"))
+    # The output rotates hi ^ lo right by the top 6 bits of the state.
+    lo, hi = np.frombuffer(b"".join(states), dtype="<u8").reshape(n, 2).T
+    x = hi ^ lo
+    rot = hi >> np.uint64(58)
+    bits = x >> rot | x << (-rot & np.uint64(63))
+    return -1.0 + 2.0 * ((bits >> np.uint64(11)) * 2.0**-53)
 
 
 @dataclass

@@ -156,12 +156,14 @@ class SimState:
     which take them anyway, and one pass each gives the other four. The
     divergence check, run, the records and the next step read it.
     It describes the fields as step left them. A non-finite value written
-    into them later still stops the next step, since it spreads into the new
-    fields: u and v are read by every step (v through rhs_v, the implicit
-    right-hand side, or Iv and w when tau = 0). With eta = 0 the step reads
-    w nowhere but stable_dt, so stable_dt takes the range of w from w itself,
-    never from extrema. A finite edit is not seen until extrema is set to
-    None, which makes the next step recompute it.
+    into them later still stops the next step. Mostly it spreads into the
+    new fields: u and v are read by every step (v through rhs_v or the
+    implicit right-hand side; when tau = 0 only through Iv). An infinite Iv
+    does not spread with eta = 0, since w = w_anchor exp(-Iv) is then 0, so
+    the step checks the new Iv itself. With eta = 0 the step reads w nowhere
+    but stable_dt, so stable_dt takes the range of w from w itself, never
+    from extrema. A finite edit is not seen until extrema is set to None,
+    which makes the next step recompute it.
     """
 
     t: float
@@ -452,6 +454,10 @@ def _attempt_step(
 
     # (4, computed early so the w update can reuse it) trapezoidal accumulator
     iv_new = Field(grid, state.Iv.values + (0.5 * dt) * (v.values + v_new_vals))
+    # Iv >= 0, so its max is finite unless Iv holds +inf or NaN, which the
+    # w update below can turn into a finite w = 0.
+    if not math.isfinite(iv_new.values.max()):
+        raise Diverged(f"non-finite signal integral at t={state.t!r}", state=state)
 
     # (2) substrate update
     anchor = state.anchor

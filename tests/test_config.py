@@ -63,6 +63,7 @@ OUT_OF_RANGE = [
     ("scenario.u0", "-1"),
     ("scenario.v0", "-1"),
     ("scenario.w0", "-1"),
+    ("scenario.seed", "-1"),
     ("outputs.p_values", "0.5"),
     ("outputs.cadence", "0.5"),
     ("sweep.mode", "fix_nothing"),

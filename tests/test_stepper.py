@@ -362,6 +362,7 @@ class TestStep:
             for name, bad, cell in [
                 ("u", math.inf, 7), ("v", math.nan, 7), ("w", math.nan, 7),
                 ("u", -math.inf, 0), ("w", math.inf, 0), ("w", -math.inf, 0),
+                ("v", math.inf, 0), ("Iv", math.inf, 0),
             ]
         ],
     )
@@ -374,7 +375,9 @@ class TestStep:
         # reads w, so it must take the range of w from w, not from extrema,
         # and an infinite range is divergence, not a zero transport limit.
         # A -inf that reaches a positivity clamp is divergence too, not
-        # negativity to retry with a smaller dt. The extrema of the diverged
+        # negativity to retry with a smaller dt. An infinite signal integral
+        # (an edited Iv, or v when tau = 0) makes w = 0, a finite substrate,
+        # so it must be caught on Iv itself. The extrema of the diverged
         # state, NaN or not, are those of its fields.
         from taxisim import Diverged
 

@@ -274,3 +274,23 @@ class TestImportFootprint:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.strip() == ""
+
+    def test_random_perturb_sweep_loads_no_numpy_random(self):
+        # The random-perturb noise is computed without numpy.random, whose
+        # import is most of a small sweep's peak memory.
+        env = dict(os.environ, PYTHONPATH=str(Path(taxisim.__file__).parents[1]))
+        code = (
+            "import sys\n"
+            "from taxisim import *\n"
+            "g = GridSpec((2.0,), (16,))\n"
+            "sc = ScenarioSpec(name='random-perturb', amplitude=0.3, seed=5)\n"
+            "plan = SweepPlan(mode='fix_mu_vary_chi', fixed_value=10.0, theta_values=(0.1,),\n"
+            "    base_model=ModelParams(chi=1.0, xi=1.0, mu=10.0),\n"
+            "    base_solver=SolverConfig(t_end=0.05, output_every=0.05), scenario=sc, grid=g)\n"
+            "[r] = run_sweep(plan)\n"
+            "print(r.failure, 'numpy.random' in sys.modules)"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert proc.stdout.split() == ["None", "False"]

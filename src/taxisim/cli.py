@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, ValidationError, format_number, parse_config, render_config
-from .diagnostics import MassBoundCheck, classify, mass_bound_check
+from .diagnostics import MassBoundCheck, classify, mass_bound_check, outcome_verdict
 from .fileio import (
     read_timeseries,
     render_sweep_summary,
@@ -77,10 +77,12 @@ def _cmd_run(args: argparse.Namespace) -> int:
     series_path = write_timeseries(
         outcome.records, outdir / "timeseries.csv", cfg.outputs.p_values
     )
-    verdict = classify(outcome.records, cfg.solver)
+    verdict = outcome_verdict(outcome, classify(outcome.records, cfg.solver))
     mass = mass_bound_check(outcome.records, cfg.grid, cfg.model)
 
     print(f"outcome: {outcome.status} (t_final={format_number(outcome.t_final)})")
+    if outcome.failure is not None:
+        print(f"failure: {outcome.failure}")
     print(f"verdict: {verdict.classification}")
     print(
         "max sup u: "

@@ -109,8 +109,8 @@ def _integers(raw: str) -> tuple[int, ...]:
 
 # Every accepted key, per section, and the parser of its value. A key sets
 # the dataclass field of the same name (or the one _FIELD_OF names); a key
-# left out takes the dataclass default. grid.dim and outputs.cadence are
-# checked here and set no field. render_config echoes the same table.
+# left out takes the dataclass default. grid.dim is checked here and sets no
+# field; the echo reads it from the grid. render_config echoes the same table.
 _KEYS: dict[str, dict[str, Callable[[str], object]]] = {
     "grid": {"dim": _integer, "extent": _numbers, "cells": _integers},
     "model": {"chi": _number, "xi": _number, "mu": _number, "eta": _number, "tau": _integer},
@@ -134,7 +134,7 @@ _KEYS: dict[str, dict[str, Callable[[str], object]]] = {
         "v0": _number,
         "w0": _number,
     },
-    "outputs": {"dir": Path, "p_values": _numbers, "snapshots": _boolean, "cadence": _number},
+    "outputs": {"dir": Path, "p_values": _numbers, "snapshots": _boolean},
     "sweep": {"mode": str, "fixed_value": _number, "theta_values": _numbers, "repetitions": _integer},
 }
 _FIELD_OF = {"T_end": "t_end", "dir": "directory"}
@@ -220,8 +220,7 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     """Parse and fully validate a configuration document.
 
     Relative output paths resolve against base_dir (normally the directory of
-    the config file). The [solver] keys output_every defaults to T_end / 50;
-    [outputs] cadence, when given, is an alias that must agree with it.
+    the config file). The [solver] key output_every defaults to T_end / 50.
     """
     data = _read_sections(text)
     for required in ("grid", "model", "solver"):
@@ -242,9 +241,6 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         raise ValidationError("scenario.center", f"must have {dim} entries")
     scenario = _build("scenario", ScenarioSpec, scenario_fields)
     out_fields = _fields("outputs", data.get("outputs", {}))
-    cadence = out_fields.pop("cadence", solver.output_every)
-    if not abs(cadence - solver.output_every) <= 1e-12 * solver.output_every:
-        raise ValidationError("outputs.cadence", "must agree with solver.output_every")
     directory = out_fields.get("directory", Path("out"))
     if not directory.is_absolute():
         out_fields["directory"] = (Path(base_dir) / directory).resolve()
@@ -274,9 +270,9 @@ def render_config(cfg: RunConfig) -> str:
     """Canonical echo of the effective configuration.
 
     Every key of _KEYS that has a value is written, in table order; a key
-    whose field is None (or that sets no field) is left out. Parsing the echo
-    reproduces the configuration exactly (the output directory is rendered
-    absolute), so re-running a tool on its own echo reproduces its outputs.
+    whose field is None is left out. Parsing the echo reproduces the
+    configuration exactly (the output directory is rendered absolute), so
+    re-running a tool on its own echo reproduces its outputs.
     """
     lines: list[str] = []
     for section, keys in _KEYS.items():

@@ -16,11 +16,11 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Field, GridSpec, gradient, integrate, laplacian, lp_norm
+from .grid import Field, GridSpec, gradient, integrate, laplacian, lp_norm, magnitude
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
-    from .stepper import SimState, SolverConfig
+    from .stepper import RunOutcome, SimState, SolverConfig
 
 __all__ = [
     "AnchorMissing",
@@ -33,6 +33,7 @@ __all__ = [
     "representation_residual",
     "mass_bound_check",
     "classify",
+    "outcome_verdict",
     "GROWTH_FACTOR",
     "PLATEAU_FRACTION",
 ]
@@ -109,7 +110,7 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         sup_v=ext.max_v,
         min_w=ext.min_w,
         sup_w=ext.max_w,
-        sup_grad_v=float(np.max(state.grad_v.magnitude().values)),
+        sup_grad_v=float(np.max(magnitude(gradient(state.v)).values)),
         lemma22_violation=lem,
         repr_residual=rep,
         lp_u=tuple((float(p), lp_norm(state.u, p)) for p in p_list),
@@ -135,7 +136,7 @@ def lemma22_check(state: SimState) -> Field:
         raise AnchorMissing("curvature bound needs an anchor snapshot")
     env = np.exp(-state.Iv.values)
     dot = np.zeros_like(env)
-    for gw, gi in zip(anchor.grad_w_s0.components, gradient(state.Iv).components):
+    for gw, gi in zip(anchor.grad_w_s0, gradient(state.Iv)):
         dot += gw.values * gi.values
     bound = anchor.lap_w_s0.values * env
     bound -= 2.0 * env * dot
@@ -154,7 +155,7 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
     scale = anchor.M * (
         1.0
         + float(np.max(state.Iv.values))
-        + float(np.max(gradient(state.Iv).magnitude().values))
+        + float(np.max(magnitude(gradient(state.Iv)).values))
     )
     return LEMMA22_TOL_FACTOR * (h * h + dt) * scale
 
@@ -246,3 +247,22 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     if variation < PLATEAU_FRACTION and max_sup <= GROWTH_FACTOR * float(sups[0]):
         return BoundednessVerdict("bounded", max_sup, t_of_max)
     return BoundednessVerdict("inconclusive", max_sup, t_of_max)
+
+
+def outcome_verdict(outcome: RunOutcome, seen: BoundednessVerdict) -> BoundednessVerdict:
+    """The verdict on a run, given seen = classify(outcome.records, cfg).
+
+    How the run ended comes first: a run that diverged blew up at its
+    failure_time, even where its records are finite, and a run whose steps
+    kept failing is inconclusive. Otherwise its records decide. The peak of
+    sup u and its time come from the run, which saw every step.
+    """
+    if outcome.status == "blew_up":
+        classification, crossing = "blew_up", outcome.failure_time
+    elif outcome.status == "cfl_failed":
+        classification, crossing = "inconclusive", None
+    else:
+        classification, crossing = seen.classification, seen.crossing_time
+    return BoundednessVerdict(
+        classification, outcome.max_sup_u, outcome.t_of_max_sup_u, crossing
+    )

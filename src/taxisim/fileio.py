@@ -213,8 +213,9 @@ def _optional_number(x: float | None) -> str:
 def write_sweep_table(results: list[SweepResult], path: str | Path) -> Path:
     """Write one row per sweep point.
 
-    failure holds the "<Type>: <message>" of a point that could not run and
-    is empty otherwise; a cell with a comma or quote is quoted as CSV.
+    failure holds the "<Type>: <message>" of what kept a point from running
+    or ended its run early, and is empty otherwise; a cell with a comma or
+    quote is quoted as CSV.
     Wall-clock timings are intentionally not serialized: the table must be
     bitwise reproducible across runs of the same plan.
     """

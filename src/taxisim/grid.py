@@ -35,9 +35,9 @@ import numpy as np
 __all__ = [
     "GridSpec",
     "Field",
-    "VectorField",
     "laplacian",
     "gradient",
+    "magnitude",
     "taxis_divergence",
     "integrate",
     "lp_norm",
@@ -152,40 +152,6 @@ class Field:
         return bool(np.isfinite(self.values).all())
 
 
-@dataclass
-class VectorField:
-    """One cell-centered component field per axis."""
-
-    components: tuple[Field, ...]
-
-    def __post_init__(self) -> None:
-        self.components = tuple(self.components)
-        if not self.components:
-            raise ValueError("vector field needs at least one component")
-        grid = self.components[0].grid
-        if any(c.grid is not grid and c.grid != grid for c in self.components):
-            raise ValueError("all components must share one grid")
-        if len(self.components) != grid.dim:
-            raise ValueError("vector field needs one component per axis")
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.components[0].grid
-
-    def copy(self) -> VectorField:
-        return VectorField(tuple(c.copy() for c in self.components))
-
-    def magnitude(self) -> Field:
-        """Euclidean norm of the vector in every cell."""
-        acc = self.components[0].values ** 2
-        for c in self.components[1:]:
-            acc = acc + c.values**2
-        return Field(self.grid, np.sqrt(acc))
-
-    def is_finite(self) -> bool:
-        return all(c.is_finite() for c in self.components)
-
-
 class _AxisFaces(NamedTuple):
     """The faces normal to one axis in the flat layout: face p joins cells p
     and p + stride, for p < num_cells - stride. The weight arrays hold
@@ -233,9 +199,9 @@ def laplacian(f: Field) -> Field:
     return Field(f.grid, out)
 
 
-def gradient(f: Field) -> VectorField:
-    """Central-difference gradient: each cell sums the half-differences
-    (a_R - a_L) / (2h) of its two faces along the axis.
+def gradient(f: Field) -> tuple[Field, ...]:
+    """Central-difference gradient, one Field per axis: each cell sums the
+    half-differences (a_R - a_L) / (2h) of its two faces along the axis.
 
     Boundary faces carry a zero difference (mirror ghosts), so the one-sided
     estimate (neighbor - cell) / (2h) appears at boundary cells.
@@ -250,7 +216,15 @@ def gradient(f: Field) -> VectorField:
         g[:-s] = half
         g[s:] += half
         comps.append(Field(f.grid, g))
-    return VectorField(tuple(comps))
+    return tuple(comps)
+
+
+def magnitude(components: tuple[Field, ...]) -> Field:
+    """Euclidean norm, per cell, of a vector given by one Field per axis."""
+    acc = components[0].values ** 2
+    for c in components[1:]:
+        acc = acc + c.values**2
+    return Field(components[0].grid, np.sqrt(acc))
 
 
 def taxis_divergence(

@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .grid import Field, GridSpec, VectorField, gradient, laplacian, sup_norm
+from .grid import Field, GridSpec, gradient, laplacian, magnitude, sup_norm
 from .model import InitialData, ModelParams, rhs_u, rhs_v, rhs_w
 
 __all__ = [
@@ -110,7 +110,7 @@ class Snapshot:
 
     s0: float
     w_s0: Field
-    grad_w_s0: VectorField
+    grad_w_s0: tuple[Field, ...]  # one component per axis
     lap_w_s0: Field
     M: float
     sup_w: float
@@ -148,9 +148,9 @@ class SimState:
     """Fields at time t plus the accumulated signal integral since the anchor.
 
     Iv holds the per-cell trapezoidal integral of v over (s0, t]; the integral
-    of grad v is gradient(Iv), so it is not accumulated. grad_v is not stored
-    either: the property computes the cell-centered gradient of the current v
-    on each access (the records read it once per output).
+    of grad v is gradient(Iv), so it is not accumulated. No gradient is
+    stored: its readers call gradient themselves (the records once per
+    output).
     extrema holds the minima and maxima of u, v and w that step finds on
     every state it accepts: min u and min v come from the positivity clamps,
     which take them anyway, and one pass each gives the other four. The
@@ -179,10 +179,6 @@ class SimState:
     def grid(self) -> GridSpec:
         return self.u.grid
 
-    @property
-    def grad_v(self) -> VectorField:
-        return gradient(self.v)
-
     def field_extrema(self) -> Extrema:
         """extrema, or a fresh pass over u, v and w when it is not set."""
         if self.extrema is not None:
@@ -200,7 +196,7 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
         sup_norm(u),
         sup_norm(v),
         sup_norm(w),
-        sup_norm(grad_w.magnitude()),
+        sup_norm(magnitude(grad_w)),
         sup_norm(lap_w),
     )
     return Snapshot(
@@ -276,7 +272,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     computed; the factor 2 covers the rounding of both sides. Otherwise the
     exact limit is computed as above. R_v comes from the state's extrema,
     R_w from w itself (see SimState). A non-finite extremum, range of w or
-    NaN transport speed means a non-finite field and raises Diverged. A
+    transport speed raises Diverged: the state is non-finite, or its
+    gradient overflows (a finite v near the float limit). A
     stability step (before the caps) below 1e-15 * t_end, which would take
     more than 10^15 steps, raises ValueError naming the limit that binds.
     """
@@ -295,14 +292,13 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     spread = params.chi * (ext.max_v - ext.min_v) + params.xi * range_w
     h_min = min(grid.spacing)
     if not spread * limit <= h_min * h_min:  # NaN and inf fail it as well
-        grad_v = gradient(state.v)
-        grad_w = gradient(state.w)
-        for axis, h in enumerate(grid.spacing):
-            speed = np.abs(params.chi * grad_v.components[axis].values)
-            speed += np.abs(params.xi * grad_w.components[axis].values)
+        axes = zip(grid.spacing, gradient(state.v), gradient(state.w))
+        for axis, (h, grad_v, grad_w) in enumerate(axes):
+            speed = np.abs(params.chi * grad_v.values)
+            speed += np.abs(params.xi * grad_w.values)
             peak = float(speed.max())
-            if math.isnan(peak):
-                raise Diverged(f"non-finite gradient at t={state.t!r}", state=state)
+            if not math.isfinite(peak):
+                raise Diverged(f"non-finite transport speed at t={state.t!r}", state=state)
             transport = h / (peak + _EPS_RATE)
             if transport < limit:
                 limit, binding = transport, f"transport (axis {axis})"
@@ -543,6 +539,7 @@ class RunOutcome:
     invariant_violations: int
     steps: int
     failure_time: float | None = None
+    failure: str | None = None  # "<Type>: <message>" of what ended the run early
     final_state: SimState | None = None
 
 
@@ -583,6 +580,7 @@ def run(
     steps = 0
     status = "completed"
     failure_time: float | None = None
+    failure: str | None = None
 
     emit(state)
 
@@ -630,9 +628,11 @@ def run(
                 t_of_max = state.t
             emit(state)
         failure_time = state.t
-    except CFLViolation:
+        failure = f"{type(exc).__name__}: {exc}"
+    except CFLViolation as exc:
         status = "cfl_failed"
         failure_time = state.t
+        failure = f"{type(exc).__name__}: {exc}"
         emit(state)
 
     return RunOutcome(
@@ -648,5 +648,6 @@ def run(
         invariant_violations=violations,
         steps=steps,
         failure_time=failure_time,
+        failure=failure,
         final_state=state,
     )

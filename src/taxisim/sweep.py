@@ -14,7 +14,7 @@ import math
 import time
 from dataclasses import dataclass, replace
 
-from .diagnostics import BoundednessVerdict, classify
+from .diagnostics import BoundednessVerdict, classify, outcome_verdict
 from .grid import GridSpec
 from .model import ModelParams, ScenarioSpec
 from .stepper import RunOutcome, SolverConfig, run
@@ -83,7 +83,7 @@ class SweepResult:
     wall_time: float
     pe_condition: bool
     outcome: RunOutcome | None = None
-    failure: str | None = None  # "<Type>: <message>" of a point that could not run
+    failure: str | None = None  # "<Type>: <message>" of what stopped or ended the run
 
 
 def _coefficients(plan: SweepPlan, theta: float) -> tuple[float, float]:
@@ -120,27 +120,19 @@ def _execute_point(
     )
     pe = False  # stays False for a point whose model cannot be built
     tic = time.perf_counter()
-    failure = None
     try:
         model = params_for_theta(plan, theta)
         pe = check_pe_condition(model, plan.grid.dim)
         init = scenario.build(plan.grid)
         outcome = run(init, model, plan.base_solver)
-        # classify sees only the output records; the peak over every step,
-        # and its time, come from the run.
-        classification, crossing = "inconclusive", None
-        if outcome.status != "cfl_failed":
-            seen = classify(outcome.records, plan.base_solver)
-            classification, crossing = seen.classification, seen.crossing_time
-        max_sup = outcome.max_sup_u
-        verdict = BoundednessVerdict(classification, max_sup, outcome.t_of_max_sup_u, crossing)
+        verdict = outcome_verdict(outcome, classify(outcome.records, plan.base_solver))
+        failure = outcome.failure
     except ValueError as exc:
         # Initial data or a model that cannot run fails this point only;
         # any other exception is a bug and propagates.
         failure = f"{type(exc).__name__}: {exc}"
         outcome = None
         verdict = BoundednessVerdict("inconclusive", math.nan, math.nan)
-        max_sup = math.nan
     wall = time.perf_counter() - tic
     return SweepResult(
         theta=theta,
@@ -148,7 +140,7 @@ def _execute_point(
         mu=mu,
         repetition=repetition,
         verdict=verdict,
-        max_sup_u=max_sup,
+        max_sup_u=verdict.max_sup_u,
         wall_time=wall,
         pe_condition=pe,
         outcome=outcome if keep_outcome else None,

@@ -29,6 +29,7 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 0
         captured = capsys.readouterr().out
         assert "verdict: bounded" in captured
+        assert "failure:" not in captured
         assert (tmp_path / "out" / "timeseries.csv").exists()
         assert (tmp_path / "out" / "effective.cfg").exists()
 
@@ -75,7 +76,29 @@ class TestRunCommand:
         )
         cfg = write_cfg(tmp_path, text)
         assert main(["run", str(cfg)]) == 2
-        assert "blew_up" in capsys.readouterr().out
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("outcome: blew_up")
+        assert out[1].startswith("failure: Diverged: sup u = ")
+        assert "verdict: blew_up" in out
+
+    def test_divergence_on_a_finite_state_is_blow_up(self, tmp_path, capsys, monkeypatch):
+        # The verdict follows how the run ended, not only its records, which
+        # stay finite when Diverged is raised on a finite state.
+        import taxisim.stepper as stepper_mod
+        from taxisim import Diverged
+
+        def diverge(state, params, cfg, dt):
+            raise Diverged("injected", state=state)
+
+        monkeypatch.setattr(stepper_mod, "_attempt_step", diverge)
+        cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
+        assert main(["run", str(cfg)]) == 2
+        out = capsys.readouterr().out.splitlines()
+        assert out[:3] == [
+            "outcome: blew_up (t_final=0.0)",
+            "failure: Diverged: injected",
+            "verdict: blew_up",
+        ]
 
     def test_snapshots_written_when_enabled(self, tmp_path):
         text = (

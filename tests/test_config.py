@@ -65,7 +65,6 @@ OUT_OF_RANGE = [
     ("scenario.w0", "-1"),
     ("scenario.seed", "-1"),
     ("outputs.p_values", "0.5"),
-    ("outputs.cadence", "0.5"),
     ("sweep.mode", "fix_nothing"),
     ("sweep.fixed_value", "0"),
     ("sweep.theta_values", "0,0.1"),
@@ -89,7 +88,6 @@ NON_FINITE = [
     ("model.eta", "inf"),
     ("grid.extent", "inf"),
     ("outputs.p_values", "inf"),
-    ("outputs.cadence", "nan"),
 ]
 
 
@@ -154,6 +152,9 @@ class TestValidation:
     def test_unknown_key_rejected(self):
         with pytest.raises(ValidationError, match=r"model\.sigma"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1 sigma=2\n[solver] T_end=1")
+        # The output cadence is solver.output_every; outputs has no alias.
+        with pytest.raises(ValidationError, match=r"outputs\.cadence"):
+            parse_config(MINIMAL + "[outputs] cadence=0.02")
 
     @pytest.mark.parametrize("key", ["elliptic_tol", "elliptic_max_iter"])
     def test_retired_solver_keys_rejected(self, key):
@@ -197,15 +198,6 @@ class TestValidation:
         with pytest.raises(ValidationError, match=r"solver\.T_end must be a number"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] T_end=soon")
 
-    def test_cadence_alias_must_agree(self):
-        with pytest.raises(ValidationError, match=r"outputs\.cadence"):
-            parse_config(MINIMAL + "[outputs] cadence=0.5")
-        cfg = parse_config(
-            "[grid] dim=1 extent=2 cells=16\n[model] chi=1\n[solver] T_end=1 output_every=0.5\n"
-            + "[outputs] cadence=0.5"
-        )
-        assert cfg.solver.output_every == 0.5
-
     @pytest.mark.parametrize(
         "key,value", OUT_OF_RANGE + NON_FINITE, ids=[f"{k}={v}" for k, v in OUT_OF_RANGE + NON_FINITE]
     )
@@ -227,14 +219,14 @@ class TestEcho:
             "  blowup_threshold=50 anchor_time=0.5 time_scheme=imex-diffusion\n"
             "[scenario] name=gaussian-bump amplitude=0.4 sigma=0.33 center=0.5,1.25\n"
             "  wbar=0.2 seed=99 u0=2 v0=3 w0=0.5\n"
-            "[outputs] dir=results p_values=1,2,4 snapshots=true cadence=0.25\n"
+            "[outputs] dir=results p_values=1,2,4 snapshots=true\n"
             "[sweep] mode=fix_chi_vary_mu fixed_value=2 theta_values=0.1,0.2 repetitions=2\n"
         )
         cfg = parse_config(text, base_dir=tmp_path)
         echo = render_config(cfg)
-        # Every key is echoed but cadence, which sets no field.
+        # Every key is echoed.
         echoed = {line.split(" = ")[0] for line in echo.splitlines() if " = " in line}
-        assert echoed == {key for keys in _KEYS.values() for key in keys} - {"cadence"}
+        assert echoed == {key for keys in _KEYS.values() for key in keys}
         cfg2 = parse_config(echo, base_dir=tmp_path)
         assert cfg2 == cfg
         assert render_config(cfg2) == echo

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import taxisim.diagnostics as diagnostics_mod
 import taxisim.stepper as stepper_mod
 from conftest import smooth_field
 from taxisim import (
@@ -113,7 +114,7 @@ class TestStableDt:
         )
         p = ModelParams(chi=1.0, xi=0.0, mu=0.0)
         state = initial_state(init)
-        assert np.max(np.abs(state.grad_v.components[0].values)) == pytest.approx(10.0)
+        assert np.max(np.abs(gradient(state.v)[0].values)) == pytest.approx(10.0)
         dt = stable_dt(state, p, big_caps())
         assert dt == pytest.approx(0.4 * 0.005, rel=1e-13)
 
@@ -166,8 +167,8 @@ def exact_stable_dt(state, params, cfg):
     grad_v = gradient(state.v)
     grad_w = gradient(state.w)
     for axis, h in enumerate(grid.spacing):
-        speed = np.abs(params.chi * grad_v.components[axis].values)
-        speed += np.abs(params.xi * grad_w.components[axis].values)
+        speed = np.abs(params.chi * grad_v[axis].values)
+        speed += np.abs(params.xi * grad_w[axis].values)
         transport = h / (float(np.max(speed)) + stepper_mod._EPS_RATE)
         if transport < limit:
             limit, binding = transport, f"transport (axis {axis})"
@@ -282,9 +283,14 @@ class TestStableDtRangeBound:
             assert stable_dt(state, params, cfg) == exact_stable_dt(state, params, cfg)[0]
 
     def test_steps_of_a_run_take_no_gradient(self, monkeypatch):
-        # A 2D bump run: gradient runs once for the anchor snapshot and once
-        # per record (sup_grad_v), never per step.
+        # A 2D bump run: the stepper's gradient runs once, for the anchor
+        # snapshot, and the records' twice per record (sup_grad_v and the
+        # curvature bound's gradient of Iv), never per step.
         calls = count_gradients(monkeypatch)
+        record_calls = []
+        monkeypatch.setattr(
+            diagnostics_mod, "gradient", lambda f: record_calls.append(f) or gradient(f)
+        )
         g = GridSpec((2.0, 2.0), (16, 16))
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.4, wbar=0.3)
         out = run(
@@ -294,7 +300,8 @@ class TestStableDtRangeBound:
         )
         assert out.status == "completed"
         assert out.steps > 10 * len(out.records)
-        assert len(calls) == 1 + len(out.records)
+        assert len(calls) == 1
+        assert len(record_calls) == 2 * len(out.records)
 
 
 class TestStep:
@@ -393,6 +400,25 @@ class TestStep:
             step(state, p, cfg)
         for new in accepted[1:]:
             assert_extrema_are_fresh(new)
+
+    @pytest.mark.parametrize("scheme", ["explicit", "imex-diffusion"])
+    def test_overflowing_transport_speed_signals_divergence(self, scheme):
+        # A finite v near the float limit passes the extrema checks, but its
+        # gradient overflows to inf. An infinite transport speed is
+        # divergence, not a zero transport limit that ends the run with a
+        # dt-floor ValueError.
+        from taxisim import Diverged
+
+        g = GridSpec((1.0, 1.5), (6, 5))
+        sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
+        state = step(initial_state(sc.build(g)), p, cfg)
+        state.v.values[0] = 1.7e308
+        state.extrema = None
+        assert state.field_extrema().finite
+        with pytest.raises(Diverged, match="non-finite transport speed"):
+            step(state, p, cfg)
 
     def test_retry_exhaustion_raises_cfl_violation(self, monkeypatch):
         calls = {"n": 0}
@@ -657,7 +683,7 @@ class TestRun:
 
     def test_gradient_of_iv_is_the_integral_of_grad_v(self, monkeypatch):
         # The curvature bound reads the integral of grad v since the anchor
-        # as gradient(Iv). Accumulate it as a trapezoid over the grad_v of
+        # as gradient(Iv). Accumulate it as a trapezoid over the grad v of
         # the accepted states, as an accumulator of its own, restarting at
         # each anchor, and compare at every accepted state.
         ref = []
@@ -671,12 +697,12 @@ class TestRun:
             half_dt = 0.5 * new.last_dt
             ref[:] = [
                 acc + half_dt * (go.values + gn.values)
-                for acc, go, gn in zip(ref, state.grad_v.components, new.grad_v.components)
+                for acc, go, gn in zip(ref, gradient(state.v), gradient(new.v))
             ]
             scale = max(float(np.max(np.abs(acc))) for acc in ref)
             err = max(
                 float(np.max(np.abs(comp.values - acc)))
-                for comp, acc in zip(gradient(new.Iv).components, ref)
+                for comp, acc in zip(gradient(new.Iv), ref)
             )
             worst.append((err, scale, new.anchor.s0))
             return new

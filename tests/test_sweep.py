@@ -165,6 +165,43 @@ class TestRunSweep:
         )
         results = run_sweep(plan)
         assert results[0].verdict.classification == "inconclusive"
+        assert results[0].failure == "CFLViolation: persistent negativity at t=0.0"
+
+    def test_divergence_on_a_finite_state_is_blow_up(self, monkeypatch, tmp_path):
+        # Diverged may carry a state whose fields and records are finite (a
+        # non-finite Iv, an overflowing gradient); classify, which reads only
+        # the records, would call such a run bounded. How the run ended
+        # decides: blew_up at its failure time, with the cause in the row.
+        from taxisim import Diverged
+
+        original = stepper_mod._attempt_step
+        attempts = {"n": 0}
+
+        def diverge_at_200(state, params, cfg, dt):
+            attempts["n"] += 1
+            if attempts["n"] == 200:
+                raise Diverged("injected", state=state)
+            return original(state, params, cfg, dt)
+
+        monkeypatch.setattr(stepper_mod, "_attempt_step", diverge_at_200)
+        plan = tiny_plan(
+            fixed_value=1.0,
+            base_model=ModelParams(chi=1.0, xi=1.0, mu=1.0),
+            scenario=ScenarioSpec(name="gaussian-bump"),
+        )
+        (result,) = run_sweep(plan, keep_outcomes=True)
+        outcome = result.outcome
+        assert outcome.status == "blew_up" and outcome.records[-1].finite
+        assert 0.0 < outcome.failure_time < 1.0
+        assert result.verdict.classification == "blew_up"
+        assert result.verdict.crossing_time == outcome.failure_time
+        assert result.failure == "Diverged: injected"
+        (row,) = csv.DictReader(io.StringIO(
+            write_sweep_table([result], tmp_path / "sweep.csv").read_text()
+        ))
+        assert row["classification"] == "blew_up"
+        assert row["crossing_time"] == repr(outcome.failure_time)
+        assert row["failure"] == "Diverged: injected"
 
     def test_point_bug_propagates(self, monkeypatch):
         def broken_run(*args, **kwargs):

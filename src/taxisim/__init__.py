@@ -4,132 +4,25 @@ The package couples a conservative upwind finite-volume discretization with
 positivity-safe explicit time stepping, runtime monitors for every bound the
 scheme is expected to preserve, and a deterministic sweep harness that maps
 boundedness across the taxis-to-damping ratio theta = chi / mu.
+
+The public API is the ``__all__`` of each module below, re-exported here.
 """
 
-from .diagnostics import (
-    AnchorMissing,
-    BoundednessVerdict,
-    DiagnosticsRecord,
-    MassBoundCheck,
-    classify,
-    lemma22_check,
-    lemma22_tolerance,
-    mass_bound_check,
-    outcome_verdict,
-    record,
-    representation_residual,
-)
-from .grid import (
-    Field,
-    GridSpec,
-    gradient,
-    integrate,
-    laplacian,
-    lp_norm,
-    magnitude,
-    min_value,
-    sup_norm,
-    taxis_divergence,
-)
-from .model import (
-    InitialData,
-    ModelParams,
-    OdeTrajectory,
-    ScenarioSpec,
-    ode_reference,
-    rhs_u,
-    rhs_v,
-    rhs_w,
-)
-from .stepper import (
-    CFLViolation,
-    Diverged,
-    RunOutcome,
-    SimState,
-    Snapshot,
-    SolverConfig,
-    initial_state,
-    run,
-    solve_elliptic,
-    stable_dt,
-    step,
-    take_snapshot,
-)
-from .sweep import (
-    SweepPlan,
-    SweepResult,
-    check_pe_condition,
-    estimate_threshold,
-    params_for_theta,
-    run_sweep,
-)
-from .config import (
-    ConfigError,
-    OutputOptions,
-    ParseError,
-    RunConfig,
-    SweepSettings,
-    ValidationError,
-    parse_config,
-    render_config,
-)
+from . import config, diagnostics, grid, model, stepper, sweep
+from .config import *
+from .diagnostics import *
+from .grid import *
+from .model import *
+from .stepper import *
+from .sweep import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AnchorMissing",
-    "BoundednessVerdict",
-    "CFLViolation",
-    "ConfigError",
-    "DiagnosticsRecord",
-    "Diverged",
-    "Field",
-    "GridSpec",
-    "InitialData",
-    "MassBoundCheck",
-    "ModelParams",
-    "OdeTrajectory",
-    "OutputOptions",
-    "ParseError",
-    "RunConfig",
-    "RunOutcome",
-    "ScenarioSpec",
-    "SimState",
-    "Snapshot",
-    "SolverConfig",
-    "SweepPlan",
-    "SweepResult",
-    "SweepSettings",
-    "ValidationError",
-    "check_pe_condition",
-    "classify",
-    "estimate_threshold",
-    "gradient",
-    "initial_state",
-    "integrate",
-    "laplacian",
-    "lemma22_check",
-    "lemma22_tolerance",
-    "lp_norm",
-    "magnitude",
-    "mass_bound_check",
-    "min_value",
-    "ode_reference",
-    "outcome_verdict",
-    "params_for_theta",
-    "parse_config",
-    "record",
-    "render_config",
-    "representation_residual",
-    "rhs_u",
-    "rhs_v",
-    "rhs_w",
-    "run",
-    "run_sweep",
-    "solve_elliptic",
-    "stable_dt",
-    "step",
-    "sup_norm",
-    "take_snapshot",
-    "taxis_divergence",
+    *grid.__all__,
+    *model.__all__,
+    *stepper.__all__,
+    *diagnostics.__all__,
+    *sweep.__all__,
+    *config.__all__,
 ]

@@ -153,7 +153,9 @@ def _cmd_check(args: argparse.Namespace) -> int:
     The run's effective.cfg beside the series supplies the grid (domain
     measure), mu, eta and blowup_threshold; --mu, --omega and
     --blowup-threshold override them. Without it the threshold defaults to
-    1e6 and the mass bound needs --mu and --omega.
+    1e6 and the mass bound needs --mu and --omega. A completed run's series
+    ends exactly at its T_end; one that stops before it ended early and is
+    inconclusive, unless its records show blow-up.
     """
     records, _ = read_timeseries(args.timeseries)
     if not records:
@@ -167,6 +169,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
     t_end = max(records[-1].t, 1e-9)
     cfg = SolverConfig(t_end=t_end, output_every=t_end, blowup_threshold=threshold)
     verdict = classify(records, cfg)
+    if run_cfg is not None and records[-1].t < run_cfg.solver.t_end:
+        print(
+            f"ended early: the series stops at t={format_number(records[-1].t)}"
+            f" before T_end={format_number(run_cfg.solver.t_end)}"
+        )
+        if verdict.classification != "blew_up":
+            verdict = replace(verdict, classification="inconclusive")
     print(f"verdict: {verdict.classification}")
     print(
         "max sup u: "

@@ -27,11 +27,9 @@ __all__ = [
     "ParseError",
     "ValidationError",
     "OutputOptions",
-    "SweepSettings",
     "RunConfig",
     "parse_config",
     "render_config",
-    "format_number",
 ]
 
 
@@ -67,6 +65,8 @@ class OutputOptions:
             )
         if not all(1.0 <= p < float("inf") for p in self.p_values):
             raise ValueError("p_values entries must be finite and >= 1")
+        if len(set(self.p_values)) != len(self.p_values):
+            raise ValueError("p_values entries must be distinct")
 
 
 @dataclass(frozen=True)

@@ -34,8 +34,6 @@ __all__ = [
     "mass_bound_check",
     "classify",
     "outcome_verdict",
-    "GROWTH_FACTOR",
-    "PLATEAU_FRACTION",
 ]
 
 # Classifier thresholds are artifact constants, fixed here so that sweep
@@ -57,10 +55,13 @@ class AnchorMissing(RuntimeError):
 
 @dataclass
 class DiagnosticsRecord:
-    """Monitored quantities at one output time."""
+    """Monitored quantities at one output time.
+
+    The fields before lp_u are the time-series columns, in column order.
+    """
 
     t: float
-    dt_used: float
+    dt: float
     mass_u: float
     mass_v: float
     min_u: float
@@ -101,7 +102,7 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         rep = representation_residual(state)
     return DiagnosticsRecord(
         t=state.t,
-        dt_used=state.last_dt,
+        dt=state.last_dt,
         mass_u=integrate(state.u),
         mass_v=integrate(state.v),
         min_u=ext.min_u,

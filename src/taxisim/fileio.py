@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import io
 import math
+from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -35,23 +36,9 @@ __all__ = [
     "render_sweep_summary",
 ]
 
-BASE_COLUMNS = (
-    "t",
-    "dt",
-    "mass_u",
-    "mass_v",
-    "min_u",
-    "sup_u",
-    "min_v",
-    "sup_v",
-    "min_w",
-    "sup_w",
-    "sup_grad_v",
-    "lemma22_violation",
-    "repr_residual",
-)
-# The DiagnosticsRecord field of each base column, in column order.
-_RECORD_FIELDS = tuple("dt_used" if c == "dt" else c for c in BASE_COLUMNS)
+# The time-series columns before the Lp_u_<p> ones: the record fields before lp_u.
+_RECORD_NAMES = tuple(f.name for f in fields(DiagnosticsRecord))
+BASE_COLUMNS = _RECORD_NAMES[: _RECORD_NAMES.index("lp_u")]
 
 SWEEP_COLUMNS = (
     "theta",
@@ -81,7 +68,7 @@ def _record_row(rec: DiagnosticsRecord, p_values: tuple[float, ...]) -> str:
     lp_map = {float(p): v for p, v in rec.lp_u}
     if set(lp_map) != {float(p) for p in p_values}:
         raise ValueError("record Lp norms do not match the configured p values")
-    cells = [getattr(rec, f) for f in _RECORD_FIELDS] + [lp_map[float(p)] for p in p_values]
+    cells = [getattr(rec, c) for c in BASE_COLUMNS] + [lp_map[float(p)] for p in p_values]
     return ",".join(format_number(x) for x in cells)
 
 
@@ -130,7 +117,7 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
         records.append(
             DiagnosticsRecord(
-                **dict(zip(_RECORD_FIELDS, base)),
+                **dict(zip(BASE_COLUMNS, base)),
                 lp_u=lp,
                 finite=all(math.isfinite(x) for x in vals),
             )

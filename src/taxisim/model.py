@@ -24,7 +24,6 @@ __all__ = [
     "ModelParams",
     "InitialData",
     "ScenarioSpec",
-    "SCENARIO_NAMES",
     "rhs_u",
     "rhs_v",
     "rhs_w",

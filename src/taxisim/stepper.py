@@ -33,7 +33,6 @@ __all__ = [
     "Diverged",
     "SolverConfig",
     "Snapshot",
-    "Extrema",
     "SimState",
     "RunOutcome",
     "take_snapshot",

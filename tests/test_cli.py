@@ -16,6 +16,8 @@ STEADY_CFG = """
 [outputs] dir={out}
 """
 
+BUMP_CFG = STEADY_CFG.replace("name=steady", "name=gaussian-bump")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -271,6 +273,52 @@ class TestCheckCommand:
             (line,) = [x for x in ran if x.startswith(prefix)]
             assert line in checked
         assert any(x.startswith("mass bound: pass") for x in checked)
+        assert any(x.startswith("ended early: the series stops at t=") for x in checked)
+
+    def run_then_check(self, tmp_path, capsys, monkeypatch, attempt):
+        """Run the bump with attempt as _attempt_step, then check its series."""
+        import taxisim.stepper as stepper_mod
+
+        monkeypatch.setattr(stepper_mod, "_attempt_step", attempt)
+        assert main(["run", str(write_cfg(tmp_path, BUMP_CFG.format(out=tmp_path / "out")))]) == 2
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
+        return ran, capsys.readouterr().out.splitlines()
+
+    def test_a_run_that_diverged_on_a_finite_state_is_not_bounded(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The records stop at the finite state Diverged carried and look
+        # settled; only the missing rest of the run shows it ended early.
+        import taxisim.stepper as stepper_mod
+        from taxisim import Diverged
+
+        original = stepper_mod._attempt_step
+        attempts = {"n": 0}
+
+        def diverge_at_50(state, params, cfg, dt):
+            attempts["n"] += 1
+            if attempts["n"] == 50:
+                raise Diverged("injected", state=state)
+            return original(state, params, cfg, dt)
+
+        ran, checked = self.run_then_check(tmp_path, capsys, monkeypatch, diverge_at_50)
+        assert "verdict: blew_up" in ran
+        assert checked[0].startswith("ended early: the series stops at t=")
+        assert checked[0].endswith(" before T_end=1.0")
+        assert "verdict: inconclusive" in checked
+
+    def test_a_run_whose_steps_kept_failing_is_inconclusive(self, tmp_path, capsys, monkeypatch):
+        import taxisim.stepper as stepper_mod
+
+        def always_reject(state, params, cfg, dt):
+            raise stepper_mod._RetryStep
+
+        ran, checked = self.run_then_check(tmp_path, capsys, monkeypatch, always_reject)
+        assert ran[0].startswith("outcome: cfl_failed")
+        assert "verdict: inconclusive" in ran
+        assert checked[0] == "ended early: the series stops at t=0.0 before T_end=1.0"
+        assert "verdict: inconclusive" in checked
 
     def test_flags_override_the_effective_cfg(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))

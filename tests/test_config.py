@@ -65,6 +65,7 @@ OUT_OF_RANGE = [
     ("scenario.w0", "-1"),
     ("scenario.seed", "-1"),
     ("outputs.p_values", "0.5"),
+    ("outputs.p_values", "2,2.0"),
     ("sweep.mode", "fix_nothing"),
     ("sweep.fixed_value", "0"),
     ("sweep.theta_values", "0,0.1"),

@@ -30,7 +30,7 @@ from taxisim import (
 def make_record(t: float, sup_u: float, finite: bool = True) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         t=t,
-        dt_used=0.01,
+        dt=0.01,
         mass_u=sup_u,
         mass_v=1.0,
         min_u=0.0,

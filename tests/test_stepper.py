@@ -324,7 +324,7 @@ class TestStep:
         cfg = SolverConfig(t_end=5.0, output_every=1.0)
         out = run(init, p, cfg)
         assert out.status == "completed"
-        dt = out.records[1].dt_used
+        dt = out.records[1].dt
         traj = ode_reference(p, (2.0, 0.5, 0.5), 5.0, 1e-4)
         worst = 0.0
         for rec in out.records[1:]:
@@ -594,7 +594,7 @@ class TestRun:
         assert out.t_final == t_end
         assert len(out.records) == 51
         assert out.records[-1].t == t_end
-        assert min(rec.dt_used for rec in out.records[1:]) > 1e-9 * cfg.output_every
+        assert min(rec.dt for rec in out.records[1:]) > 1e-9 * cfg.output_every
 
     def test_positivity_on_rough_data(self):
         g = GridSpec((2.0,), (48,))

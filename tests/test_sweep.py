@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import csv
+import importlib
 import io
 import math
 import os
@@ -331,3 +332,39 @@ class TestImportFootprint:
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
         )
         assert proc.stdout.split() == ["None", "False"]
+
+
+class TestPackageApi:
+    # The package re-exports each module's __all__; this pins the result.
+    NAMES = sorted(
+        """
+        AnchorMissing BoundednessVerdict CFLViolation ConfigError DiagnosticsRecord
+        Diverged Field GridSpec InitialData MassBoundCheck ModelParams OdeTrajectory
+        OutputOptions ParseError RunConfig RunOutcome ScenarioSpec SimState Snapshot
+        SolverConfig SweepPlan SweepResult SweepSettings ValidationError
+        check_pe_condition classify estimate_threshold gradient initial_state
+        integrate laplacian lemma22_check lemma22_tolerance lp_norm magnitude
+        mass_bound_check min_value ode_reference outcome_verdict params_for_theta
+        parse_config record render_config representation_residual rhs_u rhs_v rhs_w
+        run run_sweep solve_elliptic stable_dt step sup_norm take_snapshot
+        taxis_divergence
+        """.split()
+    )
+
+    def test_exports_the_pinned_names_once(self):
+        assert len(self.NAMES) == 55
+        assert sorted(taxisim.__all__) == self.NAMES
+
+    def test_each_name_is_the_object_its_module_defines(self):
+        for name in taxisim.__all__:
+            obj = getattr(taxisim, name)
+            module = importlib.import_module(obj.__module__)
+            assert module.__name__.startswith("taxisim.")
+            assert name in module.__all__
+            assert getattr(module, name) is obj
+
+    def test_star_import_binds_exactly_the_exports(self):
+        namespace: dict = {}
+        exec("from taxisim import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == self.NAMES

@@ -184,9 +184,9 @@ def mass_bound_check(
     series: list[DiagnosticsRecord],
     grid: GridSpec,
     params: ModelParams,
-    tol: float = MASS_BOUND_TOL,
 ) -> MassBoundCheck:
-    """Check mass_u(t) <= max(mass_u(0), |domain|) * (1 + tol) over a series.
+    """Check mass_u(t) <= max(mass_u(0), |domain|) * (1 + MASS_BOUND_TOL)
+    over a series.
 
     Applies to mu > 0 with no substrate renewal; otherwise the check is
     skipped (the bound's hypothesis does not hold).
@@ -197,7 +197,7 @@ def mass_bound_check(
     worst = max(r.mass_u for r in series)
     return MassBoundCheck(
         skipped=False,
-        passed=worst <= bound * (1.0 + tol),
+        passed=worst <= bound * (1.0 + MASS_BOUND_TOL),
         bound=bound,
         margin=bound - worst,
     )

@@ -297,24 +297,15 @@ class OdeTrajectory:
         return self.states[i]
 
 
-def _rates_full(y: np.ndarray, p: ModelParams) -> np.ndarray:
+def _rates(y: np.ndarray, p: ModelParams) -> np.ndarray:
     u, v, w = y
+    if p.tau == 0:
+        v = u  # the signal equals the cell density: v's rate is 0
     return np.array(
         [
             p.mu * u * (1.0 - u - w),
             u - v,
             -v * w + p.eta * w * (1.0 - u - w),
-        ]
-    )
-
-
-def _rates_slaved(y: np.ndarray, p: ModelParams) -> np.ndarray:
-    # tau = 0: the signal equals the cell density algebraically.
-    u, w = y
-    return np.array(
-        [
-            p.mu * u * (1.0 - u - w),
-            -u * w + p.eta * w * (1.0 - u - w),
         ]
     )
 
@@ -339,16 +330,12 @@ def ode_reference(
         raise ValueError("y0 must be componentwise nonnegative")
 
     slaved = params.tau == 0
-    rates = _rates_slaved if slaved else _rates_full
-    y = np.array([y0[0], y0[2]] if slaved else y0, dtype=float)
-
-    def to_state(yy: np.ndarray) -> np.ndarray:
-        if slaved:
-            return np.array([yy[0], yy[0], yy[1]])
-        return yy.copy()
+    y = np.array(y0, dtype=float)
+    if slaved:
+        y[1] = y[0]
 
     times = [0.0]
-    states = [to_state(y)]
+    states = [y]
     if np.max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
         return OdeTrajectory(np.array(times), np.array(states), diverged=True)
 
@@ -359,13 +346,15 @@ def ode_reference(
     step_sizes = [dt] * n_full + ([remainder] if remainder > 0.0 else [])
 
     for i, h in enumerate(step_sizes, start=1):
-        k1 = rates(y, params)
-        k2 = rates(y + 0.5 * h * k1, params)
-        k3 = rates(y + 0.5 * h * k2, params)
-        k4 = rates(y + h * k3, params)
+        k1 = _rates(y, params)
+        k2 = _rates(y + 0.5 * h * k1, params)
+        k3 = _rates(y + 0.5 * h * k2, params)
+        k4 = _rates(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if slaved:
+            y[1] = y[0]
         times.append(t_end if i == len(step_sizes) else i * dt)
-        states.append(to_state(y))
+        states.append(y)
         if not np.isfinite(y).all() or np.max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
             return OdeTrajectory(np.array(times), np.array(states), diverged=True)
     return OdeTrajectory(np.array(times), np.array(states), diverged=False)

@@ -552,10 +552,11 @@ def run(
 ) -> RunOutcome:
     """Integrate from t = 0 to t_end or until divergence.
 
-    Emits a diagnostics record at t = 0 and at every output_every of simulated
-    time (and at t_end); the optional snapshot_sink receives the state at
-    each emission. At t = anchor_time > 0 the anchor snapshot is re-captured
-    and the accumulator reset. Positivity and the substrate ceiling are
+    Emits a diagnostics record at t = 0, at every output_every of simulated
+    time and, exactly once, on the state the run ends on (t_end or where it
+    stopped); the optional snapshot_sink receives the state at each
+    emission. At t = anchor_time > 0 the anchor snapshot is re-captured and
+    the accumulator reset. Positivity and the substrate ceiling are
     monitored after every accepted step; step failures (divergence,
     persistent negativity) become the outcome status. A run that cannot
     proceed raises ValueError: the stability step falls below 1e-15 * t_end
@@ -578,7 +579,6 @@ def run(
     violations = 0
     steps = 0
     status = "completed"
-    failure_time: float | None = None
     failure: str | None = None
 
     emit(state)
@@ -614,24 +614,22 @@ def run(
                 anchor_pending = False
 
             reached = _outputs_reached(state.t, out)
-            if reached > emitted or state.t >= cfg.t_end:
+            if reached > emitted:
                 emit(state)
                 emitted = reached
-    except Diverged as exc:
-        status = "blew_up"
-        if exc.state is not None:
+    except (Diverged, CFLViolation) as exc:
+        status = "blew_up" if isinstance(exc, Diverged) else "cfl_failed"
+        failure = f"{type(exc).__name__}: {exc}"
+        # A Diverged that carries a state ends the run on it; otherwise the
+        # run ends on the last state it accepted.
+        if isinstance(exc, Diverged) and exc.state is not None:
             state = exc.state
             ext = state.field_extrema()
             if ext.finite and ext.max_u > max_sup_u:
                 max_sup_u = ext.max_u
                 t_of_max = state.t
-            emit(state)
-        failure_time = state.t
-        failure = f"{type(exc).__name__}: {exc}"
-    except CFLViolation as exc:
-        status = "cfl_failed"
-        failure_time = state.t
-        failure = f"{type(exc).__name__}: {exc}"
+    # The state the run ends on (at t_end or where it stopped), recorded once.
+    if state.t != records[-1].t:
         emit(state)
 
     return RunOutcome(
@@ -646,7 +644,7 @@ def run(
         max_w=max_w,
         invariant_violations=violations,
         steps=steps,
-        failure_time=failure_time,
+        failure_time=None if failure is None else state.t,
         failure=failure,
         final_state=state,
     )

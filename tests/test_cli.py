@@ -126,6 +126,21 @@ class TestOdeCommand:
             _, u, v, w = (float(x) for x in line.split(","))
             assert (u, v, w) == (1.0, 1.0, 0.0)
 
+    def test_slaved_signal_trajectory_keeps_v_equal_to_u(self, tmp_path):
+        text = (
+            "[grid] dim=1 extent=4 cells=4\n"
+            "[model] chi=1 mu=1 eta=0.5 tau=0\n"
+            "[solver] T_end=2 output_every=0.25 dt_max=0.01\n"
+            "[scenario] name=constant u0=2 v0=0.5 w0=0.5\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["ode", str(write_cfg(tmp_path, text))]) == 0
+        rows = (tmp_path / "out" / "ode.csv").read_text().splitlines()[1:]
+        assert len(rows) == 9
+        for row in rows:
+            _, u, v, _ = row.split(",")
+            assert v == u
+
     def test_requires_homogeneous_scenario(self, tmp_path, capsys):
         text = (
             "[grid] dim=1 extent=4 cells=16\n"
@@ -319,6 +334,8 @@ class TestCheckCommand:
         assert "verdict: inconclusive" in ran
         assert checked[0] == "ended early: the series stops at t=0.0 before T_end=1.0"
         assert "verdict: inconclusive" in checked
+        rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
+        assert len(rows) == 2  # the header and the one row at t = 0
 
     def test_flags_override_the_effective_cfg(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))

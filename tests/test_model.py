@@ -281,6 +281,33 @@ class TestOdeReference:
         traj = ode_reference(p, (0.5, 0.9, 0.2), 2.0, 1e-3)
         assert np.array_equal(traj.states[:, 0], traj.states[:, 1])
 
+    @pytest.mark.parametrize("eta", [0.0, 0.5])
+    def test_slaved_signal_matches_a_two_component_rk4(self, eta):
+        # tau = 0 reduces the system to (u, w) with v = u; integrate that
+        # pair with a separate RK4, ten steps of 0.1 and a remainder of 0.05.
+        p = ModelParams(chi=1.0, mu=1.5, eta=eta, tau=0)
+        traj = ode_reference(p, (2.0, 0.3, 0.5), 1.05, 0.1)
+
+        def rates(y):
+            u, w = y
+            return np.array([p.mu * u * (1.0 - u - w), -u * w + p.eta * w * (1.0 - u - w)])
+
+        y = np.array([2.0, 0.5])
+        ref = [y]
+        for h in [0.1] * 10 + [1.05 - 10 * 0.1]:
+            k1 = rates(y)
+            k2 = rates(y + 0.5 * h * k1)
+            k3 = rates(y + 0.5 * h * k2)
+            k4 = rates(y + h * k3)
+            y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            ref.append(y)
+        ref = np.array(ref)
+        assert not traj.diverged
+        assert traj.times[-1] == 1.05 and len(traj.times) == 12
+        assert np.array_equal(traj.states[:, 0], ref[:, 0])
+        assert np.array_equal(traj.states[:, 1], ref[:, 0])
+        assert np.array_equal(traj.states[:, 2], ref[:, 1])
+
     def test_input_validation(self):
         p = ModelParams(chi=1.0)
         with pytest.raises(ValueError):

@@ -721,6 +721,61 @@ class TestRun:
             assert scale > 0.0
             assert err <= 1e-10 * scale
 
+    def bump_run(self, **kwargs):
+        g = GridSpec((1.0,), (16,))
+        init = ScenarioSpec(name="gaussian-bump").build(g)
+        cfg = SolverConfig(t_end=1.0, output_every=0.25)
+        return run(init, ModelParams(chi=1.0, mu=1.0), cfg, **kwargs)
+
+    def test_a_run_whose_every_step_is_rejected_records_t0_once(self, monkeypatch):
+        def always_reject(state, params, cfg, dt):
+            raise stepper_mod._RetryStep
+
+        monkeypatch.setattr(stepper_mod, "_attempt_step", always_reject)
+        snaps = []
+        out = self.bump_run(snapshot_sink=snaps.append)
+        assert out.status == "cfl_failed"
+        assert [rec.t for rec in out.records] == [0.0]
+        assert len(snaps) == 1
+        assert out.failure_time == out.t_final == 0.0
+
+    def test_divergence_on_a_recorded_state_is_not_recorded_again(self, monkeypatch):
+        from taxisim import Diverged
+
+        original = stepper_mod.stable_dt
+
+        def diverge_at_quarter(state, params, cfg):
+            if state.t == 0.25:
+                raise Diverged("injected", state=state)
+            return original(state, params, cfg)
+
+        monkeypatch.setattr(stepper_mod, "stable_dt", diverge_at_quarter)
+        out = self.bump_run()
+        assert out.status == "blew_up"
+        assert [rec.t for rec in out.records] == [0.0, 0.25]
+        assert out.failure_time == out.t_final == 0.25
+
+    def test_divergence_without_a_state_records_the_last_accepted_one(self, monkeypatch):
+        from taxisim import Diverged
+
+        accepted = []
+        original = stepper_mod.step
+
+        def diverge_on_third_call(state, params, cfg):
+            if len(accepted) == 2:
+                raise Diverged("injected")
+            accepted.append(original(state, params, cfg))
+            return accepted[-1]
+
+        monkeypatch.setattr(stepper_mod, "step", diverge_on_third_call)
+        out = self.bump_run()
+        assert out.status == "blew_up"
+        assert out.final_state is accepted[-1]
+        times = [rec.t for rec in out.records]
+        assert times[-1] == accepted[-1].t > 0.0
+        assert len(set(times)) == len(times)
+        assert out.failure_time == out.t_final == accepted[-1].t
+
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))
         p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=0)

@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, ValidationError, format_number, parse_config, render_config
-from .diagnostics import MassBoundCheck, classify, mass_bound_check, outcome_verdict
+from .diagnostics import BoundednessVerdict, MassBoundCheck, classify, mass_bound_check, outcome_verdict
 from .fileio import (
     read_timeseries,
     render_sweep_summary,
@@ -42,6 +42,11 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "effective.cfg").write_text(render_config(cfg), encoding="utf-8")
     return outdir
+
+
+def _print_verdict(verdict: BoundednessVerdict) -> None:
+    print(f"verdict: {verdict.classification}")
+    print(f"max sup u: {format_number(verdict.max_sup_u)} at t={format_number(verdict.t_of_max)}")
 
 
 def _print_mass_bound(mass: MassBoundCheck) -> None:
@@ -80,15 +85,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     verdict = outcome_verdict(outcome, classify(outcome.records, cfg.solver))
     mass = mass_bound_check(outcome.records, cfg.grid, cfg.model)
 
-    print(f"outcome: {outcome.status} (t_final={format_number(outcome.t_final)})")
+    print(f"outcome: {outcome.status} (t_final={format_number(outcome.final_state.t)})")
     if outcome.failure is not None:
         print(f"failure: {outcome.failure}")
-    print(f"verdict: {verdict.classification}")
-    print(
-        "max sup u: "
-        + format_number(outcome.max_sup_u)
-        + f" at t={format_number(outcome.t_of_max_sup_u)}"
-    )
+    _print_verdict(verdict)
     _print_mass_bound(mass)
     print(f"wrote {series_path}")
     return 0 if outcome.status == "completed" else 2
@@ -176,12 +176,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         if verdict.classification != "blew_up":
             verdict = replace(verdict, classification="inconclusive")
-    print(f"verdict: {verdict.classification}")
-    print(
-        "max sup u: "
-        + format_number(verdict.max_sup_u)
-        + f" at t={format_number(verdict.t_of_max)}"
-    )
+    _print_verdict(verdict)
     if verdict.crossing_time is not None:
         print(f"crossing time: {format_number(verdict.crossing_time)}")
 

@@ -23,7 +23,6 @@ if TYPE_CHECKING:  # pragma: no cover
     from .stepper import RunOutcome, SimState, SolverConfig
 
 __all__ = [
-    "AnchorMissing",
     "DiagnosticsRecord",
     "BoundednessVerdict",
     "MassBoundCheck",
@@ -49,10 +48,6 @@ LEMMA22_TOL_FACTOR = 10.0
 MASS_BOUND_TOL = 1e-2
 
 
-class AnchorMissing(RuntimeError):
-    """The state carries no anchor snapshot."""
-
-
 @dataclass
 class DiagnosticsRecord:
     """Monitored quantities at one output time.
@@ -74,7 +69,13 @@ class DiagnosticsRecord:
     lemma22_violation: float
     repr_residual: float
     lp_u: tuple[tuple[float, float], ...]
-    finite: bool = True
+
+    @property
+    def finite(self) -> bool:
+        """The six extrema are finite, so every value of u, v and w is. An inf
+        Lp norm (|u|^p overflowing on a finite u) does not flag a record."""
+        extrema = (self.min_u, self.sup_u, self.min_v, self.sup_v, self.min_w, self.sup_w)
+        return all(map(math.isfinite, extrema))
 
 
 @dataclass
@@ -89,15 +90,14 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
     """Fill a record from the current state.
 
     The representation residual and the curvature-bound slack apply to the
-    eta = 0 system with an anchor present; otherwise they are reported as 0.
-    Non-finite states yield a record flagged finite=False. The extrema of
-    u, v and w, and so the finite flag, come from state.field_extrema().
+    eta = 0 system on a finite state; otherwise they are reported as 0. The
+    extrema of u, v and w come from state.field_extrema(), so a non-finite
+    state yields a record whose finite property is False.
     """
     ext = state.field_extrema()
-    finite = ext.finite
     lem = 0.0
     rep = 0.0
-    if finite and eta == 0.0 and state.anchor is not None:
+    if ext.finite and eta == 0.0:
         lem = float(np.max(lemma22_check(state).values))
         rep = representation_residual(state)
     return DiagnosticsRecord(
@@ -115,7 +115,6 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         lemma22_violation=lem,
         repr_residual=rep,
         lp_u=tuple((float(p), lp_norm(state.u, p)) for p in p_list),
-        finite=finite,
     )
 
 
@@ -133,8 +132,6 @@ def lemma22_check(state: SimState) -> Field:
     the discretization tolerance indicate a scheme or accumulator fault.
     """
     anchor = state.anchor
-    if anchor is None:
-        raise AnchorMissing("curvature bound needs an anchor snapshot")
     env = np.exp(-state.Iv.values)
     dot = np.zeros_like(env)
     for gw, gi in zip(anchor.grad_w_s0, gradient(state.Iv)):
@@ -149,11 +146,8 @@ def lemma22_check(state: SimState) -> Field:
 
 def lemma22_tolerance(state: SimState, dt: float) -> float:
     """Discretization-error budget for the curvature-bound slack."""
-    anchor = state.anchor
-    if anchor is None:
-        raise AnchorMissing("curvature bound needs an anchor snapshot")
     h = max(state.grid.spacing)
-    scale = anchor.M * (
+    scale = state.anchor.M * (
         1.0
         + float(np.max(state.Iv.values))
         + float(np.max(magnitude(gradient(state.Iv)).values))
@@ -163,10 +157,7 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
 
 def representation_residual(state: SimState) -> float:
     """sup |w - exp(-Iv) * w_anchor|; exactly zero for the built-in stepper."""
-    anchor = state.anchor
-    if anchor is None:
-        raise AnchorMissing("representation residual needs an anchor snapshot")
-    predicted = np.exp(-state.Iv.values) * anchor.w_s0.values
+    predicted = np.exp(-state.Iv.values) * state.anchor.w_s0.values
     return float(np.max(np.abs(state.w.values - predicted)))
 
 
@@ -217,8 +208,8 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
         raise ValueError("classify needs a nonempty series")
     sups = np.array([r.sup_u for r in series])
     times = np.array([r.t for r in series])
-    flagged = np.array([not r.finite for r in series]) | ~np.isfinite(sups)
-    crossed = flagged | (np.nan_to_num(sups, nan=np.inf) >= cfg.blowup_threshold)
+    flagged = np.array([not r.finite for r in series])
+    crossed = flagged | (sups >= cfg.blowup_threshold)
 
     finite_sups = sups[~flagged]
     if finite_sups.size:
@@ -253,13 +244,13 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
 def outcome_verdict(outcome: RunOutcome, seen: BoundednessVerdict) -> BoundednessVerdict:
     """The verdict on a run, given seen = classify(outcome.records, cfg).
 
-    How the run ended comes first: a run that diverged blew up at its
-    failure_time, even where its records are finite, and a run whose steps
-    kept failing is inconclusive. Otherwise its records decide. The peak of
-    sup u and its time come from the run, which saw every step.
+    How the run ended comes first: a run that diverged blew up at the time
+    of its final state, even where its records are finite, and a run whose
+    steps kept failing is inconclusive. Otherwise its records decide. The
+    peak of sup u and its time come from the run, which saw every step.
     """
     if outcome.status == "blew_up":
-        classification, crossing = "blew_up", outcome.failure_time
+        classification, crossing = "blew_up", outcome.final_state.t
     elif outcome.status == "cfl_failed":
         classification, crossing = "inconclusive", None
     else:

@@ -8,7 +8,6 @@ re-serialization is byte-identical.
 from __future__ import annotations
 
 import io
-import math
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -113,15 +112,8 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         if len(parts) != len(header):
             raise ValueError(f"{path}: row width does not match header")
         vals = [float(x) for x in parts]
-        base = vals[: len(BASE_COLUMNS)]
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
-        records.append(
-            DiagnosticsRecord(
-                **dict(zip(BASE_COLUMNS, base)),
-                lp_u=lp,
-                finite=all(math.isfinite(x) for x in vals),
-            )
-        )
+        records.append(DiagnosticsRecord(**dict(zip(BASE_COLUMNS, vals)), lp_u=lp))
     return records, p_values
 
 

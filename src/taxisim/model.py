@@ -326,8 +326,8 @@ def ode_reference(
         raise ValueError("dt must be > 0")
     if t_end < 0.0:
         raise ValueError("t_end must be >= 0")
-    if min(y0) < 0.0:
-        raise ValueError("y0 must be componentwise nonnegative")
+    if not all(0.0 <= y < np.inf for y in y0):
+        raise ValueError("y0 must be componentwise finite and nonnegative")
 
     slaved = params.tau == 0
     y = np.array(y0, dtype=float)

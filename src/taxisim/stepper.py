@@ -146,6 +146,8 @@ class Extrema(NamedTuple):
 class SimState:
     """Fields at time t plus the accumulated signal integral since the anchor.
 
+    anchor is the snapshot taken at the anchor time s0: initial_state takes
+    it at t = 0, a re-anchor replaces it, and every step carries it on.
     Iv holds the per-cell trapezoidal integral of v over (s0, t]; the integral
     of grad v is gradient(Iv), so it is not accumulated. No gradient is
     stored: its readers call gradient themselves (the records once per
@@ -170,7 +172,7 @@ class SimState:
     v: Field
     w: Field
     Iv: Field
-    anchor: Snapshot | None
+    anchor: Snapshot
     last_dt: float = 0.0
     extrema: Extrema | None = None
 
@@ -456,8 +458,6 @@ def _attempt_step(
 
     # (2) substrate update
     anchor = state.anchor
-    if anchor is None:
-        raise ValueError("state has no anchor snapshot")
     if params.eta == 0.0:
         # Exact exponential of the accumulated integral; evaluating from the
         # anchor keeps w == w_anchor * exp(-Iv) bitwise for the whole run.
@@ -527,7 +527,6 @@ class RunOutcome:
     """Terminal status of a run plus summary statistics and the record series."""
 
     status: str  # "completed" | "blew_up" | "cfl_failed"
-    t_final: float
     records: list
     max_sup_u: float
     t_of_max_sup_u: float
@@ -537,9 +536,8 @@ class RunOutcome:
     max_w: float
     invariant_violations: int
     steps: int
-    failure_time: float | None = None
+    final_state: SimState  # the state the run ends on; its t is the end (or failure) time
     failure: str | None = None  # "<Type>: <message>" of what ended the run early
-    final_state: SimState | None = None
 
 
 def run(
@@ -560,8 +558,7 @@ def run(
     monitored after every accepted step; step failures (divergence,
     persistent negativity) become the outcome status. A run that cannot
     proceed raises ValueError: the stability step falls below 1e-15 * t_end
-    (more than 10^15 steps; the message names the binding limit), or the
-    state has no anchor snapshot.
+    (more than 10^15 steps; the message names the binding limit).
     """
     state = initial_state(init)
     records: list = []
@@ -634,7 +631,6 @@ def run(
 
     return RunOutcome(
         status=status,
-        t_final=state.t,
         records=records,
         max_sup_u=max_sup_u,
         t_of_max_sup_u=t_of_max,
@@ -644,7 +640,6 @@ def run(
         max_w=max_w,
         invariant_violations=violations,
         steps=steps,
-        failure_time=None if failure is None else state.t,
-        failure=failure,
         final_state=state,
+        failure=failure,
     )

@@ -290,6 +290,29 @@ class TestCheckCommand:
         assert any(x.startswith("mass bound: pass") for x in checked)
         assert any(x.startswith("ended early: the series stops at t=") for x in checked)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in power:RuntimeWarning")
+    def test_an_overflowing_lp_norm_is_not_blow_up(self, tmp_path, capsys):
+        # |u|^200 overflows at t = 0 on this bump, so Lp_u_200 reads inf on
+        # finite fields; run does not read that as blow-up, nor may check.
+        text = (
+            "[grid] dim=1 extent=1 cells=32\n"
+            "[model] chi=0.1 xi=0 mu=1\n"
+            "[solver] T_end=2\n"
+            "[scenario] name=gaussian-bump amplitude=50\n"
+            f"[outputs] dir={tmp_path / 'out'} p_values=2,200\n"
+        )
+        assert main(["run", str(write_cfg(tmp_path, text))]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        series = tmp_path / "out" / "timeseries.csv"
+        assert series.read_text().splitlines()[1].endswith(",inf")
+        assert main(["check", str(series)]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert "verdict: inconclusive" in ran
+        for prefix in ("verdict:", "max sup u:", "mass bound:"):
+            (line,) = [x for x in ran if x.startswith(prefix)]
+            assert line in checked
+        assert not any(x.startswith("crossing time:") for x in checked)
+
     def run_then_check(self, tmp_path, capsys, monkeypatch, attempt):
         """Run the bump with attempt as _attempt_step, then check its series."""
         import taxisim.stepper as stepper_mod

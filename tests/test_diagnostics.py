@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from taxisim import (
-    AnchorMissing,
     DiagnosticsRecord,
     Field,
     GridSpec,
@@ -27,7 +26,7 @@ from taxisim import (
 )
 
 
-def make_record(t: float, sup_u: float, finite: bool = True) -> DiagnosticsRecord:
+def make_record(t: float, sup_u: float) -> DiagnosticsRecord:
     return DiagnosticsRecord(
         t=t,
         dt=0.01,
@@ -43,7 +42,6 @@ def make_record(t: float, sup_u: float, finite: bool = True) -> DiagnosticsRecor
         lemma22_violation=0.0,
         repr_residual=0.0,
         lp_u=((2.0, sup_u),),
-        finite=finite,
     )
 
 
@@ -128,15 +126,6 @@ class TestCurvatureBound:
         assert clean == 0.0
         assert dirty > 1.0
 
-    def test_missing_anchor_raises(self):
-        g = GridSpec((1.0,), (4,))
-        state = initial_state(ScenarioSpec(name="steady").build(g))
-        state.anchor = None
-        with pytest.raises(AnchorMissing):
-            lemma22_check(state)
-        with pytest.raises(AnchorMissing):
-            representation_residual(state)
-
 
 class TestRepresentationResidual:
     def test_zero_at_anchor(self):
@@ -218,7 +207,7 @@ class TestClassify:
 
     def test_nonfinite_record_is_blew_up(self):
         recs = series([1.0, 2.0, 3.0])
-        recs.append(make_record(1.5, math.nan, finite=False))
+        recs.append(make_record(1.5, math.nan))
         v = classify(recs, CFG)
         assert v.classification == "blew_up"
         assert v.crossing_time == pytest.approx(1.5)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -10,6 +13,7 @@ from taxisim import (
     ModelParams,
     ScenarioSpec,
     SolverConfig,
+    classify,
     initial_state,
     run,
 )
@@ -71,6 +75,18 @@ class TestTimeseries:
         second = write_timeseries(records, tmp_path / "b.csv", p_values)
         assert first.read_bytes() == second.read_bytes()
         assert records == out.records
+
+    def test_an_infinite_lp_norm_keeps_the_record_finite(self, tmp_path):
+        # |u|^p overflows to inf on finite fields for a large p. Only the
+        # extrema say whether a record is finite, before and after the file.
+        recs = [replace(r, lp_u=(r.lp_u[0], (2.0, math.inf))) for r in small_run().records]
+        path = write_timeseries(recs, tmp_path / "ts.csv", (1.0, 2.0))
+        assert path.read_text().splitlines()[1].endswith(",inf")
+        back, _ = read_timeseries(path)
+        assert all(r.finite for r in recs) and all(r.finite for r in back)
+        cfg = SolverConfig(t_end=0.5, output_every=0.1)
+        assert classify(back, cfg) == classify(recs, cfg)
+        assert classify(back, cfg).classification != "blew_up"
 
     def test_read_rejects_foreign_header(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -314,3 +314,12 @@ class TestOdeReference:
             ode_reference(p, (1.0, 1.0, 0.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             ode_reference(p, (-1.0, 1.0, 0.0), 1.0, 1e-2)
+
+    @pytest.mark.parametrize(
+        "y0", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)]
+    )
+    def test_nonfinite_start_is_rejected(self, y0):
+        # As InitialData does: a NaN start would otherwise return a NaN
+        # trajectory that is not flagged as diverged.
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ode_reference(ModelParams(chi=1.0), y0, 0.0, 1e-2)

@@ -566,7 +566,7 @@ class TestRun:
             SolverConfig(t_end=100.0, output_every=0.1),
         )
         assert out.status == "completed"
-        assert out.t_final == 100.0
+        assert out.final_state.t == 100.0
         assert out.steps == 2000
         assert [rec.t for rec in out.records] == [k * 0.1 for k in range(1001)]
         assert min(dts) >= 0.05 * (1.0 - 1e-12)
@@ -591,7 +591,7 @@ class TestRun:
         p = ModelParams(chi=1.0, mu=1.0)
         cfg = SolverConfig(t_end=t_end)
         out = run(ScenarioSpec(name="steady").build(g), p, cfg)
-        assert out.t_final == t_end
+        assert out.final_state.t == t_end
         assert len(out.records) == 51
         assert out.records[-1].t == t_end
         assert min(rec.dt for rec in out.records[1:]) > 1e-9 * cfg.output_every
@@ -648,7 +648,7 @@ class TestRun:
         cfg = SolverConfig(t_end=5.0, output_every=0.5, blowup_threshold=0.9)
         out = run(init, p, cfg)
         assert out.status == "blew_up"
-        assert out.failure_time is not None
+        assert out.failure is not None and out.final_state.t < cfg.t_end
         assert out.records[-1].sup_u >= 0.9
 
     def test_trackers_match_the_accepted_states(self, monkeypatch):
@@ -673,7 +673,7 @@ class TestRun:
         assert len(seen) == out.steps + 1
         sups = [float(np.max(st.u.values)) for st in seen]
         peak = int(np.argmax(sups))  # first index of the maximum
-        assert 0.0 < seen[peak].t < out.t_final
+        assert 0.0 < seen[peak].t < out.final_state.t
         assert out.max_sup_u == sups[peak]
         assert out.t_of_max_sup_u == seen[peak].t
         assert out.min_u == min(float(np.min(st.u.values)) for st in seen)
@@ -737,7 +737,7 @@ class TestRun:
         assert out.status == "cfl_failed"
         assert [rec.t for rec in out.records] == [0.0]
         assert len(snaps) == 1
-        assert out.failure_time == out.t_final == 0.0
+        assert out.final_state.t == 0.0
 
     def test_divergence_on_a_recorded_state_is_not_recorded_again(self, monkeypatch):
         from taxisim import Diverged
@@ -753,7 +753,7 @@ class TestRun:
         out = self.bump_run()
         assert out.status == "blew_up"
         assert [rec.t for rec in out.records] == [0.0, 0.25]
-        assert out.failure_time == out.t_final == 0.25
+        assert out.final_state.t == 0.25
 
     def test_divergence_without_a_state_records_the_last_accepted_one(self, monkeypatch):
         from taxisim import Diverged
@@ -774,7 +774,7 @@ class TestRun:
         times = [rec.t for rec in out.records]
         assert times[-1] == accepted[-1].t > 0.0
         assert len(set(times)) == len(times)
-        assert out.failure_time == out.t_final == accepted[-1].t
+        assert out.final_state.t == accepted[-1].t
 
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))

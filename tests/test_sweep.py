@@ -193,15 +193,15 @@ class TestRunSweep:
         (result,) = run_sweep(plan, keep_outcomes=True)
         outcome = result.outcome
         assert outcome.status == "blew_up" and outcome.records[-1].finite
-        assert 0.0 < outcome.failure_time < 1.0
+        assert 0.0 < outcome.final_state.t < 1.0
         assert result.verdict.classification == "blew_up"
-        assert result.verdict.crossing_time == outcome.failure_time
+        assert result.verdict.crossing_time == outcome.final_state.t
         assert result.failure == "Diverged: injected"
         (row,) = csv.DictReader(io.StringIO(
             write_sweep_table([result], tmp_path / "sweep.csv").read_text()
         ))
         assert row["classification"] == "blew_up"
-        assert row["crossing_time"] == repr(outcome.failure_time)
+        assert row["crossing_time"] == repr(outcome.final_state.t)
         assert row["failure"] == "Diverged: injected"
 
     def test_point_bug_propagates(self, monkeypatch):
@@ -338,7 +338,7 @@ class TestPackageApi:
     # The package re-exports each module's __all__; this pins the result.
     NAMES = sorted(
         """
-        AnchorMissing BoundednessVerdict CFLViolation ConfigError DiagnosticsRecord
+        BoundednessVerdict CFLViolation ConfigError DiagnosticsRecord
         Diverged Field GridSpec InitialData MassBoundCheck ModelParams OdeTrajectory
         OutputOptions ParseError RunConfig RunOutcome ScenarioSpec SimState Snapshot
         SolverConfig SweepPlan SweepResult SweepSettings ValidationError
@@ -352,7 +352,7 @@ class TestPackageApi:
     )
 
     def test_exports_the_pinned_names_once(self):
-        assert len(self.NAMES) == 55
+        assert len(self.NAMES) == 54
         assert sorted(taxisim.__all__) == self.NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):

@@ -12,7 +12,9 @@ interior face along every axis and scatters it into the cells below and
 above the face; boundary faces carry nothing. taxis_divergence computes the
 whole flux of the cell equation in one such pass: its upwind taxis flux is a
 central flux plus numerical diffusion, and an optional carrier diffusion
-adds to the same face coefficient, so no face needs a branch.
+adds to the same face coefficient, so no face needs a branch. laplacian and
+taxis_divergence can scatter into a caller's array instead of a fresh one
+(their out argument), so an explicit update accumulates into its seed.
 
 In the flat layout the face normal to axis a joins cells p and p + s_a,
 where s_a is the product of the cell counts of the axes before a, so
@@ -182,14 +184,17 @@ def _face_table(grid: GridSpec) -> tuple[_AxisFaces, ...]:
     return tuple(table)
 
 
-def laplacian(f: Field) -> Field:
+def laplacian(f: Field, *, out: np.ndarray | None = None) -> Field:
     """Second-order Laplacian: divergence of the face fluxes (a_R - a_L) / h^2.
 
     A mirror ghost equals its boundary cell, so boundary faces carry no flux
-    and a boundary cell sees only its interior neighbour.
+    and a boundary cell sees only its interior neighbour. With out, a flat
+    float64 array of one value per cell, the face pass adds lap f into out
+    in place and the Field returned wraps out.
     """
     x = f.values
-    out = np.zeros(x.size)
+    if out is None:
+        out = np.zeros(x.size)
     for faces in _face_table(f.grid):
         s = faces.stride
         flux = x[s:] - x[:-s]
@@ -233,6 +238,7 @@ def taxis_divergence(
     coeff: float,
     *more: tuple[Field, float],
     diffusion: float = 0.0,
+    out: np.ndarray | None = None,
 ) -> Field:
     """Conservative upwind discretization of div(coeff * carrier * grad potential),
     plus one such term for every further (potential, coeff) pair in more,
@@ -251,6 +257,12 @@ def taxis_divergence(
     up to round-off; no face selects its upstream cell by a branch. The flux
     is scaled by 1/h and scattered once. Boundary faces carry no flux, so the
     volume-weighted sum of the result telescopes to zero.
+
+    With out, a flat float64 array of one value per cell, the face pass
+    subtracts the divergence from out in place, so out gains the rate
+    -div(...) of a transport equation, and the Field returned wraps out.
+    Every term is linear in the coefficients and diffusion, so scaling them
+    all by dt scales the result by dt, to round-off.
     """
     grid = carrier.grid
     pairs = ((potential, coeff), *more)
@@ -262,7 +274,9 @@ def taxis_divergence(
     if not math.isfinite(diffusion):
         raise ValueError("diffusion must be finite")
     c = carrier.values
-    out = np.zeros(c.size)
+    subtract = out is not None
+    if not subtract:
+        out = np.zeros(c.size)
     for faces in _face_table(grid):
         s = faces.stride
         lower, upper = c[:-s], c[s:]
@@ -282,8 +296,10 @@ def taxis_divergence(
         upwind *= lower - upper
         flux += upwind
         flux *= faces.inv_h
-        out[:-s] += flux
-        out[s:] -= flux
+        # +div adds the flux below the face and takes it above; -div swaps.
+        gain, loss = (out[s:], out[:-s]) if subtract else (out[:-s], out[s:])
+        gain += flux
+        loss -= flux
     return Field(grid, out)
 
 
@@ -297,10 +313,22 @@ def integrate(f: Field) -> float:
 
 
 def lp_norm(f: Field, p: float) -> float:
-    """(integral of |f|^p)^(1/p) for p >= 1, via the deterministic quadrature."""
+    """(integral of |f|^p)^(1/p) for p >= 1, via the deterministic quadrature.
+
+    Computed as s (integral of (|f| / s)^p)^(1/p) with s = sup |f|, so that
+    |f|^p cannot overflow on a finite field: the norm is at most
+    s |Omega|^(1/p). A zero field has norm 0; a non-finite s is returned
+    as is.
+    """
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
-    return float(integrate(Field(f.grid, np.abs(f.values) ** p)) ** (1.0 / p))
+    scaled = np.abs(f.values)
+    s = float(scaled.max())
+    if not 0.0 < s < math.inf:
+        return s
+    scaled /= s
+    scaled **= p
+    return s * integrate(Field(f.grid, scaled)) ** (1.0 / p)
 
 
 def sup_norm(f: Field) -> float:

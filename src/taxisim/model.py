@@ -91,26 +91,37 @@ class InitialData:
         return self.u0.grid
 
 
-def rhs_u(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
-    """du/dt: diffusion, both taxis fluxes, and logistic competition.
+def rhs_u(u: Field, v: Field, w: Field, params: ModelParams, dt: float = 1.0) -> Field:
+    """dt * du/dt: diffusion, both taxis fluxes, and logistic competition.
 
-    Diffusion and taxis are one conservative flux divergence, so one face
-    pass of taxis_divergence computes both: the cell diffusion enters each
-    face's upwind coefficient (see taxis_divergence).
+    The result is seeded with the reaction dt mu u (1 - u - w) (zeros when
+    mu = 0). Diffusion and taxis are one conservative flux divergence, so one
+    face pass of taxis_divergence, with chi, xi and the cell diffusion all
+    scaled by dt, subtracts both from that seed: the cell diffusion enters
+    each face's upwind coefficient (see taxis_divergence). An explicit step
+    adds u to the result once.
     """
-    out = taxis_divergence(u, v, params.chi, (w, params.xi), diffusion=1.0).values
-    np.negative(out, out=out)
     if params.mu != 0.0:
-        out += params.mu * u.values * (1.0 - u.values - w.values)
-    return Field(u.grid, out)
+        out = 1.0 - u.values
+        out -= w.values
+        out *= u.values
+        out *= dt * params.mu
+    else:
+        out = np.zeros(u.values.size)
+    return taxis_divergence(
+        u, v, params.chi * dt, (w, params.xi * dt), diffusion=dt, out=out
+    )
 
 
 def rhs_v(u: Field, v: Field, params: ModelParams) -> Field:
-    """dv/dt for tau = 1: diffusion, decay, production by the cells."""
-    out = laplacian(v).values
-    out -= v.values
-    out += u.values
-    return Field(v.grid, out)
+    """dv/dt for tau = 1: diffusion, decay, production by the cells.
+
+    The result is seeded with u - v, and the face pass of laplacian adds
+    lap v into it. It is not scaled by a step: the explicit update scales it
+    by dt and adds v.
+    """
+    out = u.values - v.values
+    return laplacian(v, out=out)
 
 
 def rhs_w(u: Field, v: Field, w: Field, params: ModelParams) -> Field:

@@ -57,9 +57,12 @@ class CFLViolation(RuntimeError):
 
 
 class Diverged(RuntimeError):
-    """The state crossed the blow-up threshold or became non-finite."""
+    """The state crossed the blow-up threshold or became non-finite.
 
-    def __init__(self, message: str, state: "SimState | None" = None) -> None:
+    state is the state the check was made on; a run ends on it.
+    """
+
+    def __init__(self, message: str, state: "SimState") -> None:
         super().__init__(message)
         self.state = state
 
@@ -444,16 +447,21 @@ def _attempt_step(
         v_new_vals = _screened_solve(grid, b, dt)
         floor = _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
     else:
-        v_new_vals = v.values + dt * rhs_v(u, v, params).values
+        v_new_vals = rhs_v(u, v, params).values
+        v_new_vals *= dt
+        v_new_vals += v.values
         floor = _ROUNDOFF_CLAMP * ext.max_v
     min_v = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
 
     # (4, computed early so the w update can reuse it) trapezoidal accumulator
-    iv_new = Field(grid, state.Iv.values + (0.5 * dt) * (v.values + v_new_vals))
+    iv_new_vals = v.values + v_new_vals
+    iv_new_vals *= 0.5 * dt
+    iv_new_vals += state.Iv.values
+    iv_new = Field(grid, iv_new_vals)
     # Iv >= 0, so its max is finite unless Iv holds +inf or NaN, which the
     # w update below can turn into a finite w = 0.
-    if not math.isfinite(iv_new.values.max()):
+    if not math.isfinite(iv_new_vals.max()):
         raise Diverged(f"non-finite signal integral at t={state.t!r}", state=state)
 
     # (2) substrate update
@@ -461,7 +469,9 @@ def _attempt_step(
     if params.eta == 0.0:
         # Exact exponential of the accumulated integral; evaluating from the
         # anchor keeps w == w_anchor * exp(-Iv) bitwise for the whole run.
-        w_new_vals = anchor.w_s0.values * np.exp(-iv_new.values)
+        w_new_vals = np.negative(iv_new_vals)
+        np.exp(w_new_vals, out=w_new_vals)
+        w_new_vals *= anchor.w_s0.values
     else:
         v_half = Field(grid, 0.5 * (v.values + v_new_vals))
         w_half = Field(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
@@ -470,7 +480,8 @@ def _attempt_step(
     w_new = Field(grid, w_new_vals)
 
     # (3) cell update, using the fresh v and w
-    u_new_vals = u.values + dt * rhs_u(u, v_new, w_new, params).values
+    u_new_vals = rhs_u(u, v_new, w_new, params, dt=dt).values
+    u_new_vals += u.values
     min_u = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
 
     return SimState(
@@ -617,9 +628,9 @@ def run(
     except (Diverged, CFLViolation) as exc:
         status = "blew_up" if isinstance(exc, Diverged) else "cfl_failed"
         failure = f"{type(exc).__name__}: {exc}"
-        # A Diverged that carries a state ends the run on it; otherwise the
-        # run ends on the last state it accepted.
-        if isinstance(exc, Diverged) and exc.state is not None:
+        # A Diverged ends the run on the state it carries; a CFLViolation on
+        # the last state the run accepted.
+        if isinstance(exc, Diverged):
             state = exc.state
             ext = state.field_extrema()
             if ext.finite and ext.max_u > max_sup_u:

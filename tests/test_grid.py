@@ -385,6 +385,40 @@ class TestFlatStrideOracle:
         assert np.max(np.abs(out.values - (single_v + single_w))) <= 1e-15 * sup
 
 
+class TestAccumulators:
+    """With out, the face pass of a stencil adds its rate into out in place."""
+
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    def test_laplacian_adds_into_out(self, extent, cells):
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(7 * sum(cells))
+        f = Field(g, rng.uniform(-1.0, 2.0, g.num_cells))
+        lap = laplacian(f).values
+        acc = rng.uniform(-1.0, 1.0, g.num_cells) * np.max(np.abs(lap))
+        ref = acc + lap
+        out = laplacian(f, out=acc)
+        assert out.values is acc
+        sup = max(np.max(np.abs(ref)), np.max(np.abs(lap)))
+        assert np.max(np.abs(acc - ref)) <= 1e-15 * sup
+
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("diffusion", [0.0, 0.3])
+    def test_taxis_divergence_subtracts_from_out(self, extent, cells, diffusion):
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(5 * sum(cells))
+        carrier = Field(g, rng.uniform(0.0, 3.0, g.num_cells))
+        pot_v = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
+        pot_w = Field(g, rng.uniform(0.0, 1.0, g.num_cells))
+        args = (carrier, pot_v, 1.7, (pot_w, 0.6))
+        div = taxis_divergence(*args, diffusion=diffusion).values
+        acc = rng.uniform(-1.0, 1.0, g.num_cells) * np.max(np.abs(div))
+        ref = acc - div
+        out = taxis_divergence(*args, diffusion=diffusion, out=acc)
+        assert out.values is acc
+        sup = max(np.max(np.abs(ref)), np.max(np.abs(div)))
+        assert np.max(np.abs(acc - ref)) <= 1e-15 * sup
+
+
 class TestReductions:
     def test_integrate_constant_gives_measure(self):
         g = GridSpec((2.0, 3.0), (5, 7))
@@ -433,3 +467,22 @@ class TestReductions:
             for p in (1.0, 2.0, 4.0):
                 bound = sup_norm(f) * g.domain_measure ** (1.0 / p)
                 assert lp_norm(f, p) <= bound * (1.0 + 1e-12)
+
+    def test_lp_norm_does_not_overflow_on_a_finite_field(self):
+        # 50^200 overflows a double, but the norm is at most
+        # sup |f| |Omega|^(1/p) = 50 * 2^(1/200). Two cells of volume 1/2
+        # hold |f| = 50, so the norm is 50 to round-off.
+        g = GridSpec((2.0,), (4,))
+        f = Field(g, [50.0, -50.0, 1.0, 0.0])
+        norm = lp_norm(f, 200.0)
+        assert norm == pytest.approx(50.0, rel=1e-14)
+        assert norm <= 50.0 * g.domain_measure ** (1.0 / 200.0)
+        assert lp_norm(Field.full(g, 1e300), 4.0) == pytest.approx(
+            1e300 * 2.0**0.25, rel=1e-14
+        )
+
+    def test_lp_norm_of_zero_and_of_a_non_finite_field(self):
+        g = GridSpec((2.0,), (4,))
+        assert lp_norm(Field.zeros(g), 3.0) == 0.0
+        assert lp_norm(Field(g, [1.0, np.inf, 0.0, 2.0]), 2.0) == np.inf
+        assert np.isnan(lp_norm(Field(g, [1.0, np.nan, 0.0, 2.0]), 2.0))

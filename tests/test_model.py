@@ -106,6 +106,30 @@ class TestRightHandSides:
         out = rhs_u(u, v, w, p).values
         assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("mu", [0.0, 1.5])
+    def test_rhs_u_with_dt_is_the_scaled_rate(self, extent, cells, mu):
+        # rhs_u(..., dt) scales the reaction seed and the face coefficients by
+        # dt instead of the result: the same increment to round-off.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(17 * sum(cells))
+        u = Field(g, rng.uniform(0.0, 3.0, g.num_cells))
+        v = Field(g, rng.uniform(0.0, 2.0, g.num_cells))
+        w = Field(g, rng.uniform(0.0, 1.0, g.num_cells))
+        p = ModelParams(chi=1.7, xi=0.8, mu=mu)
+        dt = 3.7e-3
+        ref = dt * rhs_u(u, v, w, p).values
+        out = rhs_u(u, v, w, p, dt).values
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_rhs_v_matches_diffusion_decay_and_production(self):
+        rng = np.random.default_rng(21)
+        g = GridSpec((1.0, 0.4), (6, 5))
+        u, v = smooth_field(g, rng, nonneg=True), smooth_field(g, rng, nonneg=True)
+        ref = laplacian(v).values - v.values + u.values
+        out = rhs_v(u, v, ModelParams(chi=1.0)).values
+        assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_transport_part_conserves_mass(self, dim):
         from taxisim import lp_norm

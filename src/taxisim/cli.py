@@ -20,9 +20,8 @@ from .fileio import (
     write_sweep_table,
     write_timeseries,
 )
-from .grid import GridSpec
-from .model import ModelParams, ode_reference
-from .stepper import SolverConfig, _outputs_reached, run
+from .model import ode_reference
+from .stepper import _outputs_reached, run
 from .sweep import SweepPlan, estimate_threshold, run_sweep
 
 __all__ = ["main"]
@@ -150,26 +149,18 @@ def _cmd_ode(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     """Re-run the classifier and the mass bound on a saved series.
 
-    The run's effective.cfg beside the series supplies the grid (domain
-    measure), mu, eta and blowup_threshold; --mu, --omega and
-    --blowup-threshold override them. Without it the threshold defaults to
-    1e6 and the mass bound needs --mu and --omega. A completed run's series
-    ends exactly at its T_end; one that stops before it ended early and is
-    inconclusive, unless its records show blow-up.
+    The run's effective.cfg beside the series supplies the grid, the model
+    and the solver settings; a series without one is an error. A completed
+    run's series ends exactly at its T_end; one that stops before it ended
+    early and is inconclusive, unless its records show blow-up.
     """
     records, _ = read_timeseries(args.timeseries)
     if not records:
         raise ConfigError(f"{args.timeseries}: no records to check")
-    effective = Path(args.timeseries).with_name("effective.cfg")
-    run_cfg = _load_config(str(effective)) if effective.is_file() else None
+    run_cfg = _load_config(str(Path(args.timeseries).with_name("effective.cfg")))
 
-    threshold = args.blowup_threshold
-    if threshold is None:
-        threshold = run_cfg.solver.blowup_threshold if run_cfg is not None else 1e6
-    t_end = max(records[-1].t, 1e-9)
-    cfg = SolverConfig(t_end=t_end, output_every=t_end, blowup_threshold=threshold)
-    verdict = classify(records, cfg)
-    if run_cfg is not None and records[-1].t < run_cfg.solver.t_end:
+    verdict = classify(records, run_cfg.solver)
+    if records[-1].t < run_cfg.solver.t_end:
         print(
             f"ended early: the series stops at t={format_number(records[-1].t)}"
             f" before T_end={format_number(run_cfg.solver.t_end)}"
@@ -179,16 +170,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     _print_verdict(verdict)
     if verdict.crossing_time is not None:
         print(f"crossing time: {format_number(verdict.crossing_time)}")
-
-    grid, params = (run_cfg.grid, run_cfg.model) if run_cfg is not None else (None, None)
-    if args.omega is not None:
-        grid = GridSpec((args.omega,), (2,))
-    if args.mu is not None:
-        params = ModelParams(chi=1.0, mu=args.mu) if params is None else replace(params, mu=args.mu)
-    if grid is None or params is None:
-        print("mass bound: skipped (pass --mu and --omega to evaluate)")
-    else:
-        _print_mass_bound(mass_bound_check(records, grid, params))
+    _print_mass_bound(mass_bound_check(records, run_cfg.grid, run_cfg.model))
     return 0
 
 
@@ -211,14 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="re-evaluate checks on a saved series")
     p_check.add_argument("timeseries", help="path to a timeseries.csv")
-    p_check.add_argument(
-        "--blowup-threshold", type=float, default=None,
-        help="default: the run's effective.cfg, else 1e6",
-    )
-    p_check.add_argument("--mu", type=float, default=None, help="default: the run's effective.cfg")
-    p_check.add_argument(
-        "--omega", type=float, default=None, help="domain measure; default: the run's effective.cfg"
-    )
     return parser
 
 

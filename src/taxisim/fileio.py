@@ -105,13 +105,16 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         raise ValueError(f"{path}: unexpected time-series header")
     p_values = tuple(_parse_p(label) for label in header[len(BASE_COLUMNS) :])
     records = []
-    for line in lines[1:]:
+    for number, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         parts = line.split(",")
         if len(parts) != len(header):
-            raise ValueError(f"{path}: row width does not match header")
-        vals = [float(x) for x in parts]
+            raise ValueError(f"{path}: line {number}: row width does not match header")
+        try:
+            vals = [float(x) for x in parts]
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {number}: {exc}") from exc
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
         records.append(DiagnosticsRecord(**dict(zip(BASE_COLUMNS, vals)), lp_u=lp))
     return records, p_values

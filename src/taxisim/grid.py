@@ -44,7 +44,6 @@ __all__ = [
     "integrate",
     "lp_norm",
     "sup_norm",
-    "min_value",
 ]
 
 
@@ -334,8 +333,3 @@ def lp_norm(f: Field, p: float) -> float:
 def sup_norm(f: Field) -> float:
     """Exact maximum of |f| over cells."""
     return float(np.max(np.abs(f.values)))
-
-
-def min_value(f: Field) -> float:
-    """Exact (signed) minimum over cells."""
-    return float(np.min(f.values))

@@ -19,6 +19,16 @@ STEADY_CFG = """
 
 BUMP_CFG = STEADY_CFG.replace("name=steady", "name=gaussian-bump")
 
+BLOWUP_CFG = """
+[grid] dim=1 extent=4 cells=32
+[model] chi=30 xi=0 mu=0.1 tau=0
+[solver] T_end=2 output_every=0.25 blowup_threshold=3
+[scenario] name=gaussian-bump amplitude=0.5 sigma=0.5 wbar=0.3
+[outputs] dir={out}
+"""
+
+RENEWAL_CFG = BUMP_CFG.replace("mu=1", "mu=1 eta=0.5")
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -249,47 +259,51 @@ class TestSweepCommand:
 
 class TestCheckCommand:
     def test_reevaluates_saved_series(self, tmp_path, capsys):
+        # The domain measure (4) and mu come from the run's effective.cfg.
         cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
         assert main(["run", str(cfg)]) == 0
         capsys.readouterr()
-        series = tmp_path / "out" / "timeseries.csv"
-        assert main(["check", str(series), "--mu", "1", "--omega", "4"]) == 0
+        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
         out = capsys.readouterr().out
         assert "verdict: bounded" in out
-        assert "mass bound: pass" in out
+        assert "mass bound: pass (bound=4.0," in out
 
-    def test_mass_check_skipped_without_flags(self, tmp_path, capsys):
-        # A series with no effective.cfg beside it: no mu or domain to use.
-        cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
-        main(["run", str(cfg)])
+    @pytest.mark.parametrize(
+        "text, exit_code, verdict, mass",
+        [
+            # The run crosses its own blowup_threshold of 3 and ends early.
+            (BLOWUP_CFG, 2, "verdict: blew_up", "mass bound: pass"),
+            # Substrate renewal (eta > 0): the mass bound does not apply.
+            (RENEWAL_CFG, 0, "verdict: bounded", "mass bound: skipped (needs mu > 0 and eta = 0)"),
+        ],
+        ids=["blowup", "renewal"],
+    )
+    def test_repeats_the_run_verdict_from_its_effective_cfg(
+        self, tmp_path, capsys, text, exit_code, verdict, mass
+    ):
+        assert main(["run", str(write_cfg(tmp_path, text.format(out=tmp_path / "out")))]) == exit_code
+        ran = capsys.readouterr().out.splitlines()
+        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert verdict in ran
+        for prefix in ("verdict:", "max sup u:", "mass bound:"):
+            (line,) = [x for x in ran if x.startswith(prefix)]
+            assert line in checked
+        assert any(x.startswith(mass) for x in checked)
+        ended_early = any(x.startswith("ended early: the series stops at t=") for x in checked)
+        assert ended_early == (exit_code == 2)
+
+    def test_a_series_without_its_effective_cfg_is_an_error(self, tmp_path, capsys):
+        assert main(["run", str(write_cfg(tmp_path, BLOWUP_CFG.format(out=tmp_path / "out")))]) == 2
         capsys.readouterr()
         alone = tmp_path / "alone"
         alone.mkdir()
         series = alone / "timeseries.csv"
         series.write_bytes((tmp_path / "out" / "timeseries.csv").read_bytes())
-        assert main(["check", str(series)]) == 0
-        assert "mass bound: skipped" in capsys.readouterr().out
-
-    def test_repeats_the_run_verdict_from_its_effective_cfg(self, tmp_path, capsys):
-        # The run crosses its own blowup_threshold of 3; the default 1e6 used
-        # to turn that into "growing", with the mass bound skipped.
-        text = (
-            "[grid] dim=1 extent=4 cells=32\n"
-            "[model] chi=30 xi=0 mu=0.1 tau=0\n"
-            "[solver] T_end=2 output_every=0.25 blowup_threshold=3\n"
-            "[scenario] name=gaussian-bump amplitude=0.5 sigma=0.5 wbar=0.3\n"
-            f"[outputs] dir={tmp_path / 'out'}\n"
-        )
-        assert main(["run", str(write_cfg(tmp_path, text))]) == 2
-        ran = capsys.readouterr().out.splitlines()
-        assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
-        checked = capsys.readouterr().out.splitlines()
-        assert "verdict: blew_up" in ran
-        for prefix in ("verdict:", "max sup u:", "mass bound:"):
-            (line,) = [x for x in ran if x.startswith(prefix)]
-            assert line in checked
-        assert any(x.startswith("mass bound: pass") for x in checked)
-        assert any(x.startswith("ended early: the series stops at t=") for x in checked)
+        assert main(["check", str(series)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot read config {alone / 'effective.cfg'}" in captured.err
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_lp_norm_is_not_blow_up(self, tmp_path, capsys):
@@ -368,17 +382,3 @@ class TestCheckCommand:
         assert "verdict: inconclusive" in checked
         rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
         assert len(rows) == 2  # the header and the one row at t = 0
-
-    def test_flags_override_the_effective_cfg(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
-        main(["run", str(cfg)])
-        capsys.readouterr()
-        series = str(tmp_path / "out" / "timeseries.csv")
-        assert main(["check", series]) == 0
-        assert "mass bound: pass (bound=4.0," in capsys.readouterr().out
-        assert main(["check", series, "--omega", "10", "--blowup-threshold", "0.5"]) == 0
-        out = capsys.readouterr().out
-        assert "verdict: blew_up" in out
-        assert "mass bound: pass (bound=10.0," in out
-        assert main(["check", series, "--mu", "0"]) == 0
-        assert "mass bound: skipped (needs mu > 0 and eta = 0)" in capsys.readouterr().out

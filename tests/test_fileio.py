@@ -94,6 +94,23 @@ class TestTimeseries:
         with pytest.raises(ValueError, match="header"):
             read_timeseries(path)
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cells: cells[:-1] + ["abc"], "could not convert string to float: 'abc'"),
+            (lambda cells: cells[:-1], "row width does not match header"),
+        ],
+        ids=["bad-cell", "short-row"],
+    )
+    def test_read_names_the_file_and_line_of_a_bad_row(self, tmp_path, edit, message):
+        path = write_timeseries(small_run().records, tmp_path / "ts.csv", (1.0, 2.0))
+        lines = path.read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError) as info:
+            read_timeseries(path)
+        assert str(info.value) == f"{path}: line 3: {message}"
+
     def test_mismatched_p_values_rejected(self, tmp_path):
         out = small_run()
         with pytest.raises(ValueError, match="p values"):

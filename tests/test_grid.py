@@ -14,7 +14,6 @@ from taxisim import (
     laplacian,
     lp_norm,
     magnitude,
-    min_value,
     sup_norm,
     taxis_divergence,
 )
@@ -445,7 +444,6 @@ class TestReductions:
         f = Field(g, [3.0, -4.0])
         assert lp_norm(f, 2.0) == pytest.approx(5.0, rel=1e-15)
         assert sup_norm(f) == 4.0
-        assert min_value(f) == -4.0
 
     def test_lp_norm_constant(self):
         g = GridSpec((4.0,), (8,))

@@ -385,6 +385,7 @@ class TestStep:
             ]
         ],
     )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_state_edited_after_step_signals_divergence(
         self, monkeypatch, name, bad, cell, tau, scheme
     ):
@@ -413,6 +414,7 @@ class TestStep:
         for new in accepted[1:]:
             assert_extrema_are_fresh(new)
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["explicit", "imex-diffusion"])
     def test_overflowing_transport_speed_signals_divergence(self, scheme):
         # A finite v near the float limit passes the extrema checks, but its

@@ -23,13 +23,19 @@ contiguous pass. Where p is the last cell of its row along a, the pair
 (p, p + s_a) straddles a boundary and is no face; a per-grid table of face
 weights (1/h^2, 1/(2h), 1/h) holds 0 there, so those entries scatter
 nothing.
+
+Each GridSpec builds its constants on first use and keeps them in its
+instance: the face table, the cosine spectrum of the Laplacian (which the
+stepper's screened solve uses) and the explicit diffusion limit. They are
+not dataclass fields, so eq, hash and repr ignore them, and a pickled or
+copied grid is rebuilt from extent and cells.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -104,6 +110,57 @@ class GridSpec:
         coords = [self.cell_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*coords, indexing="ij"))
 
+    def __reduce__(self):
+        # Pickle and copy by extent and cells: the cached constants below
+        # are rebuilt by the copy, not carried over.
+        return (type(self), (self.extent, self.cells))
+
+    @cached_property
+    def _face_table(self) -> tuple[_AxisFaces, ...]:
+        """Per-axis face strides and weights (shared, so read-only)."""
+        table = []
+        stride = 1
+        for n, h in zip(self.cells, self.spacing):
+            p = np.arange(self.num_cells - stride)
+            inside = (p // stride) % n != n - 1
+            weights = []
+            for w in (1.0 / (h * h), 1.0 / (2.0 * h), 1.0 / h):
+                arr = np.where(inside, w, 0.0)
+                arr.flags.writeable = False
+                weights.append(arr)
+            table.append(_AxisFaces(stride, h, *weights))
+            stride *= n
+        return tuple(table)
+
+    @cached_property
+    def _spectrum(self) -> _Spectrum:
+        """Cosine transform of the Laplacian (its arrays are shared, so read-only)."""
+        modes = [_cosine_modes(n, h) for n, h in zip(self.cells, self.spacing)]
+        shape = self.cells[::-1]
+        lam = np.zeros(shape)
+        for axis, (_, lam_a) in enumerate(modes):
+            axis_shape = [1] * self.dim
+            axis_shape[self.dim - 1 - axis] = lam_a.size
+            lam += lam_a.reshape(axis_shape)
+        forward = tuple(c for c, _ in modes)
+        for arr in (*forward, lam):
+            arr.flags.writeable = False
+        return _Spectrum(shape, forward, tuple(c.T for c in forward), lam)
+
+    @cached_property
+    def _diffusion_limit(self) -> float:
+        """1 / (2 sum_a h_a^-2): the explicit Euler step limit of u_t = lap u."""
+        return 1.0 / (2.0 * sum(1.0 / (h * h) for h in self.spacing))
+
+    @cached_property
+    def _h_min_sq(self) -> float:
+        """Square of the smallest spacing."""
+        h_min = min(self.spacing)
+        return h_min * h_min
+
+
+_FLOAT64 = np.dtype(np.float64)
+
 
 @dataclass
 class Field:
@@ -114,13 +171,12 @@ class Field:
 
     def __post_init__(self) -> None:
         values = self.values
-        # A flat, contiguous float64 array is kept as is: asarray and ravel
-        # would not copy it either.
+        # A flat, contiguous, native float64 array is kept as is: asarray and
+        # ravel would not copy it either.
         if not (
             type(values) is np.ndarray
-            and values.ndim == 1
-            and values.dtype == np.float64
-            and values.flags.c_contiguous
+            and values.dtype is _FLOAT64
+            and values.strides == (8,)
         ):
             values = np.asarray(values, dtype=float).ravel()
         if values.size != self.grid.num_cells:
@@ -165,22 +221,54 @@ class _AxisFaces(NamedTuple):
     inv_h: np.ndarray
 
 
-@lru_cache(maxsize=64)
-def _face_table(grid: GridSpec) -> tuple[_AxisFaces, ...]:
-    """Per-axis face strides and weights of grid (shared, so read-only)."""
-    table = []
-    stride = 1
-    for n, h in zip(grid.cells, grid.spacing):
-        p = np.arange(grid.num_cells - stride)
-        inside = (p // stride) % n != n - 1
-        weights = []
-        for w in (1.0 / (h * h), 1.0 / (2.0 * h), 1.0 / h):
-            arr = np.where(inside, w, 0.0)
-            arr.flags.writeable = False
-            weights.append(arr)
-        table.append(_AxisFaces(stride, h, *weights))
-        stride *= n
-    return tuple(table)
+def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Orthonormal DCT-II matrix C (n x n) and the eigenvalues of -lap.
+
+    Row k of C is the discrete Neumann eigenvector cos(pi k (j + 1/2) / n),
+    whose eigenvalue under the mirror-ghost Laplacian is
+    -(2 - 2 cos(pi k / n)) / h^2.
+    """
+    k = np.arange(n, dtype=float)
+    c = np.cos(np.outer(k, k + 0.5) * (math.pi / n)) * math.sqrt(2.0 / n)
+    c[0] *= math.sqrt(0.5)
+    lam = (2.0 - 2.0 * np.cos(k * (math.pi / n))) / (h * h)
+    return c, lam
+
+
+class _Spectrum:
+    """The cosine transform of one grid: per-axis forward matrices, their
+    inverses (the transposes) and the summed eigenvalues lam of -lap, laid
+    out like the transformed array, whose shape is the cell counts reversed.
+    """
+
+    __slots__ = ("shape", "forward", "inverse", "lam", "_last")
+
+    def __init__(
+        self,
+        shape: tuple[int, ...],
+        forward: tuple[np.ndarray, ...],
+        inverse: tuple[np.ndarray, ...],
+        lam: np.ndarray,
+    ) -> None:
+        self.shape = shape
+        self.forward = forward
+        self.inverse = inverse
+        self.lam = lam
+        self._last: tuple[float, np.ndarray] | None = None
+
+    def denominator(self, alpha: float) -> np.ndarray:
+        """1 + alpha lam (read-only), kept for the last alpha asked for.
+
+        The alpha and its array are stored and read as one tuple, so a
+        concurrent caller never pairs one alpha with another's array.
+        """
+        last = self._last
+        if last is not None and last[0] == alpha:
+            return last[1]
+        denom = 1.0 + alpha * self.lam
+        denom.flags.writeable = False
+        self._last = (alpha, denom)
+        return denom
 
 
 def laplacian(f: Field, *, out: np.ndarray | None = None) -> Field:
@@ -194,7 +282,7 @@ def laplacian(f: Field, *, out: np.ndarray | None = None) -> Field:
     x = f.values
     if out is None:
         out = np.zeros(x.size)
-    for faces in _face_table(f.grid):
+    for faces in f.grid._face_table:
         s = faces.stride
         flux = x[s:] - x[:-s]
         flux *= faces.inv_h2
@@ -212,7 +300,7 @@ def gradient(f: Field) -> tuple[Field, ...]:
     """
     x = f.values
     comps = []
-    for faces in _face_table(f.grid):
+    for faces in f.grid._face_table:
         s = faces.stride
         half = x[s:] - x[:-s]
         half *= faces.inv_2h
@@ -276,7 +364,7 @@ def taxis_divergence(
     subtract = out is not None
     if not subtract:
         out = np.zeros(c.size)
-    for faces in _face_table(grid):
+    for faces in grid._face_table:
         s = faces.stride
         lower, upper = c[:-s], c[s:]
         central = upwind = None

@@ -18,8 +18,9 @@ a halved dt (at most 10 halvings); runs terminate cleanly on divergence
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -50,6 +51,10 @@ _ROUNDOFF_CLAMP = 1e-13
 # a run that cannot finish. It sits well below 1e-12: t_end = 1e9 on an
 # 8-cell 1D grid has ordinary steps of ~1e-12 t_end.
 _MIN_STEPS_FRACTION = 1e-15
+# The ufunc reductions behind ndarray.min and max, called without the
+# Python-level wrapper those methods go through (~0.4 us a call at 64 cells).
+_min = np.minimum.reduce
+_max = np.maximum.reduce
 
 
 class CFLViolation(RuntimeError):
@@ -101,6 +106,12 @@ class SolverConfig:
         if self.time_scheme not in ("explicit", "imex-diffusion"):
             raise ValueError("time_scheme must be explicit or imex-diffusion")
 
+    @cached_property
+    def _landing_tol(self) -> float:
+        """Distance below which two clock times count as one landing (kept
+        in the instance; not a field, so eq, hash and repr ignore it)."""
+        return 1e-9 * min(self.output_every, self.t_end)
+
 
 @dataclass
 class Snapshot:
@@ -135,9 +146,9 @@ class Extrema(NamedTuple):
     @classmethod
     def of(cls, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Extrema:
         return cls(
-            float(u.min()), float(u.max()),
-            float(v.min()), float(v.max()),
-            float(w.min()), float(w.max()),
+            float(_min(u)), float(_max(u)),
+            float(_min(v)), float(_max(v)),
+            float(_min(w)), float(_max(w)),
         )
 
     @property
@@ -242,16 +253,11 @@ def _outputs_reached(t: float, out: float) -> int:
     return k
 
 
-def _landing_tol(cfg: SolverConfig) -> float:
-    """Distance below which two clock times count as one landing."""
-    return 1e-9 * min(cfg.output_every, cfg.t_end)
-
-
 def _next_landing(t: float, cfg: SolverConfig) -> float:
     """The next time after t that a step must end on exactly: the next output
     time k * output_every, the pending anchor time or t_end. An output time
-    within _landing_tol of t_end is t_end, so no sliver step is left."""
-    tol = _landing_tol(cfg)
+    within cfg._landing_tol of t_end is t_end, so no sliver step is left."""
+    tol = cfg._landing_tol
     landing = (_outputs_reached(t, cfg.output_every) + 1) * cfg.output_every
     if landing > cfg.t_end - tol:
         landing = cfg.t_end
@@ -286,21 +292,19 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
         raise Diverged(f"non-finite state at t={state.t!r}", state=state)
     grid = state.grid
 
-    inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
-    limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
+    limit, binding = grid._diffusion_limit, "diffusion"
 
     w = state.w.values
-    range_w = float(w.max()) - float(w.min())
+    range_w = float(_max(w)) - float(_min(w))
     if not math.isfinite(range_w):
         raise Diverged(f"non-finite substrate at t={state.t!r}", state=state)
     spread = params.chi * (ext.max_v - ext.min_v) + params.xi * range_w
-    h_min = min(grid.spacing)
-    if not spread * limit <= h_min * h_min:  # NaN and inf fail it as well
+    if not spread * limit <= grid._h_min_sq:  # NaN and inf fail it as well
         axes = zip(grid.spacing, gradient(state.v), gradient(state.w))
         for axis, (h, grad_v, grad_w) in enumerate(axes):
             speed = np.abs(params.chi * grad_v.values)
             speed += np.abs(params.xi * grad_w.values)
-            peak = float(speed.max())
+            peak = float(_max(speed))
             if not math.isfinite(peak):
                 raise Diverged(f"non-finite transport speed at t={state.t!r}", state=state)
             transport = h / (peak + _EPS_RATE)
@@ -322,45 +326,6 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     if dt <= 0.0:
         raise ValueError("no positive step available (already at t_end?)")
     return dt
-
-
-def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """Orthonormal DCT-II matrix C (n x n) and the eigenvalues of -lap.
-
-    Row k of C is the discrete Neumann eigenvector cos(pi k (j + 1/2) / n),
-    whose eigenvalue under the mirror-ghost Laplacian is
-    -(2 - 2 cos(pi k / n)) / h^2.
-    """
-    k = np.arange(n, dtype=float)
-    c = np.cos(np.outer(k, k + 0.5) * (math.pi / n)) * math.sqrt(2.0 / n)
-    c[0] *= math.sqrt(0.5)
-    lam = (2.0 - 2.0 * np.cos(k * (math.pi / n))) / (h * h)
-    return c, lam
-
-
-class _Spectrum(NamedTuple):
-    """The cosine transform of one grid: per-axis forward matrices, their
-    inverses (the transposes) and the summed eigenvalues of -lap, laid out
-    like the transformed array (the cell counts reversed)."""
-
-    forward: tuple[np.ndarray, ...]
-    inverse: tuple[np.ndarray, ...]
-    lam: np.ndarray
-
-
-@lru_cache(maxsize=64)
-def _spectrum(grid: GridSpec) -> _Spectrum:
-    """Cosine transform of grid (shared, so read-only)."""
-    modes = [_cosine_modes(n, h) for n, h in zip(grid.cells, grid.spacing)]
-    lam = np.zeros(grid.cells[::-1])
-    for axis, (_, lam_a) in enumerate(modes):
-        shape = [1] * grid.dim
-        shape[grid.dim - 1 - axis] = lam_a.size
-        lam += lam_a.reshape(shape)
-    forward = tuple(c for c, _ in modes)
-    for arr in (*forward, lam):
-        arr.flags.writeable = False
-    return _Spectrum(forward, tuple(c.T for c in forward), lam)
 
 
 def _apply_along_axes(x: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
@@ -392,11 +357,12 @@ def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
     The DCT-II diagonalises the discrete Neumann Laplacian axis by axis, so
     the solve is a forward transform, a pointwise divide by
     1 + alpha sum_a lam_a and the inverse transform. The flat layout (axis 0
-    fastest) is read as a C-order array with the axes reversed.
+    fastest) is read as a C-order array with the axes reversed. The grid
+    keeps its transform (see grid.py) and the divisor of the last alpha.
     """
-    spec = _spectrum(grid)
-    x = _apply_along_axes(b.reshape(grid.cells[::-1]), spec.forward)
-    x /= 1.0 + alpha * spec.lam
+    spec = grid._spectrum
+    x = _apply_along_axes(b.reshape(spec.shape), spec.forward)
+    x /= spec.denominator(alpha)
     x = _apply_along_axes(x, spec.inverse)
     return x.ravel()
 
@@ -412,17 +378,19 @@ def solve_elliptic(u: Field, cfg: SolverConfig | None = None) -> Field:
     return Field(u.grid, _screened_solve(u.grid, u.values, 1.0))
 
 
-def _clamp_negatives(values: np.ndarray, floor: float) -> float:
-    """Zero out negativity within |floor| in place; reject anything worse.
+def _clamp_negatives(values: np.ndarray, floor: Callable[[], float]) -> float:
+    """Zero out negativity within |floor()| in place; reject anything worse.
 
+    floor is called only when values dip below 0, so a floor that costs a
+    pass over an array is not computed on the usual nonnegative result.
     Returns the minimum of values after the clamp: max(low, 0.0) of the
     minimum low before it, which is low itself when it is NaN or -inf (a
     non-finite state, which no smaller dt repairs).
     """
-    low = float(values.min())
+    low = float(_min(values))
     if not -math.inf < low < 0.0:
         return low
-    if low < -floor:
+    if low < -floor():
         raise _RetryStep
     np.maximum(values, 0.0, out=values)
     return max(low, 0.0)
@@ -441,16 +409,16 @@ def _attempt_step(
     if params.tau == 0:
         # The right-hand side is u, so sup |u| comes from its extrema.
         v_new_vals = _screened_solve(grid, u.values, 1.0)
-        floor = _ROUNDOFF_CLAMP * max(ext.max_u, -ext.min_u, ext.max_v)
+        floor = lambda: _ROUNDOFF_CLAMP * max(ext.max_u, -ext.min_u, ext.max_v)
     elif cfg.time_scheme == "imex-diffusion":
         b = (1.0 - dt) * v.values + dt * u.values
         v_new_vals = _screened_solve(grid, b, dt)
-        floor = _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
+        floor = lambda: _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
     else:
         v_new_vals = rhs_v(u, v, params).values
         v_new_vals *= dt
         v_new_vals += v.values
-        floor = _ROUNDOFF_CLAMP * ext.max_v
+        floor = lambda: _ROUNDOFF_CLAMP * ext.max_v
     min_v = _clamp_negatives(v_new_vals, floor)
     v_new = Field(grid, v_new_vals)
 
@@ -461,7 +429,7 @@ def _attempt_step(
     iv_new = Field(grid, iv_new_vals)
     # Iv >= 0, so its max is finite unless Iv holds +inf or NaN, which the
     # w update below can turn into a finite w = 0.
-    if not math.isfinite(iv_new_vals.max()):
+    if not math.isfinite(_max(iv_new_vals)):
         raise Diverged(f"non-finite signal integral at t={state.t!r}", state=state)
 
     # (2) substrate update
@@ -482,7 +450,7 @@ def _attempt_step(
     # (3) cell update, using the fresh v and w
     u_new_vals = rhs_u(u, v_new, w_new, params, dt=dt).values
     u_new_vals += u.values
-    min_u = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
+    min_u = _clamp_negatives(u_new_vals, lambda: _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
 
     return SimState(
         t=state.t + dt,
@@ -493,9 +461,9 @@ def _attempt_step(
         anchor=anchor,
         last_dt=dt,
         extrema=Extrema(
-            min_u, float(u_new_vals.max()),
-            min_v, float(v_new_vals.max()),
-            float(w_new_vals.min()), float(w_new_vals.max()),
+            min_u, float(_max(u_new_vals)),
+            min_v, float(_max(v_new_vals)),
+            float(_min(w_new_vals)), float(_max(w_new_vals)),
         ),
     )
 
@@ -526,7 +494,7 @@ def step(state: SimState, params: ModelParams, cfg: SolverConfig) -> SimState:
         except _RetryStep:
             dt *= 0.5
             continue
-        if landing - new.t <= _landing_tol(cfg):
+        if landing - new.t <= cfg._landing_tol:
             new.t = landing
         _check_divergence(new, cfg)
         return new
@@ -592,7 +560,7 @@ def run(
     emit(state)
 
     out = cfg.output_every
-    tol_t = _landing_tol(cfg)
+    tol_t = cfg._landing_tol
     emitted = 0  # index k of the last output time k * out emitted
     anchor_pending = cfg.anchor_time > 0.0
 

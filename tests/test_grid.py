@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import copy
+import inspect
+import pickle
+
 import numpy as np
 import pytest
 
 from conftest import ORACLE_GRIDS, grid_for_dim, smooth_field
+import taxisim.grid as grid_mod
+import taxisim.stepper as stepper_mod
 from taxisim import (
     Field,
     GridSpec,
@@ -44,6 +50,72 @@ class TestGridSpec:
         g = GridSpec((1.0,), (4,))
         with pytest.raises(ValueError):
             Field(g, [1.0, 2.0])
+
+
+class TestField:
+    def test_flat_native_float64_array_is_kept(self):
+        values = np.linspace(0.0, 1.0, 6)
+        assert Field(GridSpec((1.0,), (6,)), values).values is values
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.arange(6.0)[::-1],
+            np.arange(12.0)[::2],
+            np.arange(6.0).reshape(2, 3),
+            np.arange(6.0).astype(">f8"),
+            np.arange(6, dtype=np.float32),
+        ],
+        ids=["negative-stride", "strided", "2d", "big-endian", "float32"],
+    )
+    def test_other_arrays_become_flat_native_float64(self, values):
+        kept = Field(GridSpec((1.0,), (6,)), values).values
+        assert kept.dtype == np.float64 and kept.dtype.isnative
+        assert kept.ndim == 1 and kept.flags.c_contiguous
+        assert np.array_equal(kept, np.asarray(values, dtype=float).ravel())
+
+
+def _fill_cache(g):
+    """Build every per-grid constant, including a screened-solve divisor."""
+    stepper_mod._screened_solve(g, np.ones(g.num_cells), 0.5)
+    laplacian(Field.zeros(g))
+    return g._diffusion_limit, g._h_min_sq
+
+
+class TestPerGridCache:
+    GRIDS = [((6.0,), (64,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (5, 7, 3))]
+
+    def test_constants_are_built_once_per_grid(self):
+        g = GridSpec((1.0, 2.7), (6, 9))
+        assert g._face_table is g._face_table
+        assert g._spectrum is g._spectrum
+
+    @pytest.mark.parametrize("filled", [False, True])
+    def test_cache_is_not_part_of_the_value(self, filled):
+        g = GridSpec((1.0, 2.7), (6, 9))
+        if filled:
+            _fill_cache(g)
+        fresh = GridSpec((1.0, 2.7), (6, 9))
+        assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+
+    @pytest.mark.parametrize("extent, cells", GRIDS)
+    @pytest.mark.parametrize("duplicate", [copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+                             ids=["deepcopy", "pickle"])
+    def test_copies_compare_equal_and_solve_bitwise_alike(self, extent, cells, duplicate):
+        g = GridSpec(extent, cells)
+        _fill_cache(g)
+        twin = duplicate(g)
+        assert twin == g and hash(twin) == hash(g) and repr(twin) == repr(g)
+        b = np.random.default_rng(5).random(g.num_cells)
+        for alpha in (1e-3, 1.0):
+            x = stepper_mod._screened_solve(g, b, alpha)
+            assert x.tobytes() == stepper_mod._screened_solve(twin, b, alpha).tobytes()
+        f = Field(g, b)
+        assert laplacian(f).values.tobytes() == laplacian(Field(twin, b)).values.tobytes()
+
+    def test_no_lru_cache_left(self):
+        for module in (grid_mod, stepper_mod):
+            assert "lru_cache" not in inspect.getsource(module)
 
 
 class TestLaplacian:

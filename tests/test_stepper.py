@@ -493,8 +493,23 @@ class TestEllipticSolve:
         residual = x - alpha * laplacian(Field(g, x)).values - b
         assert np.max(np.abs(residual)) <= 1e-12 * np.max(np.abs(b))
 
+    @pytest.mark.parametrize(
+        "extent, cells", [((6.0,), (64,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (5, 7, 3))]
+    )
+    def test_reused_denominator_is_never_stale(self, extent, cells):
+        # The grid keeps 1 + alpha lam for the last alpha; a, b, a must each
+        # solve as on a grid that has never solved before.
+        g = GridSpec(extent, cells)
+        b = np.random.default_rng(4).random(g.num_cells)
+        for alpha in (2.5e-3, 1.0, 2.5e-3):
+            x = stepper_mod._screened_solve(g, b, alpha)
+            fresh = stepper_mod._screened_solve(GridSpec(extent, cells), b, alpha)
+            assert x.tobytes() == fresh.tobytes()
+
     @pytest.mark.parametrize("tau, scheme", [(0, "explicit"), (1, "imex-diffusion")])
-    @pytest.mark.parametrize("dip, rejected", [(1e-14, False), (1e-11, True)])
+    @pytest.mark.parametrize(
+        "dip, rejected", [(1e-14, False), (0.9e-13, False), (1.1e-13, True), (1e-11, True)]
+    )
     def test_solve_roundoff_clamped_real_negativity_rejected(
         self, monkeypatch, tau, scheme, dip, rejected
     ):
@@ -858,14 +873,24 @@ class TestPositivityAndExtrema:
             assert all(state.v.values[3] == 0.0 for state in accepted)
 
     def test_clamp_reports_the_minimum_it_leaves(self):
+        clamp, floor = stepper_mod._clamp_negatives, lambda: 1e-13
         values = np.array([2.0, -1e-15, 0.5])
-        assert stepper_mod._clamp_negatives(values, 1e-13) == 0.0
+        assert clamp(values, floor) == 0.0
         assert np.array_equal(values, [2.0, 0.0, 0.5])
-        assert stepper_mod._clamp_negatives(np.array([2.0, 0.25]), 1e-13) == 0.25
-        assert math.isnan(stepper_mod._clamp_negatives(np.array([1.0, math.nan]), 1e-13))
-        assert stepper_mod._clamp_negatives(np.array([1.0, -math.inf]), 1e-13) == -math.inf
+        assert clamp(np.array([2.0, 0.25]), floor) == 0.25
+        assert math.isnan(clamp(np.array([1.0, math.nan]), floor))
+        assert clamp(np.array([1.0, -math.inf]), floor) == -math.inf
         with pytest.raises(stepper_mod._RetryStep):
-            stepper_mod._clamp_negatives(np.array([1.0, -1e-12]), 1e-13)
+            clamp(np.array([1.0, -1e-12]), floor)
+
+    def test_clamp_computes_its_floor_only_on_a_dip(self):
+        def floor():
+            raise AssertionError("floor computed on a nonnegative field")
+
+        values = np.array([2.0, 0.0, 0.5])
+        assert stepper_mod._clamp_negatives(values, floor) == 0.0
+        assert np.array_equal(values, [2.0, 0.0, 0.5])
+        assert math.isnan(stepper_mod._clamp_negatives(np.array([1.0, math.nan]), floor))
 
 
 class TestSpatialConvergence:

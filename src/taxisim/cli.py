@@ -22,7 +22,7 @@ from .fileio import (
 )
 from .model import ode_reference
 from .stepper import _outputs_reached, run
-from .sweep import SweepPlan, estimate_threshold, run_sweep
+from .sweep import estimate_threshold, run_sweep
 
 __all__ = ["main"]
 
@@ -98,14 +98,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if cfg.sweep is None:
         raise ValidationError("[sweep]", "section is required for the sweep command")
     outdir = _prepare_outdir(cfg)
-    plan = SweepPlan(
-        **vars(cfg.sweep),
-        base_model=cfg.model,
-        base_solver=cfg.solver,
-        scenario=cfg.scenario,
-        grid=cfg.grid,
-    )
-    results = run_sweep(plan)
+    results = run_sweep(cfg.sweep)
     table_path = write_sweep_table(results, outdir / "sweep.csv")
     bracket = estimate_threshold(results)
     summary = render_sweep_summary(results, bracket, cfg.model.tau)

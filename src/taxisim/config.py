@@ -20,7 +20,7 @@ from typing import Callable
 from .grid import GridSpec
 from .model import ModelParams, ScenarioSpec
 from .stepper import SolverConfig
-from .sweep import SweepSettings
+from .sweep import SweepPlan
 
 __all__ = [
     "ConfigError",
@@ -76,7 +76,7 @@ class RunConfig:
     solver: SolverConfig
     scenario: ScenarioSpec
     outputs: OutputOptions
-    sweep: SweepSettings | None = None
+    sweep: SweepPlan | None = None
 
 
 def _number(raw: str) -> float:
@@ -221,6 +221,8 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
 
     Relative output paths resolve against base_dir (normally the directory of
     the config file). The [solver] key output_every defaults to T_end / 50.
+    A [sweep] section becomes a SweepPlan over the config's own model,
+    solver, scenario and grid.
     """
     data = _read_sections(text)
     for required in ("grid", "model", "solver"):
@@ -245,7 +247,10 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
     if not directory.is_absolute():
         out_fields["directory"] = (Path(base_dir) / directory).resolve()
     outputs = _build("outputs", OutputOptions, out_fields)
-    sweep = _build("sweep", SweepSettings, _fields("sweep", data["sweep"])) if "sweep" in data else None
+    sweep = None
+    if "sweep" in data:
+        base = dict(base_model=model, base_solver=solver, scenario=scenario, grid=grid)
+        sweep = _build("sweep", SweepPlan, _fields("sweep", data["sweep"]) | base)
     return RunConfig(
         grid=grid, model=model, solver=solver, scenario=scenario, outputs=outputs, sweep=sweep
     )

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import Field, GridSpec, gradient, integrate, laplacian, lp_norm, magnitude
+from .grid import GridSpec, gradient, integrate, laplacian, lp_norm, magnitude
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
@@ -27,9 +27,7 @@ __all__ = [
     "BoundednessVerdict",
     "MassBoundCheck",
     "record",
-    "lemma22_check",
     "lemma22_tolerance",
-    "representation_residual",
     "mass_bound_check",
     "classify",
     "outcome_verdict",
@@ -95,11 +93,9 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
     state yields a record whose finite property is False.
     """
     ext = state.field_extrema()
-    lem = 0.0
-    rep = 0.0
+    lem = rep = 0.0
     if ext.finite and eta == 0.0:
-        lem = float(np.max(lemma22_check(state).values))
-        rep = representation_residual(state)
+        lem, rep = _substrate_monitors(state)
     return DiagnosticsRecord(
         t=state.t,
         dt=state.last_dt,
@@ -118,30 +114,36 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
     )
 
 
-def lemma22_check(state: SimState) -> Field:
-    """Pointwise slack of the substrate curvature lower bound.
+def _substrate_monitors(state: SimState) -> tuple[float, float]:
+    """(curvature-bound violation, representation residual) of a state.
 
     With E = exp(-Iv) and Igv = grad Iv, the integral of grad v since the
     anchor (the gradient is linear, so the discrete gradient of the
-    trapezoidal Iv is the trapezoidal integral of grad_h v), the bound reads
+    trapezoidal Iv is the trapezoidal integral of grad_h v), the curvature
+    lower bound reads
 
         lap w(t) >= lap w(s0) E - 2 E grad w(s0) . Igv
                     - w(s0)/e - w(s0) v(t) E,
 
-    and this returns max(0, bound - lap_h w) per cell. Positive entries beyond
-    the discretization tolerance indicate a scheme or accumulator fault.
+    and the violation is the largest slack max(0, bound - lap_h w) over the
+    cells; beyond the discretization tolerance it indicates a scheme or
+    accumulator fault. The residual is sup |w - E w(s0)|, exactly zero for
+    the built-in stepper. E is computed once for both.
     """
     anchor = state.anchor
     env = np.exp(-state.Iv.values)
     dot = np.zeros_like(env)
     for gw, gi in zip(anchor.grad_w_s0, gradient(state.Iv)):
         dot += gw.values * gi.values
-    bound = anchor.lap_w_s0.values * env
-    bound -= 2.0 * env * dot
-    bound -= anchor.w_s0.values / math.e
-    bound -= anchor.w_s0.values * state.v.values * env
-    slack = bound - laplacian(state.w).values
-    return Field(state.grid, np.maximum(slack, 0.0))
+    slack = anchor.lap_w_s0.values * env
+    slack -= 2.0 * env * dot
+    slack -= anchor.w_s0.values / math.e
+    slack -= anchor.w_s0.values * state.v.values * env
+    slack -= laplacian(state.w).values
+    worst = float(np.max(slack))
+    violation = 0.0 if worst <= 0.0 else worst  # a NaN slack stays NaN
+    residual = float(np.max(np.abs(state.w.values - env * anchor.w_s0.values)))
+    return violation, residual
 
 
 def lemma22_tolerance(state: SimState, dt: float) -> float:
@@ -153,12 +155,6 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
         + float(np.max(magnitude(gradient(state.Iv)).values))
     )
     return LEMMA22_TOL_FACTOR * (h * h + dt) * scale
-
-
-def representation_residual(state: SimState) -> float:
-    """sup |w - exp(-Iv) * w_anchor|; exactly zero for the built-in stepper."""
-    predicted = np.exp(-state.Iv.values) * state.anchor.w_s0.values
-    return float(np.max(np.abs(state.w.values - predicted)))
 
 
 @dataclass

@@ -256,12 +256,14 @@ def _outputs_reached(t: float, out: float) -> int:
 def _next_landing(t: float, cfg: SolverConfig) -> float:
     """The next time after t that a step must end on exactly: the next output
     time k * output_every, the pending anchor time or t_end. An output time
-    within cfg._landing_tol of t_end is t_end, so no sliver step is left."""
+    within cfg._landing_tol of t_end is t_end, and an anchor time within it
+    below the next landing is that landing (run re-anchors there), so no
+    sliver step is left."""
     tol = cfg._landing_tol
     landing = (_outputs_reached(t, cfg.output_every) + 1) * cfg.output_every
     if landing > cfg.t_end - tol:
         landing = cfg.t_end
-    if t + tol < cfg.anchor_time < landing:
+    if t + tol < cfg.anchor_time < landing - tol:
         landing = cfg.anchor_time
     return landing
 
@@ -404,15 +406,16 @@ def _attempt_step(
     # The clamp floors read max v as sup |v|: equal, since v >= 0.
     ext = state.field_extrema()
 
-    # (1) signal update. The exact inverse of I - alpha lap is nonnegative,
-    # so the solve only needs its transform round-off clamped.
-    if params.tau == 0:
-        # The right-hand side is u, so sup |u| comes from its extrema.
-        v_new_vals = _screened_solve(grid, u.values, 1.0)
-        floor = lambda: _ROUNDOFF_CLAMP * max(ext.max_u, -ext.min_u, ext.max_v)
-    elif cfg.time_scheme == "imex-diffusion":
-        b = (1.0 - dt) * v.values + dt * u.values
-        v_new_vals = _screened_solve(grid, b, dt)
+    # (1) signal update. Slaved to the cells (tau = 0) or with implicit
+    # diffusion, v solves (I - alpha lap) v = b. The exact inverse of
+    # I - alpha lap is nonnegative, so the solve only needs its transform
+    # round-off clamped.
+    if params.tau == 0 or cfg.time_scheme == "imex-diffusion":
+        if params.tau == 0:
+            b, alpha = u.values, 1.0
+        else:
+            b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
+        v_new_vals = _screened_solve(grid, b, alpha)
         floor = lambda: _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
     else:
         v_new_vals = rhs_v(u, v, params).values

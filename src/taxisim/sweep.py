@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import KW_ONLY, dataclass, replace
 
 from .diagnostics import BoundednessVerdict, classify, outcome_verdict
 from .grid import GridSpec
@@ -20,7 +20,6 @@ from .model import ModelParams, ScenarioSpec
 from .stepper import RunOutcome, SolverConfig, run
 
 __all__ = [
-    "SweepSettings",
     "SweepPlan",
     "SweepResult",
     "run_sweep",
@@ -33,8 +32,9 @@ SWEEP_MODES = ("fix_mu_vary_chi", "fix_chi_vary_mu")
 
 
 @dataclass(frozen=True)
-class SweepSettings:
-    """The sweep axis: a sorted list of theta values and the held coefficient.
+class SweepPlan:
+    """A sweep axis over a base problem: the [sweep] section of a config
+    plus the config's model, solver, scenario and grid.
 
     fix_mu_vary_chi holds mu = fixed_value and sets chi = theta * mu;
     fix_chi_vary_mu holds chi = fixed_value and sets mu = chi / theta.
@@ -44,6 +44,11 @@ class SweepSettings:
     fixed_value: float
     theta_values: tuple[float, ...]
     repetitions: int = 1
+    _: KW_ONLY
+    base_model: ModelParams
+    base_solver: SolverConfig
+    scenario: ScenarioSpec
+    grid: GridSpec
 
     def __post_init__(self) -> None:
         if self.mode not in SWEEP_MODES:
@@ -60,16 +65,6 @@ class SweepSettings:
             raise ValueError("theta_values must be strictly increasing")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
-
-
-@dataclass(frozen=True, kw_only=True)
-class SweepPlan(SweepSettings):
-    """A sweep axis (the SweepSettings fields and checks) over a base problem."""
-
-    base_model: ModelParams
-    base_solver: SolverConfig
-    scenario: ScenarioSpec
-    grid: GridSpec
 
 
 @dataclass

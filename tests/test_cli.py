@@ -7,7 +7,9 @@ import math
 
 import pytest
 
+from taxisim import GridSpec, ModelParams, ScenarioSpec, SolverConfig, SweepPlan, run_sweep
 from taxisim.cli import main
+from taxisim.fileio import write_sweep_table
 
 STEADY_CFG = """
 [grid] dim=1 extent=4 cells=16
@@ -234,6 +236,29 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert "threshold bracket" in out
         assert (tmp_path / "out" / "sweep_summary.txt").exists()
+
+    def test_table_matches_run_sweep_on_a_hand_built_plan(self, tmp_path, capsys):
+        text = (
+            "[grid] dim=1 extent=2 cells=16\n"
+            "[model] chi=1 xi=1 mu=10\n"
+            "[solver] T_end=0.5 output_every=0.25\n"
+            "[scenario] name=random-perturb amplitude=0.2 seed=7\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+            "[sweep] mode=fix_mu_vary_chi fixed_value=10 theta_values=0.05,0.1,0.2 repetitions=2\n"
+        )
+        assert main(["sweep", str(write_cfg(tmp_path, text))]) == 0
+        plan = SweepPlan(
+            mode="fix_mu_vary_chi",
+            fixed_value=10.0,
+            theta_values=(0.05, 0.1, 0.2),
+            repetitions=2,
+            base_model=ModelParams(chi=1.0, xi=1.0, mu=10.0),
+            base_solver=SolverConfig(t_end=0.5, output_every=0.25),
+            scenario=ScenarioSpec(name="random-perturb", amplitude=0.2, seed=7),
+            grid=GridSpec((2.0,), (16,)),
+        )
+        expected = write_sweep_table(run_sweep(plan), tmp_path / "hand.csv").read_bytes()
+        assert (tmp_path / "out" / "sweep.csv").read_bytes() == expected
 
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_workers_variable_is_ignored(self, tmp_path, monkeypatch, workers):

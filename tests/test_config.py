@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from taxisim import ParseError, ValidationError, parse_config, render_config
+from taxisim import ParseError, SweepPlan, ValidationError, parse_config, render_config
 from taxisim.config import _KEYS
 
 MINIMAL = """
@@ -144,6 +144,27 @@ class TestParsing:
         assert cfg.sweep.theta_values == (0.05, 0.1, 0.2)
         assert cfg.sweep.repetitions == 1
 
+    def test_sweep_section_is_a_plan_over_the_config_problem(self):
+        cfg = parse_config(
+            MINIMAL + "[sweep] mode=fix_chi_vary_mu fixed_value=2 theta_values=0.5,1 repetitions=3"
+        )
+        plan = cfg.sweep
+        assert type(plan) is SweepPlan
+        assert plan.base_model is cfg.model
+        assert plan.base_solver is cfg.solver
+        assert plan.scenario is cfg.scenario
+        assert plan.grid is cfg.grid
+        assert plan == SweepPlan(
+            mode="fix_chi_vary_mu",
+            fixed_value=2.0,
+            theta_values=(0.5, 1.0),
+            repetitions=3,
+            base_model=cfg.model,
+            base_solver=cfg.solver,
+            scenario=cfg.scenario,
+            grid=cfg.grid,
+        )
+
 
 class TestValidation:
     def test_negative_chi_names_key_and_constraint(self):
@@ -231,6 +252,9 @@ class TestEcho:
         cfg2 = parse_config(echo, base_dir=tmp_path)
         assert cfg2 == cfg
         assert render_config(cfg2) == echo
+        # The echoed plan is the parsed one, over the echoed problem.
+        assert cfg2.sweep == cfg.sweep
+        assert cfg2.sweep.base_model is cfg2.model and cfg2.sweep.grid is cfg2.grid
 
     def test_echo_parses_without_base_dir_dependence(self, tmp_path):
         # The echo carries an absolute output directory, so re-parsing it from

@@ -8,6 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from conftest import ORACLE_GRIDS, smooth_field
 from taxisim import (
     DiagnosticsRecord,
     Field,
@@ -17,12 +18,13 @@ from taxisim import (
     ScenarioSpec,
     SolverConfig,
     classify,
+    gradient,
     initial_state,
-    lemma22_check,
+    laplacian,
     mass_bound_check,
     record,
-    representation_residual,
     run,
+    step,
 )
 
 
@@ -93,13 +95,38 @@ class TestRecord:
         assert not rec.finite
 
 
-class TestCurvatureBound:
-    def test_zero_slack_at_anchor_time(self):
+def monitor_oracle(state):
+    """Per-cell slack of the curvature bound, max(0, bound - lap_h w), and
+    per-cell representation error |w - exp(-Iv) w(s0)|, from gradient,
+    laplacian and the anchor substrate."""
+    w0 = state.anchor.w_s0
+    env = np.exp(-state.Iv.values)
+    dot = sum(gw.values * gi.values for gw, gi in zip(gradient(w0), gradient(state.Iv)))
+    bound = (
+        laplacian(w0).values * env
+        - 2.0 * env * dot
+        - w0.values / math.e
+        - w0.values * state.v.values * env
+    )
+    slack = np.maximum(bound - laplacian(state.w).values, 0.0)
+    error = np.abs(state.w.values - env * w0.values)
+    return slack, error
+
+
+def bump_state(g):
+    # A strongly varying substrate against constant u and v.
+    x = g.cell_centers(0)
+    w_bump = Field(g, 0.2 + 0.5 * np.exp(-((x - 1.0) ** 2) / 0.09))
+    return initial_state(InitialData(Field.full(g, 1.0), Field.full(g, 1.0), w_bump))
+
+
+class TestSubstrateMonitors:
+    def test_zero_at_anchor_time(self):
         g = GridSpec((2.0,), (32,))
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
-        state = initial_state(sc.build(g))
-        slack = lemma22_check(state)
-        assert np.max(slack.values) == 0.0
+        rec = record(initial_state(sc.build(g)), [2.0])
+        assert rec.lemma22_violation == 0.0
+        assert rec.repr_residual == 0.0
 
     def test_zero_slack_for_frozen_constants(self):
         # v constant c, w0 constant d: every spatial derivative vanishes and
@@ -116,36 +143,55 @@ class TestCurvatureBound:
         # gradient (the integral of grad v) is -10 grad w(s0): the bound must
         # report a strictly positive violation.
         g = GridSpec((2.0,), (64,))
-        x = g.cell_centers(0)
-        w_bump = Field(g, 0.2 + 0.5 * np.exp(-((x - 1.0) ** 2) / 0.09))
-        init = InitialData(Field.full(g, 1.0), Field.full(g, 1.0), w_bump)
-        state = initial_state(init)
-        clean = float(np.max(lemma22_check(state).values))
+        state = bump_state(g)
         poisoned = replace(state, Iv=Field(g, -10.0 * state.anchor.w_s0.values))
-        dirty = float(np.max(lemma22_check(poisoned).values))
-        assert clean == 0.0
-        assert dirty > 1.0
+        assert record(state, [2.0]).lemma22_violation == 0.0
+        assert record(poisoned, [2.0]).lemma22_violation > 1.0
 
-
-class TestRepresentationResidual:
-    def test_zero_at_anchor(self):
-        g = GridSpec((1.0,), (8,))
-        state = initial_state(ScenarioSpec(name="gaussian-bump").build(g))
-        assert representation_residual(state) == 0.0
-
-    def test_detects_perturbed_substrate(self):
+    def test_perturbed_substrate_is_detected(self):
         g = GridSpec((1.0,), (8,))
         state = initial_state(ScenarioSpec(name="gaussian-bump", wbar=0.5).build(g))
         state.w.values[3] += 1e-3
-        assert representation_residual(state) == pytest.approx(1e-3, rel=1e-10)
+        assert record(state, [2.0]).repr_residual == pytest.approx(1e-3, rel=1e-10)
 
-    def test_exact_through_full_run(self):
+    def test_residual_exact_through_full_run(self):
         g = GridSpec((2.0,), (32,))
         p = ModelParams(chi=1.5, xi=0.5, mu=2.0)
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
         out = run(sc.build(g), p, SolverConfig(t_end=1.0, output_every=0.2))
         for rec in out.records:
             assert rec.repr_residual == 0.0
+
+    @pytest.mark.parametrize("extent, cells", ORACLE_GRIDS)
+    @pytest.mark.parametrize("kind", ["stepped", "poisoned", "perturbed"])
+    def test_columns_equal_the_oracle(self, extent, cells, kind):
+        # The record's two columns are the maxima of the oracle's per-cell
+        # values, bit for bit, on a state a few steps past its anchor, with
+        # a corrupted accumulator, and with a perturbed substrate.
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(sum(cells))
+        u, v, w = (smooth_field(g, rng, nonneg=True) for _ in range(3))
+        state = initial_state(InitialData(u, v, w))
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1.0)
+        for _ in range(3):
+            state = step(state, p, cfg)
+        if kind == "poisoned":
+            iv = smooth_field(g, rng, amplitude=3.0)
+            state = replace(state, Iv=iv, extrema=None)
+        elif kind == "perturbed":
+            state.w.values[g.num_cells // 2] *= 1.0 + 1e-3
+            state.extrema = None
+        slack, error = monitor_oracle(state)
+        rec = record(state, [2.0])
+        assert rec.lemma22_violation == float(np.max(slack))
+        assert rec.repr_residual == float(np.max(error))
+        if kind == "stepped":
+            assert rec.repr_residual == 0.0
+        else:
+            assert rec.repr_residual > 0.0
+        if kind == "poisoned":
+            assert rec.lemma22_violation > 0.0
 
 
 class TestMassBound:

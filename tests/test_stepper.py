@@ -625,6 +625,28 @@ class TestRun:
         assert out.records[-1].t == t_end
         assert min(rec.dt for rec in out.records[1:]) > 1e-9 * cfg.output_every
 
+    @pytest.mark.parametrize("anchor_time", [0.25 - 1e-12, 1.0 - 1e-12])
+    def test_anchor_within_rounding_below_a_landing_lands_there(self, monkeypatch, anchor_time):
+        # An anchor time a rounding error below an output time or t_end is
+        # that landing: the run re-anchors on it, with no sliver step and
+        # no record off the output times.
+        dts = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            new = original(state, params, cfg)
+            dts.append(new.last_dt)
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        g = GridSpec((1.0,), (8,))
+        cfg = SolverConfig(t_end=1.0, output_every=0.25, anchor_time=anchor_time)
+        out = run(ScenarioSpec(name="steady").build(g), ModelParams(chi=1.0, mu=1.0), cfg)
+        assert out.status == "completed"
+        assert [rec.t for rec in out.records] == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert min(dts) > 1e-9 * cfg.output_every
+        assert out.final_state.anchor.s0 == (0.25 if anchor_time < 0.5 else 1.0)
+
     def test_positivity_on_rough_data(self):
         g = GridSpec((2.0,), (48,))
         p = ModelParams(chi=2.0, xi=1.0, mu=1.0)

@@ -341,18 +341,18 @@ class TestPackageApi:
         BoundednessVerdict CFLViolation ConfigError DiagnosticsRecord
         Diverged Field GridSpec InitialData MassBoundCheck ModelParams OdeTrajectory
         OutputOptions ParseError RunConfig RunOutcome ScenarioSpec SimState Snapshot
-        SolverConfig SweepPlan SweepResult SweepSettings ValidationError
+        SolverConfig SweepPlan SweepResult ValidationError
         check_pe_condition classify estimate_threshold gradient initial_state
-        integrate laplacian lemma22_check lemma22_tolerance lp_norm magnitude
+        integrate laplacian lemma22_tolerance lp_norm magnitude
         mass_bound_check ode_reference outcome_verdict params_for_theta
-        parse_config record render_config representation_residual rhs_u rhs_v rhs_w
+        parse_config record render_config rhs_u rhs_v rhs_w
         run run_sweep solve_elliptic stable_dt step sup_norm take_snapshot
         taxis_divergence
         """.split()
     )
 
     def test_exports_the_pinned_names_once(self):
-        assert len(self.NAMES) == 53
+        assert len(self.NAMES) == 50
         assert sorted(taxisim.__all__) == self.NAMES
 
     def test_each_name_is_the_object_its_module_defines(self):

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, gradient, integrate, laplacian, lp_norm, magnitude
+from .grid import GridSpec, _max, gradient, integrate, laplacian, lp_norm, magnitude
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
@@ -107,7 +107,7 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         sup_v=ext.max_v,
         min_w=ext.min_w,
         sup_w=ext.max_w,
-        sup_grad_v=float(np.max(magnitude(gradient(state.v)).values)),
+        sup_grad_v=float(_max(magnitude(gradient(state.v)).values)),
         lemma22_violation=lem,
         repr_residual=rep,
         lp_u=tuple((float(p), lp_norm(state.u, p)) for p in p_list),
@@ -140,9 +140,9 @@ def _substrate_monitors(state: SimState) -> tuple[float, float]:
     slack -= anchor.w_s0.values / math.e
     slack -= anchor.w_s0.values * state.v.values * env
     slack -= laplacian(state.w).values
-    worst = float(np.max(slack))
+    worst = float(_max(slack))
     violation = 0.0 if worst <= 0.0 else worst  # a NaN slack stays NaN
-    residual = float(np.max(np.abs(state.w.values - env * anchor.w_s0.values)))
+    residual = float(_max(np.abs(state.w.values - env * anchor.w_s0.values)))
     return violation, residual
 
 
@@ -151,8 +151,8 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
     h = max(state.grid.spacing)
     scale = state.anchor.M * (
         1.0
-        + float(np.max(state.Iv.values))
-        + float(np.max(magnitude(gradient(state.Iv)).values))
+        + float(_max(state.Iv.values))
+        + float(_max(magnitude(gradient(state.Iv)).values))
     )
     return LEMMA22_TOL_FACTOR * (h * h + dt) * scale
 

@@ -10,25 +10,27 @@ exactly at the discrete level.
 The three stencils share that face-flux form: each computes one quantity per
 interior face along every axis and scatters it into the cells below and
 above the face; boundary faces carry nothing. taxis_divergence computes the
-whole flux of the cell equation in one such pass: its upwind taxis flux is a
-central flux plus numerical diffusion, and an optional carrier diffusion
-adds to the same face coefficient, so no face needs a branch. laplacian and
-taxis_divergence can scatter into a caller's array instead of a fresh one
-(their out argument), so an explicit update accumulates into its seed.
+whole flux of the cell equation in one such pass: per face it is the upwind
+flux q+ c_L + q- c_R, with the carrier diffusion added to the coefficient
+of the lower cell and taken from that of the upper one, so no face needs a
+branch. laplacian and taxis_divergence can scatter into a caller's array
+instead of a fresh one (their out argument), so an explicit update
+accumulates into its seed.
 
 In the flat layout the face normal to axis a joins cells p and p + s_a,
 where s_a is the product of the cell counts of the axes before a, so
 x[s_a:] - x[:-s_a] yields every face difference of that axis in one
 contiguous pass. Where p is the last cell of its row along a, the pair
 (p, p + s_a) straddles a boundary and is no face; a per-grid table of face
-weights (1/h^2, 1/(2h), 1/h) holds 0 there, so those entries scatter
-nothing.
+weights (1/h^2, 1/(2h)) holds 0 there, so those entries scatter nothing.
 
 Each GridSpec builds its constants on first use and keeps them in its
 instance: the face table, the cosine spectrum of the Laplacian (which the
-stepper's screened solve uses) and the explicit diffusion limit. They are
-not dataclass fields, so eq, hash and repr ignore them, and a pickled or
-copied grid is rebuilt from extent and cells.
+stepper's screened solve uses: one matrix product per axis on a view of the
+flat array, split in blocks where a product would be large enough for
+OpenBLAS to thread it) and the explicit diffusion limit. They are not
+dataclass fields, so eq, hash and repr ignore them, and a pickled or copied
+grid is rebuilt from extent and cells.
 """
 
 from __future__ import annotations
@@ -124,11 +126,11 @@ class GridSpec:
             p = np.arange(self.num_cells - stride)
             inside = (p // stride) % n != n - 1
             weights = []
-            for w in (1.0 / (h * h), 1.0 / (2.0 * h), 1.0 / h):
+            for w in (1.0 / (h * h), 1.0 / (2.0 * h)):
                 arr = np.where(inside, w, 0.0)
                 arr.flags.writeable = False
                 weights.append(arr)
-            table.append(_AxisFaces(stride, h, *weights))
+            table.append(_AxisFaces(stride, *weights))
             stride *= n
         return tuple(table)
 
@@ -136,16 +138,33 @@ class GridSpec:
     def _spectrum(self) -> _Spectrum:
         """Cosine transform of the Laplacian (its arrays are shared, so read-only)."""
         modes = [_cosine_modes(n, h) for n, h in zip(self.cells, self.spacing)]
-        shape = self.cells[::-1]
-        lam = np.zeros(shape)
+        lam = np.zeros(self.cells[::-1])
         for axis, (_, lam_a) in enumerate(modes):
             axis_shape = [1] * self.dim
             axis_shape[self.dim - 1 - axis] = lam_a.size
             lam += lam_a.reshape(axis_shape)
-        forward = tuple(c for c, _ in modes)
-        for arr in (*forward, lam):
-            arr.flags.writeable = False
-        return _Spectrum(shape, forward, tuple(c.T for c in forward), lam)
+        lam = lam.ravel()
+        lam.flags.writeable = False
+        views = [_axis_view(self.cells, axis) for axis in range(self.dim)]
+        shapes = [shape for shape, _ in views]
+        # The forward transform starts from the flat array, the inverse from
+        # the last forward view; a step reshapes only when its view differs
+        # from the one before.
+        before_forward = [(self.num_cells,), *shapes[:-1]]
+        before_inverse = [shapes[-1], *shapes[:-1]]
+        forward, inverse = [], []
+        for axis, ((c, _), (shape, perm)) in enumerate(zip(modes, views)):
+            c.flags.writeable = False
+            # x @ C.T transforms axis 0 and C @ x any other; the inverse
+            # multiplies by the transposes.
+            right = axis == 0
+            for steps, before, mat in (
+                (forward, before_forward, c.T if right else c),
+                (inverse, before_inverse, c if right else c.T),
+            ):
+                view = None if before[axis] == shape else shape
+                steps.append(_AxisProduct(view, mat, right, perm))
+        return _Spectrum(tuple(forward), tuple(inverse), lam, shapes[-1])
 
     @cached_property
     def _diffusion_limit(self) -> float:
@@ -160,6 +179,12 @@ class GridSpec:
 
 
 _FLOAT64 = np.dtype(np.float64)
+
+# The ufunc reductions behind ndarray.min, max and sum, called without the
+# Python-level wrapper those methods go through (~0.4 us a call at 64 cells).
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_sum = np.add.reduce
 
 
 @dataclass
@@ -212,13 +237,11 @@ class Field:
 class _AxisFaces(NamedTuple):
     """The faces normal to one axis in the flat layout: face p joins cells p
     and p + stride, for p < num_cells - stride. The weight arrays hold
-    1/h^2, 1/(2h) and 1/h at real faces and 0 where p ends its row."""
+    1/h^2 and 1/(2h) at real faces and 0 where p ends its row."""
 
     stride: int
-    h: float
     inv_h2: np.ndarray
     inv_2h: np.ndarray
-    inv_h: np.ndarray
 
 
 def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -235,29 +258,89 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return c, lam
 
 
-class _Spectrum:
-    """The cosine transform of one grid: per-axis forward matrices, their
-    inverses (the transposes) and the summed eigenvalues lam of -lap, laid
-    out like the transformed array, whose shape is the cell counts reversed.
+# Cap on the multiply-adds of one matrix product in the cosine transform.
+# OpenBLAS runs a larger product on several threads, and on a 2-CPU host the
+# hand-off costs more than it saves, so larger products are split in blocks.
+_MAX_PRODUCT = 1 << 18
+
+
+class _AxisProduct(NamedTuple):
+    """One axis of the cosine transform as one matrix product on a view of
+    the flat array: x @ mat for axis 0, whose cells are contiguous, and
+    mat @ x for any other axis. shape is that view (see _axis_view), or
+    None where x already has it; perm, when set, is the transpose that
+    brings the view's column blocks to the front.
     """
 
-    __slots__ = ("shape", "forward", "inverse", "lam", "_last")
+    shape: tuple[int, ...] | None
+    mat: np.ndarray
+    right: bool
+    perm: tuple[int, ...] | None
+
+
+def _axis_view(
+    cells: tuple[int, ...], axis: int
+) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+    """The view under which one product transforms axis a of the flat layout.
+
+    With n = cells[a], inner the product of the counts before a and outer of
+    those after it, the flat array is (outer, n, inner), and a product with
+    r free rows or columns does r n^2 multiply-adds. Axis 0 is
+    (outer, n) @ m (a vector product when outer = 1); beyond the cap its
+    rows are stacked in blocks, (outer / r, r, n). Any other axis is
+    m @ (outer, n, inner), one product when outer = 1; beyond the cap its
+    columns are split, (outer, n, inner / r, r), and perm moves the block
+    index ahead of n. r is the largest divisor of the row or column count
+    within the cap (1 at worst); an axis of more than 512 cells, where one
+    row or column already exceeds it, is not split. Leading 1s are dropped.
+    """
+    n = cells[axis]
+    inner = math.prod(cells[:axis])
+    outer = math.prod(cells[axis + 1 :])
+    width = _MAX_PRODUCT // (n * n)  # free rows or columns per product
+    lead = () if outer == 1 else (outer,)
+    if axis == 0:
+        if outer <= width or width == 0:
+            return (*lead, n), None
+        r = _largest_divisor(outer, width)
+        return (outer // r, r, n), None
+    if inner <= width or width == 0:
+        return (*lead, n, inner), None
+    r = _largest_divisor(inner, width)
+    k = len(lead)
+    return (*lead, n, inner // r, r), (*range(k), k + 1, k, k + 2)
+
+
+def _largest_divisor(m: int, cap: int) -> int:
+    """The largest divisor of m that is at most cap (cap >= 1)."""
+    return next(d for d in range(cap, 0, -1) if m % d == 0)
+
+
+class _Spectrum:
+    """The cosine transform of one grid: one product per axis for the
+    forward transform and one for its inverse, and the summed eigenvalues
+    lam of -lap, flat in the order the transform leaves its modes (that of
+    the cells). shape is the view the forward transform ends in.
+    """
+
+    __slots__ = ("forward", "inverse", "lam", "shape", "_last")
 
     def __init__(
         self,
-        shape: tuple[int, ...],
-        forward: tuple[np.ndarray, ...],
-        inverse: tuple[np.ndarray, ...],
+        forward: tuple[_AxisProduct, ...],
+        inverse: tuple[_AxisProduct, ...],
         lam: np.ndarray,
+        shape: tuple[int, ...],
     ) -> None:
-        self.shape = shape
         self.forward = forward
         self.inverse = inverse
         self.lam = lam
+        self.shape = shape
         self._last: tuple[float, np.ndarray] | None = None
 
     def denominator(self, alpha: float) -> np.ndarray:
-        """1 + alpha lam (read-only), kept for the last alpha asked for.
+        """1 + alpha lam (read-only), in the shape the forward transform
+        leaves, kept for the last alpha asked for.
 
         The alpha and its array are stored and read as one tuple, so a
         concurrent caller never pairs one alpha with another's array.
@@ -265,7 +348,7 @@ class _Spectrum:
         last = self._last
         if last is not None and last[0] == alpha:
             return last[1]
-        denom = 1.0 + alpha * self.lam
+        denom = (1.0 + alpha * self.lam).reshape(self.shape)
         denom.flags.writeable = False
         self._last = (alpha, denom)
         return denom
@@ -332,18 +415,18 @@ def taxis_divergence(
     minus diffusion * lap(carrier).
 
     Each interior face carries, per pair, the velocity
-    q = coeff * (p_R - p_L) / h and transports the carrier value of the
-    upstream cell: q+ c_L + q- c_R with q+ = max(q, 0), q- = min(q, 0).
-    Since q+ = (q + |q|) / 2 and q- = (q - |q|) / 2, that flux is the central
-    flux plus |q| / 2 of numerical diffusion, so the pairs and the carrier
-    diffusion -diffusion (c_R - c_L) / h add up, per face, to
+    q / h = coeff * (p_R - p_L) / h and transports the carrier value of the
+    upstream cell, and the carrier diffusion adds -diffusion (c_R - c_L) / h.
+    With q = coeff * dp, up = sum max(q, 0) + diffusion and
+    total = sum q - up (the sum of min(q, 0), minus diffusion), the flux is
 
-        (c_L + c_R) Q + (c_L - c_R) A,
-        Q = sum_i k_i dp_i / (2h),  A = sum_i |k_i dp_i| / (2h) + diffusion / h,
+        (up c_L + total c_R) / h^2,
 
-    up to round-off; no face selects its upstream cell by a branch. The flux
-    is scaled by 1/h and scattered once. Boundary faces carry no flux, so the
-    volume-weighted sum of the result telescopes to zero.
+    the upwind flux q+ c_L + q- c_R summed over the pairs, plus the diffusion
+    flux; no face selects its upstream cell by a branch. up >= 0 and
+    total <= 0 hold exactly in floating point, so a cell with c = 0 only
+    gains: its rate -div is >= 0 bit for bit. Boundary faces carry no flux,
+    so the volume-weighted sum of the result telescopes to zero.
 
     With out, a flat float64 array of one value per cell, the face pass
     subtracts the divergence from out in place, so out gains the rate
@@ -366,23 +449,26 @@ def taxis_divergence(
         out = np.zeros(c.size)
     for faces in grid._face_table:
         s = faces.stride
-        lower, upper = c[:-s], c[s:]
-        central = upwind = None
+        total = up = None
         for pot, k in pairs:
             p = pot.values
             q = p[s:] - p[:-s]
-            q *= k / (2.0 * faces.h)
-            if central is None:
-                central, upwind = q, np.abs(q)
+            q *= k
+            if total is None:
+                total, up = q, np.maximum(q, 0.0)
             else:
-                central += q
-                upwind += np.abs(q)
-        upwind += diffusion / faces.h
-        flux = lower + upper
-        flux *= central
-        upwind *= lower - upper
-        flux += upwind
-        flux *= faces.inv_h
+                total += q
+                np.maximum(q, 0.0, out=q)
+                up += q
+        # The coefficient of c_L is up = sum q+ + D, that of c_R is
+        # total = sum q - up = sum q- - D.
+        up += diffusion
+        total -= up
+        total *= c[s:]
+        flux = up
+        flux *= c[:-s]
+        flux += total
+        flux *= faces.inv_h2
         # +div adds the flux below the face and takes it above; -div swaps.
         gain, loss = (out[s:], out[:-s]) if subtract else (out[:-s], out[s:])
         gain += flux
@@ -396,7 +482,7 @@ def integrate(f: Field) -> float:
     The summation order is fixed by the flat layout, so repeated evaluation
     on the same input is bitwise reproducible.
     """
-    return float(f.grid.volume_element * np.sum(f.values))
+    return float(f.grid.volume_element * _sum(f.values))
 
 
 def lp_norm(f: Field, p: float) -> float:
@@ -410,7 +496,7 @@ def lp_norm(f: Field, p: float) -> float:
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
     scaled = np.abs(f.values)
-    s = float(scaled.max())
+    s = float(_max(scaled))
     if not 0.0 < s < math.inf:
         return s
     scaled /= s
@@ -420,4 +506,4 @@ def lp_norm(f: Field, p: float) -> float:
 
 def sup_norm(f: Field) -> float:
     """Exact maximum of |f| over cells."""
-    return float(np.max(np.abs(f.values)))
+    return float(_max(np.abs(f.values)))

@@ -97,9 +97,10 @@ def rhs_u(u: Field, v: Field, w: Field, params: ModelParams, dt: float = 1.0) ->
     The result is seeded with the reaction dt mu u (1 - u - w) (zeros when
     mu = 0). Diffusion and taxis are one conservative flux divergence, so one
     face pass of taxis_divergence, with chi, xi and the cell diffusion all
-    scaled by dt, subtracts both from that seed: the cell diffusion enters
-    each face's upwind coefficient (see taxis_divergence). An explicit step
-    adds u to the result once.
+    scaled by dt, subtracts both from that seed: the cell diffusion adds to
+    the coefficient of the lower cell of each face and takes from that of
+    the upper one (see taxis_divergence). An explicit step adds u to the
+    result once.
     """
     if params.mu != 0.0:
         out = 1.0 - u.values

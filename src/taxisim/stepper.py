@@ -26,7 +26,17 @@ from typing import NamedTuple
 import numpy as np
 
 from . import diagnostics
-from .grid import Field, GridSpec, gradient, laplacian, magnitude, sup_norm
+from .grid import (
+    Field,
+    GridSpec,
+    _AxisProduct,
+    _max,
+    _min,
+    gradient,
+    laplacian,
+    magnitude,
+    sup_norm,
+)
 from .model import InitialData, ModelParams, rhs_u, rhs_v, rhs_w
 
 __all__ = [
@@ -51,10 +61,6 @@ _ROUNDOFF_CLAMP = 1e-13
 # a run that cannot finish. It sits well below 1e-12: t_end = 1e9 on an
 # 8-cell 1D grid has ordinary steps of ~1e-12 t_end.
 _MIN_STEPS_FRACTION = 1e-15
-# The ufunc reductions behind ndarray.min and max, called without the
-# Python-level wrapper those methods go through (~0.4 us a call at 64 cells).
-_min = np.minimum.reduce
-_max = np.maximum.reduce
 
 
 class CFLViolation(RuntimeError):
@@ -206,7 +212,7 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
     also reads the suprema of u and v."""
     grad_w = gradient(w)
     lap_w = laplacian(w)
-    sup_w = float(np.max(w.values))
+    sup_w = float(_max(w.values))
     m = max(
         sup_norm(u),
         sup_norm(v),
@@ -330,26 +336,30 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     return dt
 
 
-def _apply_along_axes(x: np.ndarray, mats: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Multiply x by mats[a] along grid axis a; x stores the last axis first.
+def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarray:
+    """Apply each axis product of plan (grid._AxisProduct) to x in turn; x
+    is flat for the forward transform and has the spectrum's shape for the
+    inverse.
 
-    The last array axis is x @ m.T and the one before it m @ x, which
-    broadcasts over a leading stack; axis 0 of a 3D array is swapped into
-    that place and back, as views. So each axis is a stack of small matrix
-    products and no copy is made to move axes. One product over all cells
-    would cross BLAS's threading threshold at 32^3, where thread hand-off
-    made the solve take 47 ms; stacked, it takes 0.35-0.65 ms there on a
-    2-CPU host (0.9-1.2 ms when the axes were moved with copies).
+    Each product reads x through its view, with no copy: axis 0 is
+    (outer, n) @ m.T and any other axis m @ (outer, n, inner), so a 1D grid
+    is one vector product and a 2D grid two matrix products. Past
+    grid._MAX_PRODUCT multiply-adds, about where OpenBLAS starts threads (a
+    loss on a 2-CPU host), one call makes a stack of capped products over
+    blocks of rows, or of columns written through the transposed view of a
+    fresh array.
     """
-    last = x.ndim - 1
-    for axis, m in enumerate(mats):
-        pos = last - axis
-        if pos == last:
-            x = x @ m.T
-        elif pos == last - 1:
+    for shape, m, right, perm in plan:
+        if shape is not None:
+            x = x.reshape(shape)
+        if right:
+            x = x @ m
+        elif perm is None:
             x = m @ x
         else:
-            x = np.swapaxes(m @ np.swapaxes(x, 0, 1), 0, 1)
+            y = np.empty(x.shape)
+            np.matmul(m, x.transpose(perm), out=y.transpose(perm))
+            x = y
     return x
 
 
@@ -358,12 +368,12 @@ def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
 
     The DCT-II diagonalises the discrete Neumann Laplacian axis by axis, so
     the solve is a forward transform, a pointwise divide by
-    1 + alpha sum_a lam_a and the inverse transform. The flat layout (axis 0
-    fastest) is read as a C-order array with the axes reversed. The grid
-    keeps its transform (see grid.py) and the divisor of the last alpha.
+    1 + alpha sum_a lam_a and the inverse transform. The grid keeps its
+    transform, one product per axis over the flat layout (see grid.py), and
+    the divisor of the last alpha.
     """
     spec = grid._spectrum
-    x = _apply_along_axes(b.reshape(spec.shape), spec.forward)
+    x = _apply_along_axes(b, spec.forward)
     x /= spec.denominator(alpha)
     x = _apply_along_axes(x, spec.inverse)
     return x.ravel()
@@ -416,7 +426,7 @@ def _attempt_step(
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
         v_new_vals = _screened_solve(grid, b, alpha)
-        floor = lambda: _ROUNDOFF_CLAMP * max(float(np.abs(b).max()), ext.max_v)
+        floor = lambda: _ROUNDOFF_CLAMP * max(float(_max(np.abs(b))), ext.max_v)
     else:
         v_new_vals = rhs_v(u, v, params).values
         v_new_vals *= dt

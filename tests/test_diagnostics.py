@@ -21,10 +21,13 @@ from taxisim import (
     gradient,
     initial_state,
     laplacian,
+    lemma22_tolerance,
+    magnitude,
     mass_bound_check,
     record,
     run,
     step,
+    take_snapshot,
 )
 
 
@@ -93,6 +96,68 @@ class TestRecord:
         state.u.values[1] = np.nan
         rec = record(state, [2.0])
         assert not rec.finite
+
+
+def wrapper_record(state, p_list):
+    """record's columns with every reduction through the np.max and np.sum
+    wrappers, as they were computed before the ufunc reductions."""
+    g = state.grid
+
+    def mass(f):
+        return float(g.volume_element * np.sum(f.values))
+
+    def lp(f, p):
+        scaled = np.abs(f.values)
+        s = float(scaled.max())
+        scaled /= s
+        scaled **= p
+        return s * float(g.volume_element * np.sum(scaled)) ** (1.0 / p)
+
+    slack, error = monitor_oracle(state)
+    return (
+        mass(state.u),
+        mass(state.v),
+        float(np.max(magnitude(gradient(state.v)).values)),
+        float(np.max(slack)),
+        float(np.max(error)),
+        tuple((float(p), lp(state.u, p)) for p in p_list),
+    )
+
+
+class TestUfuncReductions:
+    """record, lemma22_tolerance and take_snapshot reduce with the ufuncs'
+    own reduce methods; every value stays what the wrappers gave, bit for bit."""
+
+    @pytest.mark.parametrize("extent, cells", ORACLE_GRIDS)
+    def test_equal_to_the_wrappers_on_stepped_states(self, extent, cells):
+        g = GridSpec(extent, cells)
+        rng = np.random.default_rng(5 + sum(cells))
+        u, v, w = (smooth_field(g, rng, nonneg=True) for _ in range(3))
+        state = initial_state(InitialData(u, v, w))
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1.0)
+        p_list = [1.0, 2.0, 3.5]
+        for _ in range(4):
+            state = step(state, p, cfg)
+            rec = record(state, p_list)
+            got = (
+                rec.mass_u, rec.mass_v, rec.sup_grad_v,
+                rec.lemma22_violation, rec.repr_residual, rec.lp_u,
+            )
+            assert got == wrapper_record(state, p_list)
+            Iv = state.Iv.values
+            scale = state.anchor.M * (
+                1.0 + float(np.max(Iv)) + float(np.max(magnitude(gradient(state.Iv)).values))
+            )
+            h = max(g.spacing)
+            tol = 10.0 * (h * h + state.last_dt) * scale
+            assert lemma22_tolerance(state, state.last_dt) == tol
+            snap = take_snapshot(state.t, state.u, state.v, state.w)
+            grad_w = magnitude(gradient(state.w)).values
+            sups = [np.abs(f.values) for f in (state.u, state.v, state.w)]
+            sups += [grad_w, np.abs(laplacian(state.w).values)]
+            assert snap.M == max(float(np.max(a)) for a in sups)
+            assert snap.sup_w == float(np.max(state.w.values))
 
 
 def monitor_oracle(state):

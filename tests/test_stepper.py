@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import taxisim.diagnostics as diagnostics_mod
+import taxisim.grid as grid_mod
 import taxisim.stepper as stepper_mod
 from conftest import ORACLE_GRIDS, smooth_field
 from taxisim import (
@@ -479,14 +480,27 @@ class TestEllipticSolve:
                 floor = -1e-13 * float(np.max(u.values))
                 assert float(np.min(v.values)) >= floor
 
+    # Grids whose transforms exceed the per-product cap: axis 0 in row
+    # blocks (128, 6, 3), the slowest axis in column blocks (3, 6, 128), a
+    # middle axis in column blocks under a stack (40, 100, 2), and axis 0 of
+    # a 2D grid in row blocks (100, 40). Spacings of 0.4-0.7 keep
+    # I - alpha lap well conditioned, so the residual measures the solve.
+    BLOCKED = [
+        ((51.2, 3.0, 2.1), (128, 6, 3)),
+        ((2.1, 3.0, 51.2), (3, 6, 128)),
+        ((16.0, 50.0, 1.4), (40, 100, 2)),
+        ((40.0, 20.0), (100, 40)),
+    ]
+
     @pytest.mark.parametrize(
         "extent, cells",
-        [((1.3,), (5,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (4, 7, 5))],
+        [((1.3,), (5,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (4, 7, 5)), *BLOCKED],
     )
     @pytest.mark.parametrize("alpha", [1e-3, 1.0])
     def test_screened_solve_is_exact_on_anisotropic_grids(self, extent, cells, alpha):
         # Unequal cell counts and spacings per axis pin down the axis-0-fastest
-        # layout and the per-axis h, which a cubic grid cannot.
+        # layout and the per-axis h, which a cubic grid cannot; the BLOCKED
+        # grids take the capped products.
         g = GridSpec(extent, cells)
         b = np.random.default_rng(3).random(g.num_cells)
         x = stepper_mod._screened_solve(g, b, alpha)
@@ -505,6 +519,42 @@ class TestEllipticSolve:
             x = stepper_mod._screened_solve(g, b, alpha)
             fresh = stepper_mod._screened_solve(GridSpec(extent, cells), b, alpha)
             assert x.tobytes() == fresh.tobytes()
+
+    @staticmethod
+    def einsum_transform(g, b, transpose=False):
+        """The orthonormal DCT-II along every axis, one np.einsum per axis on
+        the nd array (the transposes when transpose), returned flat."""
+        x = b.reshape(g.cells, order="F")
+        letters = "abc"[: g.dim]
+        for axis, n in enumerate(g.cells):
+            k = np.arange(n)[:, None]
+            c = np.sqrt(2.0 / n) * np.cos(np.pi * k * (np.arange(n) + 0.5) / n)
+            c[0] *= np.sqrt(0.5)
+            m = c.T if transpose else c
+            out = letters.replace(letters[axis], "z")
+            x = np.einsum(f"z{letters[axis]},{letters}->{out}", m, x)
+        return x.ravel(order="F")
+
+    @pytest.mark.parametrize("extent, cells", BLOCKED)
+    def test_blocked_transform_is_the_per_axis_transform(self, extent, cells):
+        g = GridSpec(extent, cells)
+        spec = g._spectrum
+        # The cap does split a product on each of these grids: axis 0 into a
+        # stack of row blocks, or another axis into column blocks.
+        views = [grid_mod._axis_view(g.cells, axis) for axis in range(g.dim)]
+        unsplit = [len(views[0][0]) < 3, *(perm is None for _, perm in views[1:])]
+        assert not all(unsplit)
+        b = np.random.default_rng(8).uniform(-1.0, 1.0, g.num_cells)
+        sup_b = np.max(np.abs(b))
+        hat = stepper_mod._apply_along_axes(b, spec.forward)
+        ref = self.einsum_transform(g, b)
+        assert np.max(np.abs(hat.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
+        back = stepper_mod._apply_along_axes(b.reshape(spec.shape), spec.inverse).ravel()
+        ref = self.einsum_transform(g, b, transpose=True)
+        assert np.max(np.abs(back - ref)) <= 1e-13 * np.max(np.abs(ref))
+        # The cosine matrices are orthonormal to ~n eps: 2.5e-14 at n = 128.
+        identity = stepper_mod._apply_along_axes(hat, spec.inverse).ravel()
+        assert np.max(np.abs(identity - b)) <= 1e-13 * sup_b
 
     @pytest.mark.parametrize("tau, scheme", [(0, "explicit"), (1, "imex-diffusion")])
     @pytest.mark.parametrize(

@@ -1,14 +1,21 @@
 """Time integration with positivity safeguards and step-size control.
 
-Each step advances the fields in a fixed order: the signal v first (explicit
-Euler, an implicit-diffusion variant, or a screened Poisson solve when it is
-slaved to the cells; both implicit variants use one exact cosine-transform
-solve), then the substrate w, then the cells u by explicit Euler
-with upwind transport. One trapezoidal accumulator, Iv, carries the per-cell
-integral of v since the anchor snapshot; the integral of grad v is its
-gradient, since the gradient is linear. With eta = 0 the substrate is
-evaluated directly from the representation w = w_anchor * exp(-Iv), which
-keeps that identity exact to round-off for the whole run.
+A step takes its size from stable_dt, which also names the limit that set
+it and the time the step must land on, and then runs three phases in a fixed
+order, each a module-level function:
+
+- _signal_phase advances the signal v (explicit Euler, an implicit-diffusion
+  variant, or a screened Poisson solve when it is slaved to the cells; both
+  implicit variants use one exact cosine-transform solve);
+- _substrate_phase advances the signal integral Iv and the substrate w;
+- _cell_phase advances the cells u by explicit Euler with upwind transport,
+  using the new v and w.
+
+One trapezoidal accumulator, Iv, carries the per-cell integral of v since the
+anchor snapshot; the integral of grad v is its gradient, since the gradient
+is linear. With eta = 0 the substrate is evaluated directly from the
+representation w = w_anchor * exp(-Iv), which keeps that identity exact to
+round-off for the whole run.
 
 Steps that produce negativity beyond round-off are rejected and retried with
 a halved dt (at most 10 halvings); runs terminate cleanly on divergence
@@ -57,10 +64,12 @@ __all__ = [
 _EPS_RATE = 1e-30
 _MAX_HALVINGS = 10
 _ROUNDOFF_CLAMP = 1e-13
-# A stability step below this fraction of t_end means more than 10^15 steps,
-# a run that cannot finish. It sits well below 1e-12: t_end = 1e9 on an
-# 8-cell 1D grid has ordinary steps of ~1e-12 t_end.
-_MIN_STEPS_FRACTION = 1e-15
+# A run that needs more than this many steps cannot finish: a stability step
+# below t_end / _MAX_STEPS raises, and so does a dt_max below it. That floor
+# sits well below 1e-12 t_end (t_end = 1e9 on an 8-cell 1D grid has ordinary
+# steps of ~1e-12 t_end) and above half the spacing of floats near t_end
+# (~1.1e-16 t_end), so a step of that size still moves the clock.
+_MAX_STEPS = 1e15
 
 
 class CFLViolation(RuntimeError):
@@ -105,6 +114,13 @@ class SolverConfig:
             raise ValueError("cfl_safety must be in (0, 1]")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be > 0")
+        # Counted as t_end / dt_max steps, so that dt_max = 1e-6 at t_end = 1e9
+        # (exactly 10^15 steps) passes: 1e-15 * t_end rounds above 1e-6.
+        if self.t_end / self.dt_max > _MAX_STEPS:
+            raise ValueError(
+                f"dt_max must be at least t_end / {_MAX_STEPS:.0e}: a smaller "
+                f"cap needs more than {_MAX_STEPS:.0e} steps"
+            )
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be > 0")
         if not 0.0 <= self.anchor_time < self.t_end:
@@ -274,14 +290,34 @@ def _next_landing(t: float, cfg: SolverConfig) -> float:
     return landing
 
 
-def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
-    """Largest safe step for the explicit updates.
+class StepSize(float):
+    """A step size that also says where it came from.
+
+    binding names the limit that set it: "diffusion", "transport (axis a)",
+    "reaction", or one of the caps "dt_max" and "landing". landing is the
+    time the step must end on exactly: the next output time, the anchor time
+    or t_end. Arithmetic on it and float() of it give plain floats.
+    """
+
+    __slots__ = ("binding", "landing")
+
+    def __new__(cls, dt: float, binding: str, landing: float) -> StepSize:
+        self = super().__new__(cls, dt)
+        self.binding = binding
+        self.landing = landing
+        return self
+
+
+def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSize:
+    """Largest safe step for the explicit updates, with its binding limit and
+    its landing (see StepSize).
 
     Takes cfl_safety times the minimum of the diffusion limit 1/(2 sum h_a^-2)
     (equal to h^2/(2 dim) on cubic cells), the per-axis transport limit
-    h_a / max|chi (grad v)_a| + |xi (grad w)_a|, and the reaction limit
+    h_a / max(|chi (grad v)_a| + |xi (grad w)_a|), and the reaction limit
     1 / (mu (1 + sup u + sup w)), then caps the result by dt_max and by exact
-    landing on the next output time, the anchor time and the final time.
+    landing on the next output time, the anchor time and the final time. A
+    cap binds only when it is strictly smaller than the step it caps.
 
     The central gradient of a field is at most its range R = max - min over
     2 h_a, so the transport limit on axis a is at least
@@ -292,7 +328,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
     R_w from w itself (see SimState). A non-finite extremum, range of w or
     transport speed raises Diverged: the state is non-finite, or its
     gradient overflows (a finite v near the float limit). A
-    stability step (before the caps) below 1e-15 * t_end, which would take
+    stability step (before the caps) below t_end / 10^15, which would take
     more than 10^15 steps, raises ValueError naming the limit that binds.
     """
     ext = state.field_extrema()
@@ -324,16 +360,20 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> float:
         limit, binding = reaction, "reaction"
 
     dt = cfg.cfl_safety * limit
-    if dt < _MIN_STEPS_FRACTION * cfg.t_end:
+    if dt < cfg.t_end / _MAX_STEPS:
         raise ValueError(
             f"the {binding} limit gives dt={dt!r} at t={state.t!r}, below "
-            f"{_MIN_STEPS_FRACTION!r} * t_end: the run would need more than "
-            f"{1.0 / _MIN_STEPS_FRACTION:.0e} steps"
+            f"t_end / {_MAX_STEPS:.0e}: the run would need more than "
+            f"{_MAX_STEPS:.0e} steps"
         )
-    dt = min(dt, cfg.dt_max, _next_landing(state.t, cfg) - state.t)
+    if cfg.dt_max < dt:
+        dt, binding = cfg.dt_max, "dt_max"
+    landing = _next_landing(state.t, cfg)
+    if landing - state.t < dt:
+        dt, binding = landing - state.t, "landing"
     if dt <= 0.0:
         raise ValueError("no positive step available (already at t_end?)")
-    return dt
+    return StepSize(dt, binding, landing)
 
 
 def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarray:
@@ -408,44 +448,48 @@ def _clamp_negatives(values: np.ndarray, floor: Callable[[], float]) -> float:
     return max(low, 0.0)
 
 
-def _attempt_step(
-    state: SimState, params: ModelParams, cfg: SolverConfig, dt: float
-) -> SimState:
-    grid = state.grid
-    u, v, w = state.u, state.v, state.w
-    # The clamp floors read max v as sup |v|: equal, since v >= 0.
-    ext = state.field_extrema()
+def _signal_phase(
+    state: SimState, params: ModelParams, cfg: SolverConfig, dt: float, max_v: float
+) -> tuple[Field, float]:
+    """Phase 1: v at t + dt and its minimum after the round-off clamp.
 
-    # (1) signal update. Slaved to the cells (tau = 0) or with implicit
-    # diffusion, v solves (I - alpha lap) v = b. The exact inverse of
-    # I - alpha lap is nonnegative, so the solve only needs its transform
-    # round-off clamped.
+    Slaved to the cells (tau = 0) or with implicit diffusion, v solves
+    (I - alpha lap) v = b. The exact inverse of I - alpha lap is nonnegative,
+    so the solve only needs its transform round-off clamped. max_v is sup v
+    at t (max v equals sup |v|, since v >= 0), which scales the clamp floor.
+    """
+    u, v = state.u, state.v
     if params.tau == 0 or cfg.time_scheme == "imex-diffusion":
         if params.tau == 0:
             b, alpha = u.values, 1.0
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
-        v_new_vals = _screened_solve(grid, b, alpha)
-        floor = lambda: _ROUNDOFF_CLAMP * max(float(_max(np.abs(b))), ext.max_v)
+        v_new_vals = _screened_solve(state.grid, b, alpha)
+        floor = lambda: _ROUNDOFF_CLAMP * max(float(_max(np.abs(b))), max_v)
     else:
         v_new_vals = rhs_v(u, v, params).values
         v_new_vals *= dt
         v_new_vals += v.values
-        floor = lambda: _ROUNDOFF_CLAMP * ext.max_v
+        floor = lambda: _ROUNDOFF_CLAMP * max_v
     min_v = _clamp_negatives(v_new_vals, floor)
-    v_new = Field(grid, v_new_vals)
+    return Field(state.grid, v_new_vals), min_v
 
-    # (4, computed early so the w update can reuse it) trapezoidal accumulator
-    iv_new_vals = v.values + v_new_vals
+
+def _substrate_phase(
+    state: SimState, params: ModelParams, v_new: Field, dt: float
+) -> tuple[Field, Field]:
+    """Phase 2: the trapezoidal signal integral Iv and the substrate w at
+    t + dt, from the old and the new v."""
+    grid = state.grid
+    v, w = state.v, state.w
+    iv_new_vals = v.values + v_new.values
     iv_new_vals *= 0.5 * dt
     iv_new_vals += state.Iv.values
-    iv_new = Field(grid, iv_new_vals)
     # Iv >= 0, so its max is finite unless Iv holds +inf or NaN, which the
     # w update below can turn into a finite w = 0.
     if not math.isfinite(_max(iv_new_vals)):
         raise Diverged(f"non-finite signal integral at t={state.t!r}", state=state)
 
-    # (2) substrate update
     anchor = state.anchor
     if params.eta == 0.0:
         # Exact exponential of the accumulated integral; evaluating from the
@@ -454,29 +498,47 @@ def _attempt_step(
         np.exp(w_new_vals, out=w_new_vals)
         w_new_vals *= anchor.w_s0.values
     else:
-        v_half = Field(grid, 0.5 * (v.values + v_new_vals))
+        u = state.u
+        v_half = Field(grid, 0.5 * (v.values + v_new.values))
         w_half = Field(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
         k2 = rhs_w(u, v_half, w_half, params).values
         w_new_vals = np.clip(w.values + dt * k2, 0.0, anchor.sup_w)
-    w_new = Field(grid, w_new_vals)
+    return Field(grid, iv_new_vals), Field(grid, w_new_vals)
 
-    # (3) cell update, using the fresh v and w
+
+def _cell_phase(
+    state: SimState, params: ModelParams, v_new: Field, w_new: Field, dt: float, max_u: float
+) -> tuple[Field, float]:
+    """Phase 3: u at t + dt from the new v and w, and its minimum after the
+    round-off clamp (max_u, sup u at t, scales the clamp floor)."""
+    u = state.u
     u_new_vals = rhs_u(u, v_new, w_new, params, dt=dt).values
     u_new_vals += u.values
-    min_u = _clamp_negatives(u_new_vals, lambda: _ROUNDOFF_CLAMP * max(ext.max_u, _EPS_RATE))
+    min_u = _clamp_negatives(u_new_vals, lambda: _ROUNDOFF_CLAMP * max(max_u, _EPS_RATE))
+    return Field(state.grid, u_new_vals), min_u
 
+
+def _attempt_step(
+    state: SimState, params: ModelParams, cfg: SolverConfig, dt: float
+) -> SimState:
+    """One step of size dt through the three phases; a clamp that meets more
+    than round-off negativity raises _RetryStep."""
+    ext = state.field_extrema()
+    v_new, min_v = _signal_phase(state, params, cfg, dt, ext.max_v)
+    iv_new, w_new = _substrate_phase(state, params, v_new, dt)
+    u_new, min_u = _cell_phase(state, params, v_new, w_new, dt, ext.max_u)
     return SimState(
         t=state.t + dt,
-        u=Field(grid, u_new_vals),
+        u=u_new,
         v=v_new,
         w=w_new,
         Iv=iv_new,
-        anchor=anchor,
+        anchor=state.anchor,
         last_dt=dt,
         extrema=Extrema(
-            min_u, float(_max(u_new_vals)),
-            min_v, float(_max(v_new_vals)),
-            float(_min(w_new_vals)), float(_max(w_new_vals)),
+            min_u, float(_max(u_new.values)),
+            min_v, float(_max(v_new.values)),
+            float(_min(w_new.values)), float(_max(w_new.values)),
         ),
     )
 
@@ -495,12 +557,13 @@ def _check_divergence(state: SimState, cfg: SolverConfig) -> None:
 def step(state: SimState, params: ModelParams, cfg: SolverConfig) -> SimState:
     """Advance one accepted step; retries with halved dt on rejection.
 
-    A step that ends within 1e-9 * min(output_every, t_end) of the next
-    landing time (output, anchor or t_end) sets t to that time exactly, so
-    the rounding of t + dt never accumulates into the clock.
+    A step that ends within 1e-9 * min(output_every, t_end) of the landing
+    stable_dt found (the next output, anchor or t_end) sets t to that time
+    exactly, so the rounding of t + dt never accumulates into the clock. The
+    new state's last_dt is a plain float.
     """
-    dt = stable_dt(state, params, cfg)
-    landing = _next_landing(state.t, cfg)
+    proposed = stable_dt(state, params, cfg)
+    landing, dt = proposed.landing, float(proposed)
     for _ in range(_MAX_HALVINGS + 1):
         try:
             new = _attempt_step(state, params, cfg, dt)
@@ -549,7 +612,7 @@ def run(
     the accumulator reset. Positivity and the substrate ceiling are
     monitored after every accepted step; step failures (divergence,
     persistent negativity) become the outcome status. A run that cannot
-    proceed raises ValueError: the stability step falls below 1e-15 * t_end
+    proceed raises ValueError: the stability step falls below t_end / 10^15
     (more than 10^15 steps; the message names the binding limit).
     """
     state = initial_state(init)

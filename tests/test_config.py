@@ -51,6 +51,9 @@ OUT_OF_RANGE = [
     ("solver.output_every", "0"),
     ("solver.cfl_safety", "2"),
     ("solver.dt_max", "0"),
+    # T_end = 1: more than 10^15 steps of dt_max
+    ("solver.dt_max", "1e-17"),
+    ("solver.dt_max", "1e-300"),
     ("solver.blowup_threshold", "0"),
     ("solver.anchor_time", "1"),
     ("solver.anchor_time", "-0.5"),

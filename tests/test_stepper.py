@@ -82,6 +82,9 @@ class TestSolverConfig:
             {"t_end": 1.0, "anchor_time": 1.0},
             {"t_end": 1.0, "time_scheme": "verlet"},
             {"t_end": 1.0, "dt_max": 0.0},
+            # more than 10^15 steps of dt_max: t + 1e-17 rounds to t from
+            # t = 0.125 on, so such a run would never end
+            {"t_end": 1.0, "dt_max": 1e-17},
         ],
     )
     def test_validation(self, kwargs):
@@ -140,10 +143,17 @@ class TestStableDt:
         init = ScenarioSpec(name="steady").build(g)
         p = ModelParams(chi=1.0, mu=0.0)
         state = initial_state(init)
-        assert stable_dt(state, p, SolverConfig(t_end=1e9, output_every=1e9, dt_max=1e-6)) == 1e-6
+        cfg = SolverConfig(t_end=1e9, output_every=1e9, dt_max=1e-6)
+        dt = stable_dt(state, p, cfg)
+        assert dt == 1e-6
+        assert dt.binding == "dt_max"
+        assert dt.landing == stepper_mod._next_landing(state.t, cfg)
         # landing on the next output time
-        dt = stable_dt(state, p, SolverConfig(t_end=10.0, output_every=1e-5))
+        cfg = SolverConfig(t_end=10.0, output_every=1e-5)
+        dt = stable_dt(state, p, cfg)
         assert dt == pytest.approx(1e-5, rel=1e-9)
+        assert dt.binding == "landing"
+        assert dt.landing == stepper_mod._next_landing(state.t, cfg)
 
     def test_unfinishable_step_names_its_limit(self):
         # mu = 1e300 gives a reaction limit of ~1e-301: reaching t_end = 0.01
@@ -274,8 +284,11 @@ class TestStableDtRangeBound:
         dt, found = exact_stable_dt(state, params, cfg)
         assert found == binding
         calls = count_gradients(monkeypatch)
-        assert stable_dt(state, params, cfg) == dt
+        proposed = stable_dt(state, params, cfg)
         assert len(calls) == (0 if skips else 2)
+        assert proposed == dt
+        assert proposed.binding == found
+        assert proposed.landing == stepper_mod._next_landing(state.t, cfg)
         # States that step produced carry their extrema, which stable_dt
         # reads for the range of v.
         for _ in range(3):
@@ -649,6 +662,39 @@ class TestRun:
         assert out.steps == 2000
         assert [rec.t for rec in out.records] == [k * 0.1 for k in range(1001)]
         assert min(dts) >= 0.05 * (1.0 - 1e-12)
+
+    def test_one_landing_per_step_and_plain_float_steps(self, monkeypatch):
+        # step reads the landing from the step size stable_dt returns, so
+        # _next_landing runs once per step. Downstream of stable_dt every
+        # step size is a plain float: last_dt, the step size divided by 2
+        # (as the acceptance tests do) and float() of it.
+        landings = []
+        next_landing = stepper_mod._next_landing
+        monkeypatch.setattr(
+            stepper_mod, "_next_landing", lambda t, cfg: landings.append(t) or next_landing(t, cfg)
+        )
+        dts = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            new = original(state, params, cfg)
+            dts.append(new.last_dt)
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        g = GridSpec((1.0,), (16,))
+        init = ScenarioSpec(name="gaussian-bump").build(g)
+        p = ModelParams(chi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1.0, output_every=0.25, anchor_time=0.3)
+        out = run(init, p, cfg)
+        assert out.status == "completed"
+        assert out.steps == len(dts) == len(landings) > 0
+        assert {type(dt) for dt in dts} == {float}
+        assert out.final_state.anchor.s0 == 0.3
+        proposed = stable_dt(initial_state(init), p, cfg)
+        assert isinstance(proposed, float)
+        assert type(proposed / 2.0) is float
+        assert type(float(proposed)) is float
 
     def test_step_ending_a_rounding_error_short_of_an_output_lands_on_it(self):
         g = GridSpec((1.0,), (2,))  # steady state, dt = 0.05

@@ -204,16 +204,22 @@ def _fields(section: str, sec: dict[str, str]) -> dict[str, object]:
 def _build(section: str, cls, fields: dict[str, object]):
     """cls(**fields), with a rejected field reported under its config key.
 
-    The dataclasses start every error message with the field name.
+    The dataclasses start every error message with the field name. A field
+    whose config key differs (t_end is T_end) is named by its key throughout
+    the message.
     """
     try:
         return cls(**fields)
     except ValueError as exc:
-        field, _, message = str(exc).partition(" ")
+        text = str(exc)
         for key in _KEYS[section]:
-            if _FIELD_OF.get(key, key) == field:
-                raise ValidationError(f"{section}.{key}", message) from None
-        raise ValidationError(f"[{section}]", str(exc)) from None
+            field = _FIELD_OF.get(key, key)
+            if field != key:
+                text = re.sub(rf"\b{field}\b", key, text)
+        key, _, message = text.partition(" ")
+        if key in _KEYS[section]:
+            raise ValidationError(f"{section}.{key}", message) from None
+        raise ValidationError(f"[{section}]", text) from None
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:

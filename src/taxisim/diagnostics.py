@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, _max, gradient, integrate, laplacian, lp_norm, magnitude
+from .grid import GridSpec, _max, _min, gradient, integrate, laplacian, lp_norm, magnitude
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
@@ -107,7 +107,7 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         sup_v=ext.max_v,
         min_w=ext.min_w,
         sup_w=ext.max_w,
-        sup_grad_v=float(_max(magnitude(gradient(state.v)).values)),
+        sup_grad_v=_max(magnitude(gradient(state.v)).values),
         lemma22_violation=lem,
         repr_residual=rep,
         lp_u=tuple((float(p), lp_norm(state.u, p)) for p in p_list),
@@ -140,9 +140,9 @@ def _substrate_monitors(state: SimState) -> tuple[float, float]:
     slack -= anchor.w_s0.values / math.e
     slack -= anchor.w_s0.values * state.v.values * env
     slack -= laplacian(state.w).values
-    worst = float(_max(slack))
+    worst = _max(slack)
     violation = 0.0 if worst <= 0.0 else worst  # a NaN slack stays NaN
-    residual = float(_max(np.abs(state.w.values - env * anchor.w_s0.values)))
+    residual = _max(np.abs(state.w.values - env * anchor.w_s0.values))
     return violation, residual
 
 
@@ -151,8 +151,8 @@ def lemma22_tolerance(state: SimState, dt: float) -> float:
     h = max(state.grid.spacing)
     scale = state.anchor.M * (
         1.0
-        + float(_max(state.Iv.values))
-        + float(_max(magnitude(gradient(state.Iv)).values))
+        + _max(state.Iv.values)
+        + _max(magnitude(gradient(state.Iv)).values)
     )
     return LEMMA22_TOL_FACTOR * (h * h + dt) * scale
 
@@ -209,7 +209,7 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
 
     finite_sups = sups[~flagged]
     if finite_sups.size:
-        max_sup = float(np.max(finite_sups))
+        max_sup = _max(finite_sups)
         t_of_max = float(times[~flagged][int(np.argmax(finite_sups))])
     else:
         max_sup = math.inf
@@ -225,12 +225,12 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     span = t1 - t0
     slack = 1e-12 * span
     first_half = sups[times <= t0 + 0.5 * span + slack]
-    if sups[-1] > GROWTH_FACTOR * float(np.max(first_half)):
+    if sups[-1] > GROWTH_FACTOR * _max(first_half):
         return BoundednessVerdict("growing", max_sup, t_of_max)
 
     quarter = sups[times >= t1 - 0.25 * span - slack]
-    q_max = float(np.max(quarter))
-    q_min = float(np.min(quarter))
+    q_max = _max(quarter)
+    q_min = _min(quarter)
     variation = (q_max - q_min) / max(abs(q_max), 1e-300)
     if variation < PLATEAU_FRACTION and max_sup <= GROWTH_FACTOR * float(sups[0]):
         return BoundednessVerdict("bounded", max_sup, t_of_max)

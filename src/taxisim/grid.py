@@ -180,10 +180,23 @@ class GridSpec:
 
 _FLOAT64 = np.dtype(np.float64)
 
-# The ufunc reductions behind ndarray.min, max and sum, called without the
-# Python-level wrapper those methods go through (~0.4 us a call at 64 cells).
-_min = np.minimum.reduce
-_max = np.maximum.reduce
+# Extrema go through argmin/argmax: each returns the extreme element itself as
+# a Python float, and NaN propagates, since both return the index of the
+# first NaN. On a 2-CPU Xeon with numpy 2.4, x.item(x.argmax()) takes
+# ~0.4 us at 64 cells where float(np.maximum.reduce(x)) takes 1.1-2.0 us,
+# 1.4 against 2.2 us at 16^3, about the same at 32^3 (6.3 against 6.7 us)
+# and ~10% more at 64^3 (63 against 57 us). Sums stay the ufunc reduction,
+# whose fixed order over the flat layout fixes the quadrature.
+def _min(x: np.ndarray) -> float:
+    """Smallest element of x, or its first NaN."""
+    return x.item(x.argmin())
+
+
+def _max(x: np.ndarray) -> float:
+    """Largest element of x, or its first NaN."""
+    return x.item(x.argmax())
+
+
 _sum = np.add.reduce
 
 
@@ -496,7 +509,7 @@ def lp_norm(f: Field, p: float) -> float:
     if not p >= 1.0:
         raise ValueError("p must be >= 1")
     scaled = np.abs(f.values)
-    s = float(_max(scaled))
+    s = _max(scaled)
     if not 0.0 < s < math.inf:
         return s
     scaled /= s
@@ -506,4 +519,4 @@ def lp_norm(f: Field, p: float) -> float:
 
 def sup_norm(f: Field) -> float:
     """Exact maximum of |f| over cells."""
-    return float(_max(np.abs(f.values)))
+    return _max(np.abs(f.values))

@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, GridSpec, laplacian, taxis_divergence
+from .grid import Field, GridSpec, _max, _min, laplacian, taxis_divergence
 
 __all__ = [
     "ModelParams",
@@ -83,7 +83,7 @@ class InitialData:
                 raise ValueError("initial fields must share a grid")
             if not f.is_finite():
                 raise ValueError(f"{name} must be finite")
-            if np.min(f.values) < 0.0:
+            if _min(f.values) < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
 
     @property
@@ -348,7 +348,7 @@ def ode_reference(
 
     times = [0.0]
     states = [y]
-    if np.max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
+    if _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
         return OdeTrajectory(np.array(times), np.array(states), diverged=True)
 
     n_full = int(np.floor(t_end / dt + 1e-9))
@@ -367,6 +367,6 @@ def ode_reference(
             y[1] = y[0]
         times.append(t_end if i == len(step_sizes) else i * dt)
         states.append(y)
-        if not np.isfinite(y).all() or np.max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
+        if not np.isfinite(y).all() or _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
             return OdeTrajectory(np.array(times), np.array(states), diverged=True)
     return OdeTrajectory(np.array(times), np.array(states), diverged=False)

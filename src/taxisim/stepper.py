@@ -168,9 +168,9 @@ class Extrema(NamedTuple):
     @classmethod
     def of(cls, u: np.ndarray, v: np.ndarray, w: np.ndarray) -> Extrema:
         return cls(
-            float(_min(u)), float(_max(u)),
-            float(_min(v)), float(_max(v)),
-            float(_min(w)), float(_max(w)),
+            _min(u), _max(u),
+            _min(v), _max(v),
+            _min(w), _max(w),
         )
 
     @property
@@ -190,7 +190,8 @@ class SimState:
     output).
     extrema holds the minima and maxima of u, v and w that step finds on
     every state it accepts: min u and min v come from the positivity clamps,
-    which take them anyway, and one pass each gives the other four. The
+    which take them anyway, and one pass each gives the other four. run
+    sets it once on the initial state; initial_state leaves it None. The
     divergence check, run, the records and the next step read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step. Mostly it spreads into the
@@ -228,7 +229,7 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
     also reads the suprema of u and v."""
     grad_w = gradient(w)
     lap_w = laplacian(w)
-    sup_w = float(_max(w.values))
+    sup_w = _max(w.values)
     m = max(
         sup_norm(u),
         sup_norm(v),
@@ -339,7 +340,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     limit, binding = grid._diffusion_limit, "diffusion"
 
     w = state.w.values
-    range_w = float(_max(w)) - float(_min(w))
+    range_w = _max(w) - _min(w)
     if not math.isfinite(range_w):
         raise Diverged(f"non-finite substrate at t={state.t!r}", state=state)
     spread = params.chi * (ext.max_v - ext.min_v) + params.xi * range_w
@@ -348,7 +349,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
         for axis, (h, grad_v, grad_w) in enumerate(axes):
             speed = np.abs(params.chi * grad_v.values)
             speed += np.abs(params.xi * grad_w.values)
-            peak = float(_max(speed))
+            peak = _max(speed)
             if not math.isfinite(peak):
                 raise Diverged(f"non-finite transport speed at t={state.t!r}", state=state)
             transport = h / (peak + _EPS_RATE)
@@ -439,7 +440,7 @@ def _clamp_negatives(values: np.ndarray, floor: Callable[[], float]) -> float:
     minimum low before it, which is low itself when it is NaN or -inf (a
     non-finite state, which no smaller dt repairs).
     """
-    low = float(_min(values))
+    low = _min(values)
     if not -math.inf < low < 0.0:
         return low
     if low < -floor():
@@ -465,7 +466,7 @@ def _signal_phase(
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
         v_new_vals = _screened_solve(state.grid, b, alpha)
-        floor = lambda: _ROUNDOFF_CLAMP * max(float(_max(np.abs(b))), max_v)
+        floor = lambda: _ROUNDOFF_CLAMP * max(_max(np.abs(b)), max_v)
     else:
         v_new_vals = rhs_v(u, v, params).values
         v_new_vals *= dt
@@ -536,9 +537,9 @@ def _attempt_step(
         anchor=state.anchor,
         last_dt=dt,
         extrema=Extrema(
-            min_u, float(_max(u_new.values)),
-            min_v, float(_max(v_new.values)),
-            float(_min(w_new.values)), float(_max(w_new.values)),
+            min_u, _max(u_new.values),
+            min_v, _max(v_new.values),
+            _min(w_new.values), _max(w_new.values),
         ),
     )
 
@@ -616,6 +617,9 @@ def run(
     (more than 10^15 steps; the message names the binding limit).
     """
     state = initial_state(init)
+    # One pass over the t = 0 fields serves the run's summary, the first
+    # record and the first step.
+    state.extrema = ext = Extrema.of(state.u.values, state.v.values, state.w.values)
     records: list = []
 
     def emit(st: SimState) -> None:
@@ -624,7 +628,6 @@ def run(
         if snapshot_sink is not None:
             snapshot_sink(st)
 
-    ext = state.field_extrema()
     min_u, min_v, min_w, max_w = ext.min_u, ext.min_v, ext.min_w, ext.max_w
     max_sup_u = ext.max_u
     t_of_max = 0.0

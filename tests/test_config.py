@@ -230,6 +230,19 @@ class TestValidation:
         with pytest.raises(ValidationError, match="^" + re.escape(key) + " "):
             parse_config(with_value(key, value))
 
+    @pytest.mark.parametrize(
+        "solver,key",
+        [("T_end=1 dt_max=1e-300", "solver.dt_max"), ("T_end=1 anchor_time=1", "solver.anchor_time")],
+    )
+    def test_messages_name_the_config_key_t_end(self, solver, key):
+        # The SolverConfig field is t_end; the message names the key T_end.
+        with pytest.raises(ValidationError) as info:
+            parse_config(f"[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] {solver}")
+        message = str(info.value)
+        assert message.startswith(key + " ")
+        assert "T_end" in message
+        assert "t_end" not in message
+
     def test_bad_time_scheme(self):
         with pytest.raises(ValidationError, match=r"solver\.time_scheme"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] T_end=1 time_scheme=magic")

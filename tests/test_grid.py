@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import inspect
+import math
 import pickle
 
 import numpy as np
@@ -575,3 +576,40 @@ class TestReductions:
         assert lp_norm(Field.zeros(g), 3.0) == 0.0
         assert lp_norm(Field(g, [1.0, np.inf, 0.0, 2.0]), 2.0) == np.inf
         assert np.isnan(lp_norm(Field(g, [1.0, np.nan, 0.0, 2.0]), 2.0))
+
+
+class TestExtremaHelpers:
+    """grid._min and grid._max return an element of the array as a float."""
+
+    @pytest.mark.parametrize("n", [1, 2, 64, 4096, 32768])
+    def test_match_numpy_min_and_max(self, n):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=n)
+        for a in (x, x[::3], x[::-1]):
+            assert grid_mod._min(a) == np.min(a)
+            assert grid_mod._max(a) == np.max(a)
+
+    def test_match_numpy_on_a_2d_array_and_its_transpose(self):
+        x = np.random.default_rng(5).normal(size=(17, 9))
+        for a in (x, x.T, x[1::2, ::-1]):
+            assert grid_mod._min(a) == np.min(a)
+            assert grid_mod._max(a) == np.max(a)
+
+    def test_return_python_floats(self):
+        x = np.array([3.0, -1.0, 2.0])
+        for value in (grid_mod._min(x), grid_mod._max(x)):
+            assert type(value) is float
+        assert (grid_mod._min(x), grid_mod._max(x)) == (-1.0, 3.0)
+
+    @pytest.mark.parametrize("at", [0, 31, 63])
+    @pytest.mark.parametrize("beside", [None, np.inf, -np.inf])
+    def test_nan_propagates_from_any_cell(self, at, beside):
+        x = np.random.default_rng(at).uniform(size=64)
+        x[at] = np.nan
+        if beside is not None:
+            x[(at + 1) % 64] = beside
+            x[(at - 1) % 64] = -beside
+        assert math.isnan(grid_mod._min(x))
+        assert math.isnan(grid_mod._max(x))
+        ext = stepper_mod.Extrema.of(np.ones(64), x, np.ones(64))
+        assert not ext.finite

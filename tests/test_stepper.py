@@ -902,6 +902,25 @@ class TestRun:
         assert [rec.t for rec in out.records] == [0.0, 0.25]
         assert out.final_state.t == 0.25
 
+    def test_a_run_scans_the_t0_fields_once(self, monkeypatch):
+        # The run's summary, the t = 0 record and the first step share one
+        # pass; every later state carries the extrema its step found.
+        scanned = []
+        original = stepper_mod.Extrema.of.__func__
+
+        def counting(cls, u, v, w):
+            scanned.append(u.copy())
+            return original(cls, u, v, w)
+
+        monkeypatch.setattr(stepper_mod.Extrema, "of", classmethod(counting))
+        g = GridSpec((1.0,), (16,))
+        init = ScenarioSpec(name="gaussian-bump").build(g)
+        out = self.bump_run()
+        assert out.status == "completed" and out.steps > 1
+        assert len(scanned) == 1
+        np.testing.assert_array_equal(scanned[0], init.u0.values)
+        assert initial_state(init).extrema is None
+
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))
         p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=0)

@@ -25,12 +25,12 @@ contiguous pass. Where p is the last cell of its row along a, the pair
 weights (1/h^2, 1/(2h)) holds 0 there, so those entries scatter nothing.
 
 Each GridSpec builds its constants on first use and keeps them in its
-instance: the face table, the cosine spectrum of the Laplacian (which the
-stepper's screened solve uses: one matrix product per axis on a view of the
-flat array, split in blocks where a product would be large enough for
-OpenBLAS to thread it) and the explicit diffusion limit. They are not
-dataclass fields, so eq, hash and repr ignore them, and a pickled or copied
-grid is rebuilt from extent and cells.
+instance: the face table, the cosine spectrum of the Laplacian (which
+_screened_solve applies for the stepper: one matrix product per axis on a
+view of the flat array, split in blocks where a product would be large
+enough for OpenBLAS to thread it) and the explicit diffusion limit. They
+are not dataclass fields, so eq, hash and repr ignore them, and a pickled
+or copied grid is rebuilt from extent and cells.
 """
 
 from __future__ import annotations
@@ -153,7 +153,7 @@ class GridSpec:
         before_forward = [(self.num_cells,), *shapes[:-1]]
         before_inverse = [shapes[-1], *shapes[:-1]]
         forward, inverse = [], []
-        for axis, ((c, _), (shape, perm)) in enumerate(zip(modes, views)):
+        for axis, ((c, _), (shape, split)) in enumerate(zip(modes, views)):
             c.flags.writeable = False
             # x @ C.T transforms axis 0 and C @ x any other; the inverse
             # multiplies by the transposes.
@@ -163,7 +163,7 @@ class GridSpec:
                 (inverse, before_inverse, c if right else c.T),
             ):
                 view = None if before[axis] == shape else shape
-                steps.append(_AxisProduct(view, mat, right, perm))
+                steps.append(_AxisProduct(view, mat, right, split))
         return _Spectrum(tuple(forward), tuple(inverse), lam, shapes[-1])
 
     @cached_property
@@ -200,7 +200,7 @@ def _max(x: np.ndarray) -> float:
 _sum = np.add.reduce
 
 
-@dataclass
+@dataclass(eq=False)
 class Field:
     """One scalar value per cell, stored flat with axis 0 fastest."""
 
@@ -271,9 +271,12 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return c, lam
 
 
-# Cap on the multiply-adds of one matrix product in the cosine transform.
-# OpenBLAS runs a larger product on several threads, and on a 2-CPU host the
-# hand-off costs more than it saves, so larger products are split in blocks.
+# Cap on the multiply-adds of one matrix product in the cosine transform; a
+# larger one, which OpenBLAS would thread, is split in blocks. On a 2-CPU
+# Xeon that pays in 3D (the solve at 32^3: ~300 against 450-510 us uncapped)
+# and costs in 2D (128^2: 400-550 against ~350 us; 256^2: ~3 450 against
+# ~2 100 us); README "Numerical notes" has more grids. No workload grid is
+# split, so a rule by size needs a workload on each side first.
 _MAX_PRODUCT = 1 << 18
 
 
@@ -281,19 +284,17 @@ class _AxisProduct(NamedTuple):
     """One axis of the cosine transform as one matrix product on a view of
     the flat array: x @ mat for axis 0, whose cells are contiguous, and
     mat @ x for any other axis. shape is that view (see _axis_view), or
-    None where x already has it; perm, when set, is the transpose that
-    brings the view's column blocks to the front.
+    None where x already has it; split says that the view's last axis holds
+    the columns of one block and the axis before it the blocks.
     """
 
     shape: tuple[int, ...] | None
     mat: np.ndarray
     right: bool
-    perm: tuple[int, ...] | None
+    split: bool
 
 
-def _axis_view(
-    cells: tuple[int, ...], axis: int
-) -> tuple[tuple[int, ...], tuple[int, ...] | None]:
+def _axis_view(cells: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], bool]:
     """The view under which one product transforms axis a of the flat layout.
 
     With n = cells[a], inner the product of the counts before a and outer of
@@ -302,10 +303,10 @@ def _axis_view(
     (outer, n) @ m (a vector product when outer = 1); beyond the cap its
     rows are stacked in blocks, (outer / r, r, n). Any other axis is
     m @ (outer, n, inner), one product when outer = 1; beyond the cap its
-    columns are split, (outer, n, inner / r, r), and perm moves the block
-    index ahead of n. r is the largest divisor of the row or column count
-    within the cap (1 at worst); an axis of more than 512 cells, where one
-    row or column already exceeds it, is not split. Leading 1s are dropped.
+    columns are split, (outer, n, inner / r, r), and split is True. r is
+    the largest divisor of the row or column count within the cap (1 at
+    worst); an axis of more than 512 cells, where one row or column
+    already exceeds it, is not split. Leading 1s are dropped.
     """
     n = cells[axis]
     inner = math.prod(cells[:axis])
@@ -314,14 +315,13 @@ def _axis_view(
     lead = () if outer == 1 else (outer,)
     if axis == 0:
         if outer <= width or width == 0:
-            return (*lead, n), None
+            return (*lead, n), False
         r = _largest_divisor(outer, width)
-        return (outer // r, r, n), None
+        return (outer // r, r, n), False
     if inner <= width or width == 0:
-        return (*lead, n, inner), None
+        return (*lead, n, inner), False
     r = _largest_divisor(inner, width)
-    k = len(lead)
-    return (*lead, n, inner // r, r), (*range(k), k + 1, k, k + 2)
+    return (*lead, n, inner // r, r), True
 
 
 def _largest_divisor(m: int, cap: int) -> int:
@@ -365,6 +365,44 @@ class _Spectrum:
         denom.flags.writeable = False
         self._last = (alpha, denom)
         return denom
+
+
+def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarray:
+    """Apply each axis product of plan to x in turn; x is flat for the
+    forward transform and has the spectrum's shape for the inverse.
+
+    Each product reads x through its view, with no copy: axis 0 is
+    (outer, n) @ m.T and any other axis m @ (outer, n, inner), so a 1D grid
+    is one vector product and a 2D grid two matrix products. Past the cap,
+    one call makes a stack of capped products over blocks of rows, or over
+    the column blocks (n, r) of the view (outer, n, inner / r, r), written
+    in that layout (matmul's own result would put the blocks first).
+    """
+    for shape, m, right, split in plan:
+        if shape is not None:
+            x = x.reshape(shape)
+        if right:
+            x = x @ m
+        elif split:
+            x = np.matmul(m, x, axes=[(0, 1), (-3, -1), (-3, -1)], out=np.empty(x.shape))
+        else:
+            x = m @ x
+    return x
+
+
+def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
+    """Exact solve of (I - alpha lap) x = b with the mirror-ghost Laplacian.
+
+    The DCT-II diagonalises the discrete Neumann Laplacian axis by axis, so
+    the solve is a forward transform, a pointwise divide by
+    1 + alpha sum_a lam_a and the inverse transform. The grid keeps its
+    transform and the divisor of the last alpha.
+    """
+    spec = grid._spectrum
+    x = _apply_along_axes(b, spec.forward)
+    x /= spec.denominator(alpha)
+    x = _apply_along_axes(x, spec.inverse)
+    return x.ravel()
 
 
 def laplacian(f: Field, *, out: np.ndarray | None = None) -> Field:

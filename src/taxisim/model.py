@@ -68,7 +68,7 @@ class ModelParams:
         return self.chi / self.mu
 
 
-@dataclass
+@dataclass(eq=False)
 class InitialData:
     """Nonnegative finite initial fields on a shared grid."""
 
@@ -295,7 +295,7 @@ def _uniform_draws(seed: int, n: int) -> np.ndarray:
     return -1.0 + 2.0 * ((bits >> np.uint64(11)) * 2.0**-53)
 
 
-@dataclass
+@dataclass(eq=False)
 class OdeTrajectory:
     """Sampled trajectory of the spatially homogeneous reduction."""
 

@@ -6,7 +6,8 @@ order, each a module-level function:
 
 - _signal_phase advances the signal v (explicit Euler, an implicit-diffusion
   variant, or a screened Poisson solve when it is slaved to the cells; both
-  implicit variants use one exact cosine-transform solve);
+  implicit variants call the exact cosine-transform solve that grid plans
+  and runs);
 - _substrate_phase advances the signal integral Iv and the substrate w;
 - _cell_phase advances the cells u by explicit Euler with upwind transport,
   using the new v and w.
@@ -36,9 +37,9 @@ from . import diagnostics
 from .grid import (
     Field,
     GridSpec,
-    _AxisProduct,
     _max,
     _min,
+    _screened_solve,
     gradient,
     laplacian,
     magnitude,
@@ -135,7 +136,7 @@ class SolverConfig:
         return 1e-9 * min(self.output_every, self.t_end)
 
 
-@dataclass
+@dataclass(eq=False)
 class Snapshot:
     """Frozen substrate data at the anchor time s0.
 
@@ -178,7 +179,7 @@ class Extrema(NamedTuple):
         return all(map(math.isfinite, self))
 
 
-@dataclass
+@dataclass(eq=False)
 class SimState:
     """Fields at time t plus the accumulated signal integral since the anchor.
 
@@ -364,7 +365,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     if dt < cfg.t_end / _MAX_STEPS:
         raise ValueError(
             f"the {binding} limit gives dt={dt!r} at t={state.t!r}, below "
-            f"t_end / {_MAX_STEPS:.0e}: the run would need more than "
+            f"T_end / {_MAX_STEPS:.0e}: the run would need more than "
             f"{_MAX_STEPS:.0e} steps"
         )
     if cfg.dt_max < dt:
@@ -373,51 +374,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     if landing - state.t < dt:
         dt, binding = landing - state.t, "landing"
     if dt <= 0.0:
-        raise ValueError("no positive step available (already at t_end?)")
+        raise ValueError("no positive step available (already at T_end?)")
     return StepSize(dt, binding, landing)
-
-
-def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarray:
-    """Apply each axis product of plan (grid._AxisProduct) to x in turn; x
-    is flat for the forward transform and has the spectrum's shape for the
-    inverse.
-
-    Each product reads x through its view, with no copy: axis 0 is
-    (outer, n) @ m.T and any other axis m @ (outer, n, inner), so a 1D grid
-    is one vector product and a 2D grid two matrix products. Past
-    grid._MAX_PRODUCT multiply-adds, about where OpenBLAS starts threads (a
-    loss on a 2-CPU host), one call makes a stack of capped products over
-    blocks of rows, or of columns written through the transposed view of a
-    fresh array.
-    """
-    for shape, m, right, perm in plan:
-        if shape is not None:
-            x = x.reshape(shape)
-        if right:
-            x = x @ m
-        elif perm is None:
-            x = m @ x
-        else:
-            y = np.empty(x.shape)
-            np.matmul(m, x.transpose(perm), out=y.transpose(perm))
-            x = y
-    return x
-
-
-def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
-    """Exact solve of (I - alpha lap) x = b with the mirror-ghost Laplacian.
-
-    The DCT-II diagonalises the discrete Neumann Laplacian axis by axis, so
-    the solve is a forward transform, a pointwise divide by
-    1 + alpha sum_a lam_a and the inverse transform. The grid keeps its
-    transform, one product per axis over the flat layout (see grid.py), and
-    the divisor of the last alpha.
-    """
-    spec = grid._spectrum
-    x = _apply_along_axes(b, spec.forward)
-    x /= spec.denominator(alpha)
-    x = _apply_along_axes(x, spec.inverse)
-    return x.ravel()
 
 
 def solve_elliptic(u: Field, cfg: SolverConfig | None = None) -> Field:
@@ -578,7 +536,7 @@ def step(state: SimState, params: ModelParams, cfg: SolverConfig) -> SimState:
     raise CFLViolation(f"persistent negativity at t={state.t!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class RunOutcome:
     """Terminal status of a run plus summary statistics and the record series."""
 

@@ -81,6 +81,21 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         assert "reaction limit" in capsys.readouterr().err
 
+    def test_step_floor_names_the_config_key(self, tmp_path, capsys):
+        # Diffusion gives dt = 0.003125 on 8 cells, below T_end / 1e15: the
+        # run stops at its first step, and the message names the key T_end.
+        text = (
+            "[grid] dim=1 extent=1 cells=8\n"
+            "[model] chi=1 mu=1\n"
+            "[solver] T_end=1e13\n"
+            "[scenario] name=steady\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_cfg(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert "the diffusion limit gives dt=" in err
+        assert "T_end" in err and "t_end" not in err
+
     def test_blowup_exits_two(self, tmp_path, capsys):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"
@@ -317,6 +332,16 @@ class TestCheckCommand:
         assert any(x.startswith(mass) for x in checked)
         ended_early = any(x.startswith("ended early: the series stops at t=") for x in checked)
         assert ended_early == (exit_code == 2)
+
+    def test_a_series_of_only_its_header_is_an_error(self, tmp_path, capsys):
+        assert main(["run", str(write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out")))]) == 0
+        capsys.readouterr()
+        series = tmp_path / "out" / "timeseries.csv"
+        series.write_text(series.read_text().splitlines()[0] + "\n")
+        assert main(["check", str(series)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {series}: no records to check\n"
 
     def test_a_series_without_its_effective_cfg_is_an_error(self, tmp_path, capsys):
         assert main(["run", str(write_cfg(tmp_path, BLOWUP_CFG.format(out=tmp_path / "out")))]) == 2

@@ -207,6 +207,25 @@ class TestValidation:
         with pytest.raises(ParseError, match="line 3"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1\nnonsense-token\n")
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [("[grid", "malformed section header '[grid'"), ("[model] chi=", "incomplete assignment 'chi='")],
+        ids=["open-header", "no-value"],
+    )
+    def test_malformed_token_is_a_parse_error(self, line, message):
+        with pytest.raises(ParseError, match="line 2: " + re.escape(message)):
+            parse_config(f"[grid] dim=1 extent=1 cells=8\n{line}\n[solver] T_end=1")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [("grid.cells", "8.5", "must be an integer, got '8.5'"),
+         ("outputs.snapshots", "maybe", "must be true or false, got 'maybe'")],
+        ids=["integer", "boolean"],
+    )
+    def test_bad_integer_or_boolean_reports_key(self, key, value, message):
+        with pytest.raises(ValidationError, match="^" + re.escape(f"{key} {message}") + "$"):
+            parse_config(with_value(key, value))
+
     def test_assignment_before_section(self):
         with pytest.raises(ParseError, match="line 1"):
             parse_config("chi=1")

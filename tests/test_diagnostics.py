@@ -323,6 +323,13 @@ class TestClassify:
         assert v.classification == "blew_up"
         assert v.crossing_time == pytest.approx(1.5)
 
+    def test_all_nonfinite_series_blew_up_at_its_start(self):
+        recs = series([math.nan, math.inf, math.nan], t_end=2.0)
+        v = classify(recs, CFG)
+        assert v.classification == "blew_up"
+        assert v.max_sup_u == math.inf
+        assert v.t_of_max == 0.0 and v.crossing_time == 0.0
+
     def test_fast_growth_is_growing(self):
         v = classify(series([1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 3.0, 4.0, 5.0]), CFG)
         assert v.classification == "growing"

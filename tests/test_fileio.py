@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -25,6 +26,7 @@ from taxisim.fileio import (
     read_timeseries,
     timeseries_header,
     write_snapshot,
+    write_sweep_table,
     write_timeseries,
 )
 
@@ -111,6 +113,27 @@ class TestTimeseries:
             read_timeseries(path)
         assert str(info.value) == f"{path}: line 3: {message}"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("", "empty time-series file"),
+            (EXPECTED_HEADER + ",Lq_u_2\n", "unexpected time-series column 'Lq_u_2'"),
+        ],
+        ids=["empty", "foreign-norm-column"],
+    )
+    def test_read_rejects_an_empty_file_and_a_foreign_column(self, tmp_path, text, message):
+        path = tmp_path / "ts.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read_timeseries(path)
+
+    def test_read_skips_a_blank_row(self, tmp_path):
+        path = write_timeseries(small_run().records, tmp_path / "ts.csv", (1.0, 2.0))
+        lines = path.read_text().splitlines()
+        blank = tmp_path / "blank.csv"
+        blank.write_text("\n".join(lines[:2] + [""] + lines[2:]) + "\n")
+        assert read_timeseries(blank) == read_timeseries(path)
+
     def test_mismatched_p_values_rejected(self, tmp_path):
         out = small_run()
         with pytest.raises(ValueError, match="p values"):
@@ -147,6 +170,46 @@ class TestSnapshot:
         path.write_text("\n".join(text[:-1]) + "\n")  # drop one data line
         with pytest.raises(ValueError, match="data lines"):
             read_snapshot(path)
+
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda lines: lines[:4], "truncated snapshot header"),
+            (lambda lines: ["cells 4", *lines[1:]], "expected 'dim' on header line 1"),
+            (lambda lines: [*lines[:4], "u w v", *lines[5:]], "expected column line 'u v w'"),
+            (lambda lines: [lines[0], "cells 4 4", *lines[2:]], "header dim does not match cells/extent"),
+            (lambda lines: [*lines[:-1], "1.0 1.0"], "malformed data line 9"),
+        ],
+        ids=["truncated", "wrong-tag", "columns", "dim", "short-data-line"],
+    )
+    def test_malformed_snapshot_rejected(self, tmp_path, edit, message):
+        g = GridSpec((1.0,), (4,))
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        path = write_snapshot(state, tmp_path / "snap.dat")
+        path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
+            read_snapshot(path)
+
+
+class TestWriteErrors:
+    """A write into a missing directory raises OSError naming the file."""
+
+    def test_time_series(self, tmp_path):
+        path = tmp_path / "missing" / "ts.csv"
+        with pytest.raises(OSError, match=re.escape(f"cannot write time series {path}")):
+            write_timeseries([], path, (2.0,))
+
+    def test_snapshot(self, tmp_path):
+        state = initial_state(ScenarioSpec(name="steady").build(GridSpec((1.0,), (4,))))
+        path = tmp_path / "missing" / "snap.dat"
+        with pytest.raises(OSError, match=re.escape(f"cannot write snapshot {path}")):
+            write_snapshot(state, path)
+
+    def test_sweep_table(self, tmp_path):
+        path = tmp_path / "missing" / "sweep.csv"
+        with pytest.raises(OSError, match=re.escape(f"cannot write sweep table {path}")):
+            write_sweep_table([], path)
 
 
 class TestSweepTable:

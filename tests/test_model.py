@@ -63,6 +63,12 @@ class TestInitialData:
             InitialData(Field.zeros(g), bad, Field.zeros(g))
 
 
+    def test_rejects_fields_on_different_grids(self):
+        g, other = GridSpec((1.0,), (4,)), GridSpec((2.0,), (4,))
+        with pytest.raises(ValueError, match="initial fields must share a grid"):
+            InitialData(Field.zeros(g), Field.zeros(other), Field.zeros(g))
+
+
 class TestRightHandSides:
     def steady(self, grid):
         return (Field.full(grid, 1.0), Field.full(grid, 1.0), Field.zeros(grid))
@@ -228,6 +234,11 @@ class TestScenarios:
             ScenarioSpec(name="vortex")
 
 
+    def test_center_of_the_wrong_length_rejected(self):
+        spec = ScenarioSpec(name="gaussian-bump", center=(0.5,))
+        with pytest.raises(ValueError, match="center must have one entry per axis"):
+            spec.build(GridSpec((1.0, 1.0), (4, 4)))
+
     def test_homogeneous_values(self):
         spec = ScenarioSpec(name="constant", u0=2.0, v0=0.5, w0=0.5)
         assert spec.homogeneous_values() == (2.0, 0.5, 0.5)
@@ -300,6 +311,14 @@ class TestOdeReference:
         traj = ode_reference(p, (2e12, 0.0, 0.0), 1.0, 1e-2)
         assert traj.diverged
 
+    def test_divergence_partway_is_flagged(self):
+        # A step of 10 on u' = u (1 - u) from u = 2 overshoots RK4 past the
+        # limit at t = 10, long before t_end; the trajectory stops there.
+        traj = ode_reference(ModelParams(chi=1.0, mu=1.0), (2.0, 0.5, 0.0), 100.0, 10.0)
+        assert traj.diverged
+        assert list(traj.times) == [0.0, 10.0]
+        assert abs(traj.states[-1, 0]) > 1e12
+
     def test_slaved_signal_equals_cells(self):
         p = ModelParams(chi=1.0, mu=1.0, tau=0)
         traj = ode_reference(p, (0.5, 0.9, 0.2), 2.0, 1e-3)
@@ -338,6 +357,10 @@ class TestOdeReference:
             ode_reference(p, (1.0, 1.0, 0.0), 1.0, 0.0)
         with pytest.raises(ValueError):
             ode_reference(p, (-1.0, 1.0, 0.0), 1.0, 1e-2)
+
+    def test_negative_t_end_is_rejected(self):
+        with pytest.raises(ValueError, match="t_end must be >= 0"):
+            ode_reference(ModelParams(chi=1.0), (1.0, 1.0, 0.0), -1.0, 1e-2)
 
     @pytest.mark.parametrize(
         "y0", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)]

@@ -166,6 +166,15 @@ class TestStableDt:
         with pytest.raises(ValueError, match="the reaction limit gives dt="):
             run(ScenarioSpec(name="steady").build(g), p, SolverConfig(t_end=0.01))
 
+    def test_no_step_past_the_end_names_the_config_key(self):
+        # The SolverConfig field is t_end; the message names the key T_end.
+        g = GridSpec((1.0,), (4,))
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        cfg = SolverConfig(t_end=1.0)
+        state.t = cfg.t_end
+        with pytest.raises(ValueError, match=r"no positive step available \(already at T_end\?\)"):
+            stable_dt(state, ModelParams(chi=1.0), cfg)
+
 
 def exact_stable_dt(state, params, cfg):
     """stable_dt with the transport limit always computed from the gradients:
@@ -465,6 +474,14 @@ class TestStep:
 
 
 class TestEllipticSolve:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_right_hand_side_rejected(self, bad):
+        g = GridSpec((1.0,), (8,))
+        u = Field.full(g, 1.0)
+        u.values[3] = bad
+        with pytest.raises(ValueError, match="elliptic right-hand side must be finite"):
+            solve_elliptic(u)
+
     def test_constant_right_hand_side(self):
         g = GridSpec((1.0, 1.0), (12, 12))
         v = solve_elliptic(Field.full(g, 3.0), SolverConfig(t_end=1.0))
@@ -555,18 +572,18 @@ class TestEllipticSolve:
         # The cap does split a product on each of these grids: axis 0 into a
         # stack of row blocks, or another axis into column blocks.
         views = [grid_mod._axis_view(g.cells, axis) for axis in range(g.dim)]
-        unsplit = [len(views[0][0]) < 3, *(perm is None for _, perm in views[1:])]
+        unsplit = [len(views[0][0]) < 3, *(not split for _, split in views[1:])]
         assert not all(unsplit)
         b = np.random.default_rng(8).uniform(-1.0, 1.0, g.num_cells)
         sup_b = np.max(np.abs(b))
-        hat = stepper_mod._apply_along_axes(b, spec.forward)
+        hat = grid_mod._apply_along_axes(b, spec.forward)
         ref = self.einsum_transform(g, b)
         assert np.max(np.abs(hat.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
-        back = stepper_mod._apply_along_axes(b.reshape(spec.shape), spec.inverse).ravel()
+        back = grid_mod._apply_along_axes(b.reshape(spec.shape), spec.inverse).ravel()
         ref = self.einsum_transform(g, b, transpose=True)
         assert np.max(np.abs(back - ref)) <= 1e-13 * np.max(np.abs(ref))
         # The cosine matrices are orthonormal to ~n eps: 2.5e-14 at n = 128.
-        identity = stepper_mod._apply_along_axes(hat, spec.inverse).ravel()
+        identity = grid_mod._apply_along_axes(hat, spec.inverse).ravel()
         assert np.max(np.abs(identity - b)) <= 1e-13 * sup_b
 
     @pytest.mark.parametrize("tau, scheme", [(0, "explicit"), (1, "imex-diffusion")])
@@ -1050,3 +1067,32 @@ class TestSpatialConvergence:
         e1 = np.max(np.abs(finals[32] - restrict(finals[64])))
         e2 = np.max(np.abs(finals[64] - restrict(finals[128])))
         assert math.log2(e1 / e2) >= 1.8
+
+
+class TestEqualityIsIdentity:
+    """Objects that hold arrays compare by identity: == on two equal-valued
+    instances returns False instead of raising on an array's truth value."""
+
+    GRID = GridSpec((1.0,), (8,))
+    PARAMS = ModelParams(chi=1.0, mu=1.0)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda g, p: Field(g, np.linspace(0.0, 1.0, g.num_cells)),
+            lambda g, p: ScenarioSpec(name="gaussian-bump").build(g),
+            lambda g, p: initial_state(ScenarioSpec(name="gaussian-bump").build(g)),
+            lambda g, p: initial_state(ScenarioSpec(name="gaussian-bump").build(g)).anchor,
+            lambda g, p: run(ScenarioSpec(name="gaussian-bump").build(g), p, SolverConfig(t_end=0.01)),
+            lambda g, p: ode_reference(p, (2.0, 0.5, 0.5), 0.1, 0.01),
+        ],
+        ids=["Field", "InitialData", "SimState", "Snapshot", "RunOutcome", "OdeTrajectory"],
+    )
+    def test_eq_returns_a_bool(self, build):
+        a, b = build(self.GRID, self.PARAMS), build(self.GRID, self.PARAMS)
+        assert (a == b) is False and (a != b) is True
+        assert (a == a) is True
+
+    def test_field_is_hashable(self):
+        f = Field.zeros(self.GRID)
+        assert {f: 1}[f] == 1

@@ -6,8 +6,10 @@ line, ``#`` starts a comment). Values must not contain whitespace; lists are
 comma separated. Unknown sections, unknown keys and duplicate keys are
 rejected. One table maps every key to the dataclass field it sets and the
 parser of its value, and the echo writes the fields back through the same
-table; the dataclasses own every range check, and a value they reject is
-reported as a ValidationError naming its ``section.key``.
+table. The dataclasses own every range check and start each message with
+the config key it rejects (T_end and dir, though their fields are t_end and
+directory), so a rejected value is reported, unchanged, as a ValidationError
+naming its ``section.key``.
 """
 
 from __future__ import annotations
@@ -57,10 +59,10 @@ class OutputOptions:
 
     def __post_init__(self) -> None:
         # The echo writes the directory as one config value, which cannot
-        # hold whitespace or a comment.
+        # hold whitespace or a comment. The message names its config key, dir.
         if any(c.isspace() or c == "#" for c in str(self.directory)):
             raise ValueError(
-                f"directory must contain no whitespace or '#', got {str(self.directory)!r};"
+                f"dir must contain no whitespace or '#', got {str(self.directory)!r};"
                 " set dir to an absolute path without them"
             )
         if not all(1.0 <= p < float("inf") for p in self.p_values):
@@ -202,24 +204,16 @@ def _fields(section: str, sec: dict[str, str]) -> dict[str, object]:
 
 
 def _build(section: str, cls, fields: dict[str, object]):
-    """cls(**fields), with a rejected field reported under its config key.
-
-    The dataclasses start every error message with the field name. A field
-    whose config key differs (t_end is T_end) is named by its key throughout
-    the message.
-    """
+    """cls(**fields), with a rejection reported under the config key its
+    message starts with (the dataclasses word their messages in config keys),
+    or under the section when it starts with none."""
     try:
         return cls(**fields)
     except ValueError as exc:
-        text = str(exc)
-        for key in _KEYS[section]:
-            field = _FIELD_OF.get(key, key)
-            if field != key:
-                text = re.sub(rf"\b{field}\b", key, text)
-        key, _, message = text.partition(" ")
+        key, _, message = str(exc).partition(" ")
         if key in _KEYS[section]:
             raise ValidationError(f"{section}.{key}", message) from None
-        raise ValidationError(f"[{section}]", text) from None
+        raise ValidationError(f"[{section}]", str(exc)) from None
 
 
 def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:

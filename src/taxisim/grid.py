@@ -353,11 +353,7 @@ class _Spectrum:
 
     def denominator(self, alpha: float) -> np.ndarray:
         """1 + alpha lam (read-only), in the shape the forward transform
-        leaves, kept for the last alpha asked for.
-
-        The alpha and its array are stored and read as one tuple, so a
-        concurrent caller never pairs one alpha with another's array.
-        """
+        leaves, kept for the last alpha asked for."""
         last = self._last
         if last is not None and last[0] == alpha:
             return last[1]

@@ -66,10 +66,11 @@ _EPS_RATE = 1e-30
 _MAX_HALVINGS = 10
 _ROUNDOFF_CLAMP = 1e-13
 # A run that needs more than this many steps cannot finish: a stability step
-# below t_end / _MAX_STEPS raises, and so does a dt_max below it. That floor
-# sits well below 1e-12 t_end (t_end = 1e9 on an 8-cell 1D grid has ordinary
-# steps of ~1e-12 t_end) and above half the spacing of floats near t_end
-# (~1.1e-16 t_end), so a step of that size still moves the clock.
+# below t_end / _MAX_STEPS raises, and so does an output_every or a dt_max
+# below it. That floor sits well below 1e-12 t_end (t_end = 1e9 on an 8-cell
+# 1D grid has ordinary steps of ~1e-12 t_end) and above half the spacing of
+# floats near t_end (~1.1e-16 t_end), so a step of that size still moves the
+# clock.
 _MAX_STEPS = 1e15
 
 
@@ -105,8 +106,10 @@ class SolverConfig:
     time_scheme: str = "explicit"
 
     def __post_init__(self) -> None:
+        # Each message starts with the config key it rejects and names the
+        # final time by its key, T_end, so config reports it unchanged.
         if not 0.0 < self.t_end < math.inf:
-            raise ValueError("t_end must be finite and > 0")
+            raise ValueError("T_end must be finite and > 0")
         if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 50.0)
         if not 0.0 < self.output_every < math.inf:
@@ -115,17 +118,19 @@ class SolverConfig:
             raise ValueError("cfl_safety must be in (0, 1]")
         if not self.dt_max > 0.0:
             raise ValueError("dt_max must be > 0")
-        # Counted as t_end / dt_max steps, so that dt_max = 1e-6 at t_end = 1e9
-        # (exactly 10^15 steps) passes: 1e-15 * t_end rounds above 1e-6.
-        if self.t_end / self.dt_max > _MAX_STEPS:
-            raise ValueError(
-                f"dt_max must be at least t_end / {_MAX_STEPS:.0e}: a smaller "
-                f"cap needs more than {_MAX_STEPS:.0e} steps"
-            )
+        # Each forces at least t_end / value steps, counted so that 1e-6 at
+        # t_end = 1e9 (exactly 10^15 steps) passes: 1e-15 * t_end rounds
+        # above 1e-6.
+        for key, noun in (("output_every", "interval"), ("dt_max", "cap")):
+            if self.t_end / getattr(self, key) > _MAX_STEPS:
+                raise ValueError(
+                    f"{key} must be at least T_end / {_MAX_STEPS:.0e}: a smaller "
+                    f"{noun} needs more than {_MAX_STEPS:.0e} steps"
+                )
         if not self.blowup_threshold > 0.0:
             raise ValueError("blowup_threshold must be > 0")
         if not 0.0 <= self.anchor_time < self.t_end:
-            raise ValueError("anchor_time must be in [0, t_end)")
+            raise ValueError("anchor_time must be in [0, T_end)")
         if self.time_scheme not in ("explicit", "imex-diffusion"):
             raise ValueError("time_scheme must be explicit or imex-diffusion")
 

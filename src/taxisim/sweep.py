@@ -161,9 +161,8 @@ def estimate_threshold(results: list[SweepResult]) -> tuple[float, float] | None
     theta (no all-bounded theta above a non-bounded one). Growing and
     inconclusive verdicts count as not bounded. Otherwise returns None.
     """
-    ordered = sorted(results, key=lambda r: (r.theta, r.repetition))
     groups: dict[float, list[SweepResult]] = {}
-    for res in ordered:
+    for res in results:
         groups.setdefault(res.theta, []).append(res)
 
     theta_lo: float | None = None

@@ -53,16 +53,18 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         assert "model.chi" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("folder", ["sp ace", "h#sh"])
+    @pytest.mark.parametrize("folder", ["sp ace", "h#sh", "my directory"])
     def test_output_dir_the_echo_cannot_hold_exits_one(self, tmp_path, capsys, folder):
         # effective.cfg holds the directory as one value: whitespace would
         # split it and '#' would start a comment, so the echo could not
-        # re-run its run and check could not read it.
+        # re-run its run and check could not read it. The message quotes the
+        # path as given, even where it holds the word "directory".
         (tmp_path / folder).mkdir()
         text = STEADY_CFG.split("[outputs]")[0]
         assert main(["run", str(write_cfg(tmp_path / folder, text))]) == 1
         err = capsys.readouterr().err
         assert "outputs.dir" in err and "absolute" in err
+        assert repr(str(tmp_path / folder / "out")) in err
         assert not (tmp_path / folder / "out").exists()
 
     def test_missing_config_exits_one(self, tmp_path, capsys):

@@ -51,9 +51,11 @@ OUT_OF_RANGE = [
     ("solver.output_every", "0"),
     ("solver.cfl_safety", "2"),
     ("solver.dt_max", "0"),
-    # T_end = 1: more than 10^15 steps of dt_max
+    # T_end = 1: more than 10^15 steps of dt_max or of output_every
     ("solver.dt_max", "1e-17"),
     ("solver.dt_max", "1e-300"),
+    ("solver.output_every", "1e-17"),
+    ("solver.output_every", "1e-300"),
     ("solver.blowup_threshold", "0"),
     ("solver.anchor_time", "1"),
     ("solver.anchor_time", "-0.5"),
@@ -251,7 +253,11 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "solver,key",
-        [("T_end=1 dt_max=1e-300", "solver.dt_max"), ("T_end=1 anchor_time=1", "solver.anchor_time")],
+        [
+            ("T_end=1 dt_max=1e-300", "solver.dt_max"),
+            ("T_end=1 output_every=1e-300", "solver.output_every"),
+            ("T_end=1 anchor_time=1", "solver.anchor_time"),
+        ],
     )
     def test_messages_name_the_config_key_t_end(self, solver, key):
         # The SolverConfig field is t_end; the message names the key T_end.

@@ -10,10 +10,12 @@ import numpy as np
 import pytest
 
 from taxisim import (
+    BoundednessVerdict,
     GridSpec,
     ModelParams,
     ScenarioSpec,
     SolverConfig,
+    SweepResult,
     classify,
     initial_state,
     run,
@@ -24,6 +26,7 @@ from taxisim.fileio import (
     lp_column,
     read_snapshot,
     read_timeseries,
+    render_sweep_summary,
     timeseries_header,
     write_snapshot,
     write_sweep_table,
@@ -226,3 +229,39 @@ class TestSweepTable:
             "pe_condition",
             "failure",
         )
+
+
+def sweep_result(theta, classification, pe_condition=True):
+    return SweepResult(
+        theta=theta,
+        chi=theta,
+        mu=1.0,
+        repetition=0,
+        verdict=BoundednessVerdict(classification, 1.0, 0.0),
+        max_sup_u=1.0,
+        wall_time=0.0,
+        pe_condition=pe_condition,
+    )
+
+
+class TestSweepSummary:
+    RESULTS = [sweep_result(0.1, "bounded"), sweep_result(0.5, "growing", pe_condition=False)]
+
+    def test_bracket_line(self):
+        assert render_sweep_summary(self.RESULTS, (0.1, 0.5), tau=1) == (
+            "sweep summary\n"
+            "  theta=0.1 chi=0.1 mu=1.0 rep=0 verdict=bounded\n"
+            "  theta=0.5 chi=0.5 mu=1.0 rep=0 verdict=growing\n"
+            "threshold bracket: theta_lo=0.1 theta_hi=0.5\n"
+        )
+
+    def test_tau_zero_lines_carry_the_pe_condition(self):
+        lines = render_sweep_summary(self.RESULTS, (0.1, 0.5), tau=0).splitlines()
+        assert lines[1:3] == [
+            "  theta=0.1 chi=0.1 mu=1.0 rep=0 verdict=bounded pe_condition=true",
+            "  theta=0.5 chi=0.5 mu=1.0 rep=0 verdict=growing pe_condition=false",
+        ]
+
+    def test_no_bracket_line(self):
+        lines = render_sweep_summary(self.RESULTS, None, tau=1).splitlines()
+        assert lines[-1] == "threshold bracket: none (outcomes all alike or non-monotone)"

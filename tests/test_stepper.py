@@ -85,11 +85,18 @@ class TestSolverConfig:
             # more than 10^15 steps of dt_max: t + 1e-17 rounds to t from
             # t = 0.125 on, so such a run would never end
             {"t_end": 1.0, "dt_max": 1e-17},
+            # more than 10^15 landings of output_every, for the same reason
+            {"t_end": 1.0, "output_every": 1e-17},
         ],
     )
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
+
+    def test_output_every_may_leave_exactly_1e15_landings(self):
+        # t_end / 1e-6 is exactly 10^15 at t_end = 1e9 (TestStableDt admits
+        # the same dt_max). Constructed only: the run would take too long.
+        assert SolverConfig(t_end=1e9, output_every=1e-6).output_every == 1e-6
 
 
 class TestStableDt:

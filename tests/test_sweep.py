@@ -288,14 +288,16 @@ class TestEstimateThreshold:
         results = [fake_result(0.1, "growing"), fake_result(0.2, "growing")]
         assert estimate_threshold(results) is None
 
-    def test_repetitions_grouped(self):
+    @pytest.mark.parametrize("order", [1, -1], ids=["ascending", "reversed"])
+    def test_repetitions_grouped(self, order):
+        # Grouping by theta makes the input order irrelevant.
         results = [
             fake_result(0.1, "bounded", rep=0),
             fake_result(0.1, "bounded", rep=1),
             fake_result(0.2, "bounded", rep=0),
             fake_result(0.2, "growing", rep=1),
         ]
-        assert estimate_threshold(results) == (0.1, 0.2)
+        assert estimate_threshold(results[::order]) == (0.1, 0.2)
 
 
 class TestImportFootprint:

@@ -85,10 +85,21 @@ def write_timeseries(
     return path
 
 
-def _parse_p(label: str) -> float:
-    if not label.startswith("Lp_u_"):
-        raise ValueError(f"unexpected time-series column {label!r}")
-    return float(label[len("Lp_u_") :])
+def _numbers(path: Path, number: int, texts: list[str], convert=float) -> list:
+    """texts converted by convert; a text it rejects names the file and line."""
+    try:
+        return [convert(x) for x in texts]
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {number}: {exc}") from exc
+
+
+def _parse_p(path: Path, label: str) -> float:
+    if label.startswith("Lp_u_"):
+        try:
+            return float(label[len("Lp_u_") :])
+        except ValueError:
+            pass
+    raise ValueError(f"{path}: unexpected time-series column {label!r}")
 
 
 def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[float, ...]]:
@@ -103,7 +114,7 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
     header = tuple(lines[0].split(","))
     if header[: len(BASE_COLUMNS)] != BASE_COLUMNS:
         raise ValueError(f"{path}: unexpected time-series header")
-    p_values = tuple(_parse_p(label) for label in header[len(BASE_COLUMNS) :])
+    p_values = tuple(_parse_p(path, label) for label in header[len(BASE_COLUMNS) :])
     records = []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -111,10 +122,7 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         parts = line.split(",")
         if len(parts) != len(header):
             raise ValueError(f"{path}: line {number}: row width does not match header")
-        try:
-            vals = [float(x) for x in parts]
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {number}: {exc}") from exc
+        vals = _numbers(path, number, parts)
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
         records.append(DiagnosticsRecord(**dict(zip(BASE_COLUMNS, vals)), lp_u=lp))
     return records, p_values
@@ -157,22 +165,27 @@ def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Fiel
     if len(lines) < 5:
         raise ValueError(f"{path}: truncated snapshot header")
 
-    def header_parts(index: int, tag: str) -> list[str]:
+    def header_values(index: int, tag: str, convert) -> list:
         parts = lines[index].split()
         if not parts or parts[0] != tag:
             raise ValueError(f"{path}: expected {tag!r} on header line {index + 1}")
-        return parts[1:]
+        if len(parts) == 1:
+            raise ValueError(f"{path}: line {index + 1}: no value after {tag!r}")
+        return _numbers(path, index + 1, parts[1:], convert)
 
-    dim = int(header_parts(0, "dim")[0])
-    cells = tuple(int(x) for x in header_parts(1, "cells"))
-    extent = tuple(float(x) for x in header_parts(2, "extent"))
-    t = float(header_parts(3, "t")[0])
+    dim = header_values(0, "dim", int)[0]
+    cells = tuple(header_values(1, "cells", int))
+    extent = tuple(header_values(2, "extent", float))
+    t = header_values(3, "t", float)[0]
     if lines[4] != "u v w":
         raise ValueError(f"{path}: expected column line 'u v w'")
     if len(cells) != dim or len(extent) != dim:
         raise ValueError(f"{path}: header dim does not match cells/extent")
-    grid = GridSpec(extent, cells)
-    data = [line for line in lines[5:] if line]
+    try:
+        grid = GridSpec(extent, cells)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+    data = [(number, line) for number, line in enumerate(lines[5:], start=6) if line]
     if len(data) != grid.num_cells:
         raise ValueError(
             f"{path}: {len(data)} data lines for {grid.num_cells} cells"
@@ -180,11 +193,11 @@ def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Fiel
     u = np.empty(grid.num_cells)
     v = np.empty(grid.num_cells)
     w = np.empty(grid.num_cells)
-    for i, line in enumerate(data):
+    for i, (number, line) in enumerate(data):
         parts = line.split()
         if len(parts) != 3:
-            raise ValueError(f"{path}: malformed data line {i + 6}")
-        u[i], v[i], w[i] = (float(x) for x in parts)
+            raise ValueError(f"{path}: malformed data line {number}")
+        u[i], v[i], w[i] = _numbers(path, number, parts)
     return grid, t, Field(grid, u), Field(grid, v), Field(grid, w)
 
 

@@ -27,8 +27,7 @@ weights (1/h^2, 1/(2h)) holds 0 there, so those entries scatter nothing.
 Each GridSpec builds its constants on first use and keeps them in its
 instance: the face table, the cosine spectrum of the Laplacian (which
 _screened_solve applies for the stepper: one matrix product per axis on a
-view of the flat array, split in blocks where a product would be large
-enough for OpenBLAS to thread it) and the explicit diffusion limit. They
+view of the flat array) and the explicit diffusion limit. They
 are not dataclass fields, so eq, hash and repr ignore them, and a pickled
 or copied grid is rebuilt from extent and cells.
 """
@@ -36,6 +35,7 @@ or copied grid is rebuilt from extent and cells.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import NamedTuple
@@ -71,7 +71,7 @@ class GridSpec:
 
     def __post_init__(self) -> None:
         extent = tuple(float(x) for x in self.extent)
-        cells = tuple(int(n) for n in self.cells)
+        cells = tuple(_as_int(n, "cells entry") for n in self.cells)
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "cells", cells)
         if not 1 <= len(extent) <= 3:
@@ -145,15 +145,14 @@ class GridSpec:
             lam += lam_a.reshape(axis_shape)
         lam = lam.ravel()
         lam.flags.writeable = False
-        views = [_axis_view(self.cells, axis) for axis in range(self.dim)]
-        shapes = [shape for shape, _ in views]
+        shapes = [_axis_view(self.cells, axis) for axis in range(self.dim)]
         # The forward transform starts from the flat array, the inverse from
         # the last forward view; a step reshapes only when its view differs
         # from the one before.
         before_forward = [(self.num_cells,), *shapes[:-1]]
         before_inverse = [shapes[-1], *shapes[:-1]]
         forward, inverse = [], []
-        for axis, ((c, _), (shape, split)) in enumerate(zip(modes, views)):
+        for axis, ((c, _), shape) in enumerate(zip(modes, shapes)):
             c.flags.writeable = False
             # x @ C.T transforms axis 0 and C @ x any other; the inverse
             # multiplies by the transposes.
@@ -163,7 +162,7 @@ class GridSpec:
                 (inverse, before_inverse, c if right else c.T),
             ):
                 view = None if before[axis] == shape else shape
-                steps.append(_AxisProduct(view, mat, right, split))
+                steps.append(_AxisProduct(view, mat, right))
         return _Spectrum(tuple(forward), tuple(inverse), lam, shapes[-1])
 
     @cached_property
@@ -176,6 +175,17 @@ class GridSpec:
         """Square of the smallest spacing."""
         h_min = min(self.spacing)
         return h_min * h_min
+
+
+def _as_int(value: object, key: str) -> int:
+    """value as an int where it is a Python or NumPy integer; anything else,
+    a bool or a float included, raises a ValueError that starts with key."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -271,62 +281,33 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return c, lam
 
 
-# Cap on the multiply-adds of one matrix product in the cosine transform; a
-# larger one, which OpenBLAS would thread, is split in blocks. On a 2-CPU
-# Xeon that pays in 3D (the solve at 32^3: ~300 against 450-510 us uncapped)
-# and costs in 2D (128^2: 400-550 against ~350 us; 256^2: ~3 450 against
-# ~2 100 us); README "Numerical notes" has more grids. No workload grid is
-# split, so a rule by size needs a workload on each side first.
-_MAX_PRODUCT = 1 << 18
-
-
 class _AxisProduct(NamedTuple):
     """One axis of the cosine transform as one matrix product on a view of
     the flat array: x @ mat for axis 0, whose cells are contiguous, and
     mat @ x for any other axis. shape is that view (see _axis_view), or
-    None where x already has it; split says that the view's last axis holds
-    the columns of one block and the axis before it the blocks.
+    None where x already has it.
     """
 
     shape: tuple[int, ...] | None
     mat: np.ndarray
     right: bool
-    split: bool
 
 
-def _axis_view(cells: tuple[int, ...], axis: int) -> tuple[tuple[int, ...], bool]:
+def _axis_view(cells: tuple[int, ...], axis: int) -> tuple[int, ...]:
     """The view under which one product transforms axis a of the flat layout.
 
     With n = cells[a], inner the product of the counts before a and outer of
-    those after it, the flat array is (outer, n, inner), and a product with
-    r free rows or columns does r n^2 multiply-adds. Axis 0 is
-    (outer, n) @ m (a vector product when outer = 1); beyond the cap its
-    rows are stacked in blocks, (outer / r, r, n). Any other axis is
-    m @ (outer, n, inner), one product when outer = 1; beyond the cap its
-    columns are split, (outer, n, inner / r, r), and split is True. r is
-    the largest divisor of the row or column count within the cap (1 at
-    worst); an axis of more than 512 cells, where one row or column
-    already exceeds it, is not split. Leading 1s are dropped.
+    those after it, the flat array is (outer, n, inner). Axis 0 is
+    (outer, n) @ m (a vector product when outer = 1), and any other axis is
+    m @ (outer, n, inner), one product when outer = 1. Leading 1s are dropped.
     """
     n = cells[axis]
     inner = math.prod(cells[:axis])
     outer = math.prod(cells[axis + 1 :])
-    width = _MAX_PRODUCT // (n * n)  # free rows or columns per product
     lead = () if outer == 1 else (outer,)
     if axis == 0:
-        if outer <= width or width == 0:
-            return (*lead, n), False
-        r = _largest_divisor(outer, width)
-        return (outer // r, r, n), False
-    if inner <= width or width == 0:
-        return (*lead, n, inner), False
-    r = _largest_divisor(inner, width)
-    return (*lead, n, inner // r, r), True
-
-
-def _largest_divisor(m: int, cap: int) -> int:
-    """The largest divisor of m that is at most cap (cap >= 1)."""
-    return next(d for d in range(cap, 0, -1) if m % d == 0)
+        return (*lead, n)
+    return (*lead, n, inner)
 
 
 class _Spectrum:
@@ -367,20 +348,14 @@ def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarr
     """Apply each axis product of plan to x in turn; x is flat for the
     forward transform and has the spectrum's shape for the inverse.
 
-    Each product reads x through its view, with no copy: axis 0 is
-    (outer, n) @ m.T and any other axis m @ (outer, n, inner), so a 1D grid
-    is one vector product and a 2D grid two matrix products. Past the cap,
-    one call makes a stack of capped products over blocks of rows, or over
-    the column blocks (n, r) of the view (outer, n, inner / r, r), written
-    in that layout (matmul's own result would put the blocks first).
+    Each product reads x through its view, with no copy, so a 1D grid is
+    one vector product and a 2D grid two matrix products.
     """
-    for shape, m, right, split in plan:
+    for shape, m, right in plan:
         if shape is not None:
             x = x.reshape(shape)
         if right:
             x = x @ m
-        elif split:
-            x = np.matmul(m, x, axes=[(0, 1), (-3, -1), (-3, -1)], out=np.empty(x.shape))
         else:
             x = m @ x
     return x

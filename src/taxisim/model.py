@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, GridSpec, _max, _min, laplacian, taxis_divergence
+from .grid import Field, GridSpec, _as_int, _max, _min, laplacian, taxis_divergence
 
 __all__ = [
     "ModelParams",
@@ -50,6 +50,7 @@ class ModelParams:
     tau: int = 1
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "tau", _as_int(self.tau, "tau"))
         for name in ("chi", "xi", "mu", "eta"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
@@ -169,11 +170,12 @@ class ScenarioSpec:
             raise ValueError("sigma must be finite and > 0")
         if self.center is not None and not np.isfinite(self.center).all():
             raise ValueError("center entries must be finite")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
     def with_seed(self, seed: int) -> ScenarioSpec:
-        return replace(self, seed=int(seed))
+        return replace(self, seed=seed)
 
     def is_homogeneous(self) -> bool:
         return self.name in ("steady", "constant")

@@ -15,7 +15,7 @@ import time
 from dataclasses import KW_ONLY, dataclass, replace
 
 from .diagnostics import BoundednessVerdict, classify, outcome_verdict
-from .grid import GridSpec
+from .grid import GridSpec, _as_int
 from .model import ModelParams, ScenarioSpec
 from .stepper import RunOutcome, SolverConfig, run
 
@@ -63,6 +63,7 @@ class SweepPlan:
             raise ValueError("theta_values entries must be finite and > 0")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("theta_values must be strictly increasing")
+        object.__setattr__(self, "repetitions", _as_int(self.repetitions, "repetitions"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
 
@@ -102,7 +103,7 @@ def check_pe_condition(params: ModelParams, dim: int) -> bool:
 
 
 def _derived_seed(base: int, theta_index: int, repetition: int) -> int:
-    return int(base) + 7919 * theta_index + repetition
+    return base + 7919 * theta_index + repetition
 
 
 def _execute_point(

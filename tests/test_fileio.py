@@ -121,13 +121,14 @@ class TestTimeseries:
         [
             ("", "empty time-series file"),
             (EXPECTED_HEADER + ",Lq_u_2\n", "unexpected time-series column 'Lq_u_2'"),
+            (EXPECTED_HEADER + ",Lp_u_abc\n", "unexpected time-series column 'Lp_u_abc'"),
         ],
-        ids=["empty", "foreign-norm-column"],
+        ids=["empty", "foreign-norm-column", "non-numeric-p"],
     )
     def test_read_rejects_an_empty_file_and_a_foreign_column(self, tmp_path, text, message):
         path = tmp_path / "ts.csv"
         path.write_text(text)
-        with pytest.raises(ValueError, match=re.escape(message)):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: {message}")):
             read_timeseries(path)
 
     def test_read_skips_a_blank_row(self, tmp_path):
@@ -183,8 +184,35 @@ class TestSnapshot:
             (lambda lines: [*lines[:4], "u w v", *lines[5:]], "expected column line 'u v w'"),
             (lambda lines: [lines[0], "cells 4 4", *lines[2:]], "header dim does not match cells/extent"),
             (lambda lines: [*lines[:-1], "1.0 1.0"], "malformed data line 9"),
+            (lambda lines: ["dim", *lines[1:]], "line 1: no value after 'dim'"),
+            (lambda lines: [*lines[:3], "t", *lines[4:]], "line 4: no value after 't'"),
+            (
+                lambda lines: ["dim one", *lines[1:]],
+                "line 1: invalid literal for int() with base 10: 'one'",
+            ),
+            (
+                lambda lines: [*lines[:3], "t abc", *lines[4:]],
+                "line 4: could not convert string to float: 'abc'",
+            ),
+            (
+                lambda lines: [*lines[:-1], "1.0 abc 0.0"],
+                "line 9: could not convert string to float: 'abc'",
+            ),
+            (lambda lines: [lines[0], "cells 1", *lines[2:]], "cells entries must be >= 2"),
         ],
-        ids=["truncated", "wrong-tag", "columns", "dim", "short-data-line"],
+        ids=[
+            "truncated",
+            "wrong-tag",
+            "columns",
+            "dim",
+            "short-data-line",
+            "dim-without-value",
+            "t-without-value",
+            "non-integer-dim",
+            "non-numeric-t",
+            "non-numeric-data",
+            "one-cell",
+        ],
     )
     def test_malformed_snapshot_rejected(self, tmp_path, edit, message):
         g = GridSpec((1.0,), (4,))

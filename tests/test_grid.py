@@ -34,6 +34,7 @@ class TestGridSpec:
         assert g.volume_element == 0.25
         assert g.domain_measure == 6.0
         assert g.num_cells == 24
+        assert GridSpec((2.0, 3.0), (np.int64(4), np.int32(6))).cells == (4, 6)
 
     def test_cell_centers(self):
         g = GridSpec((1.0,), (4,))
@@ -41,7 +42,15 @@ class TestGridSpec:
 
     @pytest.mark.parametrize(
         "extent,cells",
-        [((1.0,), (1,)), ((0.0,), (4,)), ((-1.0,), (4,)), ((1.0, 1.0), (4,)), ((1.0,) * 4, (4,) * 4)],
+        [
+            ((1.0,), (1,)),
+            ((0.0,), (4,)),
+            ((-1.0,), (4,)),
+            ((1.0, 1.0), (4,)),
+            ((1.0,) * 4, (4,) * 4),
+            ((1.0,), (2.7,)),
+            ((1.0,), (4.0,)),
+        ],
     )
     def test_rejects_bad_geometry(self, extent, cells):
         with pytest.raises(ValueError):

@@ -43,6 +43,8 @@ class TestModelParams:
             {"chi": 1.0, "mu": -1.0},
             {"chi": 1.0, "eta": -0.1},
             {"chi": 1.0, "tau": 2},
+            {"chi": 1.0, "tau": 1.0},
+            {"chi": 1.0, "tau": True},
         ],
     )
     def test_validation(self, kwargs):
@@ -232,6 +234,11 @@ class TestScenarios:
     def test_unknown_name_rejected(self):
         with pytest.raises(ValueError):
             ScenarioSpec(name="vortex")
+
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="^seed must be an integer"):
+            ScenarioSpec(name="random-perturb", seed=seed)
 
 
     def test_center_of_the_wrong_length_rejected(self):

@@ -517,27 +517,28 @@ class TestEllipticSolve:
                 floor = -1e-13 * float(np.max(u.values))
                 assert float(np.min(v.values)) >= floor
 
-    # Grids whose transforms exceed the per-product cap: axis 0 in row
-    # blocks (128, 6, 3), the slowest axis in column blocks (3, 6, 128), a
-    # middle axis in column blocks under a stack (40, 100, 2), and axis 0 of
-    # a 2D grid in row blocks (100, 40). Spacings of 0.4-0.7 keep
+    # Grids with one long axis and short others, in each position: axis 0
+    # (128, 6, 3), the slowest axis (3, 6, 128) and a middle axis under a
+    # stack (40, 100, 2); and 2D grids of unequal counts, prime ones among
+    # them: (100, 40), (64, 67), (128, 127). Spacings of 0.4-0.7 keep
     # I - alpha lap well conditioned, so the residual measures the solve.
-    BLOCKED = [
+    LARGE_ANISOTROPIC = [
         ((51.2, 3.0, 2.1), (128, 6, 3)),
         ((2.1, 3.0, 51.2), (3, 6, 128)),
         ((16.0, 50.0, 1.4), (40, 100, 2)),
         ((40.0, 20.0), (100, 40)),
+        ((32.0, 33.5), (64, 67)),
+        ((64.0, 63.5), (128, 127)),
     ]
 
     @pytest.mark.parametrize(
         "extent, cells",
-        [((1.3,), (5,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (4, 7, 5)), *BLOCKED],
+        [((1.3,), (5,)), ((1.0, 2.7), (6, 9)), ((0.8, 1.9, 3.1), (4, 7, 5)), *LARGE_ANISOTROPIC],
     )
     @pytest.mark.parametrize("alpha", [1e-3, 1.0])
     def test_screened_solve_is_exact_on_anisotropic_grids(self, extent, cells, alpha):
         # Unequal cell counts and spacings per axis pin down the axis-0-fastest
-        # layout and the per-axis h, which a cubic grid cannot; the BLOCKED
-        # grids take the capped products.
+        # layout and the per-axis h, which a cubic grid cannot.
         g = GridSpec(extent, cells)
         b = np.random.default_rng(3).random(g.num_cells)
         x = stepper_mod._screened_solve(g, b, alpha)
@@ -572,15 +573,10 @@ class TestEllipticSolve:
             x = np.einsum(f"z{letters[axis]},{letters}->{out}", m, x)
         return x.ravel(order="F")
 
-    @pytest.mark.parametrize("extent, cells", BLOCKED)
-    def test_blocked_transform_is_the_per_axis_transform(self, extent, cells):
+    @pytest.mark.parametrize("extent, cells", LARGE_ANISOTROPIC)
+    def test_axis_products_are_the_per_axis_transform(self, extent, cells):
         g = GridSpec(extent, cells)
         spec = g._spectrum
-        # The cap does split a product on each of these grids: axis 0 into a
-        # stack of row blocks, or another axis into column blocks.
-        views = [grid_mod._axis_view(g.cells, axis) for axis in range(g.dim)]
-        unsplit = [len(views[0][0]) < 3, *(not split for _, split in views[1:])]
-        assert not all(unsplit)
         b = np.random.default_rng(8).uniform(-1.0, 1.0, g.num_cells)
         sup_b = np.max(np.abs(b))
         hat = grid_mod._apply_along_axes(b, spec.forward)

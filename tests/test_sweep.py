@@ -101,6 +101,8 @@ class TestPlan:
             {"mode": "spiral"},
             {"fixed_value": 0.0},
             {"repetitions": 0},
+            {"repetitions": 1.5},
+            {"repetitions": True},
         ],
     )
     def test_validation(self, overrides):

@@ -9,7 +9,10 @@ parser of its value, and the echo writes the fields back through the same
 table. The dataclasses own every range check and start each message with
 the config key it rejects (T_end and dir, though their fields are t_end and
 directory), so a rejected value is reported, unchanged, as a ValidationError
-naming its ``section.key``.
+naming its ``section.key``. They also own the types: an integer setting
+keeps a Python int and a float setting a Python float (grid._as_int and
+grid._as_float), so a dataclass built in code echoes every digit of its
+values, and its echo re-runs it exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .grid import GridSpec
+from .grid import GridSpec, _as_float
 from .model import ModelParams, ScenarioSpec
 from .stepper import SolverConfig
 from .sweep import SweepPlan
@@ -65,9 +68,11 @@ class OutputOptions:
                 f"dir must contain no whitespace or '#', got {str(self.directory)!r};"
                 " set dir to an absolute path without them"
             )
-        if not all(1.0 <= p < float("inf") for p in self.p_values):
+        p_values = tuple(_as_float(p, "p_values entry") for p in self.p_values)
+        object.__setattr__(self, "p_values", p_values)
+        if not all(1.0 <= p < float("inf") for p in p_values):
             raise ValueError("p_values entries must be finite and >= 1")
-        if len(set(self.p_values)) != len(self.p_values):
+        if len(set(p_values)) != len(p_values):
             raise ValueError("p_values entries must be distinct")
 
 

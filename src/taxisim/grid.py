@@ -25,16 +25,20 @@ contiguous pass. Where p is the last cell of its row along a, the pair
 weights (1/h^2, 1/(2h)) holds 0 there, so those entries scatter nothing.
 
 Each GridSpec builds its constants on first use and keeps them in its
-instance: the face table, the cosine spectrum of the Laplacian (which
-_screened_solve applies for the stepper: one matrix product per axis on a
-view of the flat array) and the explicit diffusion limit. They
-are not dataclass fields, so eq, hash and repr ignore them, and a pickled
-or copied grid is rebuilt from extent and cells.
+instance: the face table, the cosine spectrum of the Laplacian and the
+explicit diffusion limit. They are not dataclass fields, so eq, hash and
+repr ignore them, and a pickled or copied grid is rebuilt from extent and
+cells. The spectrum is one plan for both directions of the transform that
+_screened_solve applies for the stepper: per axis, a view of the flat array
+and the cosine matrix C, whose one product on that view leaves its result
+in the flat layout again, and the eigenvalues summed flat through the same
+views.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -70,7 +74,7 @@ class GridSpec:
     num_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        extent = tuple(float(x) for x in self.extent)
+        extent = tuple(_as_float(x, "extent entry") for x in self.extent)
         cells = tuple(_as_int(n, "cells entry") for n in self.cells)
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "cells", cells)
@@ -137,33 +141,19 @@ class GridSpec:
     @cached_property
     def _spectrum(self) -> _Spectrum:
         """Cosine transform of the Laplacian (its arrays are shared, so read-only)."""
-        modes = [_cosine_modes(n, h) for n, h in zip(self.cells, self.spacing)]
-        lam = np.zeros(self.cells[::-1])
-        for axis, (_, lam_a) in enumerate(modes):
-            axis_shape = [1] * self.dim
-            axis_shape[self.dim - 1 - axis] = lam_a.size
-            lam += lam_a.reshape(axis_shape)
-        lam = lam.ravel()
-        lam.flags.writeable = False
-        shapes = [_axis_view(self.cells, axis) for axis in range(self.dim)]
-        # The forward transform starts from the flat array, the inverse from
-        # the last forward view; a step reshapes only when its view differs
-        # from the one before.
-        before_forward = [(self.num_cells,), *shapes[:-1]]
-        before_inverse = [shapes[-1], *shapes[:-1]]
-        forward, inverse = [], []
-        for axis, ((c, _), shape) in enumerate(zip(modes, shapes)):
+        axes = []
+        lam = np.zeros(self.num_cells)
+        for axis, (n, h) in enumerate(zip(self.cells, self.spacing)):
+            c, lam_a = _cosine_modes(n, h)
             c.flags.writeable = False
-            # x @ C.T transforms axis 0 and C @ x any other; the inverse
-            # multiplies by the transposes.
-            right = axis == 0
-            for steps, before, mat in (
-                (forward, before_forward, c.T if right else c),
-                (inverse, before_inverse, c if right else c.T),
-            ):
-                view = None if before[axis] == shape else shape
-                steps.append(_AxisProduct(view, mat, right))
-        return _Spectrum(tuple(forward), tuple(inverse), lam, shapes[-1])
+            view = _axis_view(self.cells, axis)
+            axes.append((view, c))
+            # Summed through the view its axis is transformed in: axis 0 is
+            # the last entry of its view, any other axis the middle one.
+            lam_view = lam.reshape(view)
+            lam_view += lam_a if axis == 0 else lam_a[:, None]
+        lam.flags.writeable = False
+        return _Spectrum(tuple(axes), lam)
 
     @cached_property
     def _diffusion_limit(self) -> float:
@@ -186,6 +176,18 @@ def _as_int(value: object, key: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{key} must be an integer, got {value!r}")
+
+
+def _as_float(value: object, key: str) -> float:
+    """value as a Python float where it is a real number (a Python or NumPy
+    integer or float); anything else, a bool or a string included, or an
+    integer too large for a float, raises a ValueError that starts with key."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise ValueError(f"{key} must be a real number, got {value!r}")
 
 
 _FLOAT64 = np.dtype(np.float64)
@@ -281,18 +283,6 @@ def _cosine_modes(n: int, h: float) -> tuple[np.ndarray, np.ndarray]:
     return c, lam
 
 
-class _AxisProduct(NamedTuple):
-    """One axis of the cosine transform as one matrix product on a view of
-    the flat array: x @ mat for axis 0, whose cells are contiguous, and
-    mat @ x for any other axis. shape is that view (see _axis_view), or
-    None where x already has it.
-    """
-
-    shape: tuple[int, ...] | None
-    mat: np.ndarray
-    right: bool
-
-
 def _axis_view(cells: tuple[int, ...], axis: int) -> tuple[int, ...]:
     """The view under which one product transforms axis a of the flat layout.
 
@@ -311,54 +301,44 @@ def _axis_view(cells: tuple[int, ...], axis: int) -> tuple[int, ...]:
 
 
 class _Spectrum:
-    """The cosine transform of one grid: one product per axis for the
-    forward transform and one for its inverse, and the summed eigenvalues
-    lam of -lap, flat in the order the transform leaves its modes (that of
-    the cells). shape is the view the forward transform ends in.
+    """The cosine transform of one grid: per axis, the view of the flat
+    array its product reads (see _axis_view) and the DCT-II matrix C; and
+    the summed eigenvalues lam of -lap, flat, since every product leaves
+    its modes in the order of the cells.
     """
 
-    __slots__ = ("forward", "inverse", "lam", "shape", "_last")
+    __slots__ = ("axes", "lam", "_last")
 
     def __init__(
-        self,
-        forward: tuple[_AxisProduct, ...],
-        inverse: tuple[_AxisProduct, ...],
-        lam: np.ndarray,
-        shape: tuple[int, ...],
+        self, axes: tuple[tuple[tuple[int, ...], np.ndarray], ...], lam: np.ndarray
     ) -> None:
-        self.forward = forward
-        self.inverse = inverse
+        self.axes = axes
         self.lam = lam
-        self.shape = shape
         self._last: tuple[float, np.ndarray] | None = None
 
     def denominator(self, alpha: float) -> np.ndarray:
-        """1 + alpha lam (read-only), in the shape the forward transform
-        leaves, kept for the last alpha asked for."""
+        """1 + alpha lam (read-only), kept for the last alpha asked for."""
         last = self._last
         if last is not None and last[0] == alpha:
             return last[1]
-        denom = (1.0 + alpha * self.lam).reshape(self.shape)
+        denom = 1.0 + alpha * self.lam
         denom.flags.writeable = False
         self._last = (alpha, denom)
         return denom
 
 
-def _apply_along_axes(x: np.ndarray, plan: tuple[_AxisProduct, ...]) -> np.ndarray:
-    """Apply each axis product of plan to x in turn; x is flat for the
-    forward transform and has the spectrum's shape for the inverse.
-
-    Each product reads x through its view, with no copy, so a 1D grid is
-    one vector product and a 2D grid two matrix products.
+def _transform(x: np.ndarray, spec: _Spectrum, inverse: bool = False) -> np.ndarray:
+    """The cosine transform of the flat array x (its inverse when inverse),
+    flat: axis 0 is x @ C.T and any other axis C @ x (x @ C and C.T @ x for
+    the inverse), each on its view of x, with no copy.
     """
-    for shape, m, right in plan:
-        if shape is not None:
-            x = x.reshape(shape)
-        if right:
-            x = x @ m
+    for axis, (view, c) in enumerate(spec.axes):
+        x = x.reshape(view)
+        if axis == 0:
+            x = x @ (c if inverse else c.T)
         else:
-            x = m @ x
-    return x
+            x = (c.T if inverse else c) @ x
+    return x.ravel()
 
 
 def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
@@ -370,10 +350,9 @@ def _screened_solve(grid: GridSpec, b: np.ndarray, alpha: float) -> np.ndarray:
     transform and the divisor of the last alpha.
     """
     spec = grid._spectrum
-    x = _apply_along_axes(b, spec.forward)
+    x = _transform(b, spec)
     x /= spec.denominator(alpha)
-    x = _apply_along_axes(x, spec.inverse)
-    return x.ravel()
+    return _transform(x, spec, inverse=True)
 
 
 def laplacian(f: Field, *, out: np.ndarray | None = None) -> Field:

@@ -13,12 +13,22 @@ the signal to the cells through a screened Poisson solve.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .grid import Field, GridSpec, _as_int, _max, _min, laplacian, taxis_divergence
+from .grid import (
+    Field,
+    GridSpec,
+    _as_float,
+    _as_int,
+    _max,
+    _min,
+    laplacian,
+    taxis_divergence,
+)
 
 __all__ = [
     "ModelParams",
@@ -52,8 +62,10 @@ class ModelParams:
     def __post_init__(self) -> None:
         object.__setattr__(self, "tau", _as_int(self.tau, "tau"))
         for name in ("chi", "xi", "mu", "eta"):
-            if not np.isfinite(getattr(self, name)):
+            value = _as_float(getattr(self, name), name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
+            object.__setattr__(self, name, value)
         if not self.chi > 0.0:
             raise ValueError("chi must be > 0")
         for name in ("xi", "mu", "eta"):
@@ -161,15 +173,21 @@ class ScenarioSpec:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name must be one of {SCENARIO_NAMES}")
         for name in ("amplitude", "wbar", "u0", "v0", "w0"):
-            value = getattr(self, name)
-            if not np.isfinite(value):
+            value = _as_float(getattr(self, name), name)
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
             if value < 0.0:
                 raise ValueError(f"{name} must be >= 0")
-        if self.sigma is not None and not 0.0 < self.sigma < np.inf:
-            raise ValueError("sigma must be finite and > 0")
-        if self.center is not None and not np.isfinite(self.center).all():
-            raise ValueError("center entries must be finite")
+            object.__setattr__(self, name, value)
+        if self.sigma is not None:
+            object.__setattr__(self, "sigma", _as_float(self.sigma, "sigma"))
+            if not 0.0 < self.sigma < math.inf:
+                raise ValueError("sigma must be finite and > 0")
+        if self.center is not None:
+            center = tuple(_as_float(x, "center entry") for x in self.center)
+            object.__setattr__(self, "center", center)
+            if not all(map(math.isfinite, center)):
+                raise ValueError("center entries must be finite")
         object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

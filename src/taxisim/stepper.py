@@ -37,6 +37,7 @@ from . import diagnostics
 from .grid import (
     Field,
     GridSpec,
+    _as_float,
     _max,
     _min,
     _screened_solve,
@@ -108,10 +109,13 @@ class SolverConfig:
     def __post_init__(self) -> None:
         # Each message starts with the config key it rejects and names the
         # final time by its key, T_end, so config reports it unchanged.
+        object.__setattr__(self, "t_end", _as_float(self.t_end, "T_end"))
         if not 0.0 < self.t_end < math.inf:
             raise ValueError("T_end must be finite and > 0")
         if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 50.0)
+        for key in ("output_every", "cfl_safety", "dt_max", "blowup_threshold", "anchor_time"):
+            object.__setattr__(self, key, _as_float(getattr(self, key), key))
         if not 0.0 < self.output_every < math.inf:
             raise ValueError("output_every must be finite and > 0")
         if not 0.0 < self.cfl_safety <= 1.0:

@@ -15,7 +15,7 @@ import time
 from dataclasses import KW_ONLY, dataclass, replace
 
 from .diagnostics import BoundednessVerdict, classify, outcome_verdict
-from .grid import GridSpec, _as_int
+from .grid import GridSpec, _as_float, _as_int
 from .model import ModelParams, ScenarioSpec
 from .stepper import RunOutcome, SolverConfig, run
 
@@ -29,6 +29,10 @@ __all__ = [
 ]
 
 SWEEP_MODES = ("fix_mu_vary_chi", "fix_chi_vary_mu")
+
+# A point's scenario seed is base + _SEED_STRIDE * theta_index + repetition, so
+# no two points share a seed while repetitions stay at most the stride.
+_SEED_STRIDE = 7919
 
 
 @dataclass(frozen=True)
@@ -53,9 +57,10 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be {' or '.join(SWEEP_MODES)}")
+        object.__setattr__(self, "fixed_value", _as_float(self.fixed_value, "fixed_value"))
         if not 0.0 < self.fixed_value < math.inf:
             raise ValueError("fixed_value must be finite and > 0")
-        thetas = tuple(float(t) for t in self.theta_values)
+        thetas = tuple(_as_float(t, "theta_values entry") for t in self.theta_values)
         object.__setattr__(self, "theta_values", thetas)
         if not thetas:
             raise ValueError("theta_values must be nonempty")
@@ -66,6 +71,11 @@ class SweepPlan:
         object.__setattr__(self, "repetitions", _as_int(self.repetitions, "repetitions"))
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.repetitions > _SEED_STRIDE:
+            raise ValueError(
+                f"repetitions must be at most {_SEED_STRIDE}, the seed stride"
+                " between theta values, so that no two points share a seed"
+            )
 
 
 @dataclass
@@ -103,7 +113,7 @@ def check_pe_condition(params: ModelParams, dim: int) -> bool:
 
 
 def _derived_seed(base: int, theta_index: int, repetition: int) -> int:
-    return base + 7919 * theta_index + repetition
+    return base + _SEED_STRIDE * theta_index + repetition
 
 
 def _execute_point(

@@ -5,9 +5,22 @@ from __future__ import annotations
 import math
 import re
 
+import numpy as np
 import pytest
 
-from taxisim import ParseError, SweepPlan, ValidationError, parse_config, render_config
+from taxisim import (
+    GridSpec,
+    ModelParams,
+    ParseError,
+    ScenarioSpec,
+    SolverConfig,
+    SweepPlan,
+    ValidationError,
+    parse_config,
+    render_config,
+    run,
+)
+from taxisim.config import OutputOptions, RunConfig
 from taxisim.config import _KEYS
 
 MINIMAL = """
@@ -268,6 +281,16 @@ class TestValidation:
         assert "T_end" in message
         assert "t_end" not in message
 
+    def test_repetitions_past_the_seed_stride_rejected(self):
+        assert parse_config(with_value("sweep.repetitions", "7919")).sweep.repetitions == 7919
+        with pytest.raises(ValidationError, match=r"^sweep\.repetitions must be at most 7919"):
+            parse_config(with_value("sweep.repetitions", "7920"))
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_p_values_entries_take_real_numbers_only(self, tmp_path, bad):
+        with pytest.raises(ValueError, match="^p_values entry must be a real number"):
+            OutputOptions(tmp_path, p_values=(2.0, bad))
+
     def test_bad_time_scheme(self):
         with pytest.raises(ValidationError, match=r"solver\.time_scheme"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] T_end=1 time_scheme=magic")
@@ -296,6 +319,30 @@ class TestEcho:
         # The echoed plan is the parsed one, over the echoed problem.
         assert cfg2.sweep == cfg.sweep
         assert cfg2.sweep.base_model is cfg2.model and cfg2.sweep.grid is cfg2.grid
+
+    def test_float32_settings_rerun_identically_from_their_echo(self, tmp_path):
+        # Each float setting is kept as the Python float of its value, so the
+        # echo writes every digit of it and a run of the echo is the same run.
+        f32 = np.float32
+        cfg = RunConfig(
+            grid=GridSpec((f32(1.7),), (16,)),
+            model=ModelParams(chi=f32(0.1), xi=f32(0.3), mu=f32(1.3), eta=f32(0.2)),
+            solver=SolverConfig(t_end=f32(0.3), output_every=f32(0.1), cfl_safety=f32(0.3)),
+            scenario=ScenarioSpec(name="gaussian-bump", amplitude=f32(0.7), wbar=f32(0.1)),
+            outputs=OutputOptions(tmp_path, p_values=(f32(2.5),)),
+        )
+        again = parse_config(render_config(cfg), base_dir=tmp_path)
+        assert again == cfg
+        first, second = (
+            run(c.scenario.build(c.grid), c.model, c.solver, p_list=c.outputs.p_values)
+            for c in (cfg, again)
+        )
+        assert first.steps == second.steps
+        assert first.max_sup_u == second.max_sup_u
+        for name in ("u", "v", "w"):
+            a = getattr(first.final_state, name).values
+            b = getattr(second.final_state, name).values
+            assert a.tobytes() == b.tobytes()
 
     def test_echo_parses_without_base_dir_dependence(self, tmp_path):
         # The echo carries an absolute output directory, so re-parsing it from

@@ -56,6 +56,27 @@ class TestGridSpec:
         with pytest.raises(ValueError):
             GridSpec(extent, cells)
 
+    @pytest.mark.parametrize("bad", [True, "1", "1.5"])
+    def test_extent_entries_take_real_numbers_only(self, bad):
+        with pytest.raises(ValueError, match="^extent entry must be a real number"):
+            GridSpec((1.0, bad), (4, 4))
+
+    @pytest.mark.parametrize(
+        "value", [0.25, 3, np.float32(0.1), np.float64(2.5), np.int64(7), np.float16(1.5)]
+    )
+    def test_as_float_takes_any_real_that_is_not_a_bool(self, value):
+        x = grid_mod._as_float(value, "chi")
+        assert type(x) is float and x == float(value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [True, np.bool_(False), "1", None, 1 + 0j, np.array(1.0), 10**400],
+        ids=["bool", "numpy-bool", "str", "None", "complex", "0-d-array", "10**400"],
+    )
+    def test_as_float_rejects_anything_else_naming_the_key(self, value):
+        with pytest.raises(ValueError, match="^chi must be a real number"):
+            grid_mod._as_float(value, "chi")
+
     def test_field_length_must_match(self):
         g = GridSpec((1.0,), (4,))
         with pytest.raises(ValueError):

@@ -51,6 +51,17 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
 
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize("key", ["chi", "xi", "mu", "eta"])
+    def test_float_keys_take_real_numbers_only(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+            ModelParams(**{"chi": 1.0, key: bad})
+
+    def test_float_keys_become_python_floats(self):
+        p = ModelParams(chi=np.float32(0.1), xi=1, mu=np.float64(2.0), eta=np.int32(0))
+        assert (p.chi, p.xi, p.mu, p.eta) == (float(np.float32(0.1)), 1.0, 2.0, 0.0)
+        assert all(type(x) is float for x in (p.chi, p.xi, p.mu, p.eta))
+
 
 class TestInitialData:
     def test_rejects_negative(self):
@@ -240,6 +251,17 @@ class TestScenarios:
         with pytest.raises(ValueError, match="^seed must be an integer"):
             ScenarioSpec(name="random-perturb", seed=seed)
 
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize("key", ["amplitude", "sigma", "wbar", "u0", "v0", "w0"])
+    def test_float_keys_take_real_numbers_only(self, key, bad):
+        with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+            ScenarioSpec(name="gaussian-bump", **{key: bad})
+
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_center_entries_take_real_numbers_only(self, bad):
+        with pytest.raises(ValueError, match="^center entry must be a real number"):
+            ScenarioSpec(name="gaussian-bump", center=(0.5, bad))
 
     def test_center_of_the_wrong_length_rejected(self):
         spec = ScenarioSpec(name="gaussian-bump", center=(0.5,))

@@ -93,6 +93,23 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(**kwargs)
 
+    @pytest.mark.parametrize("bad", [True, "1"])
+    @pytest.mark.parametrize(
+        "field, key",
+        [
+            ("t_end", "T_end"),
+            ("output_every", "output_every"),
+            ("cfl_safety", "cfl_safety"),
+            ("dt_max", "dt_max"),
+            ("blowup_threshold", "blowup_threshold"),
+            ("anchor_time", "anchor_time"),
+        ],
+    )
+    def test_float_keys_take_real_numbers_only(self, field, key, bad):
+        # The message names the config key: T_end for the field t_end.
+        with pytest.raises(ValueError, match=f"^{key} must be a real number"):
+            SolverConfig(**{"t_end": 1.0, field: bad})
+
     def test_output_every_may_leave_exactly_1e15_landings(self):
         # t_end / 1e-6 is exactly 10^15 at t_end = 1e9 (TestStableDt admits
         # the same dt_max). Constructed only: the run would take too long.
@@ -573,20 +590,31 @@ class TestEllipticSolve:
             x = np.einsum(f"z{letters[axis]},{letters}->{out}", m, x)
         return x.ravel(order="F")
 
-    @pytest.mark.parametrize("extent, cells", LARGE_ANISOTROPIC)
+    # 1D grids, whose one product is a vector product, and 3D grids of three
+    # distinct counts, on which the view of every axis differs.
+    @pytest.mark.parametrize(
+        "extent, cells",
+        [
+            ((1.3,), (5,)),
+            ((6.0,), (64,)),
+            ((0.8, 1.9, 3.1), (4, 7, 5)),
+            ((4.0, 2.7, 3.3), (16, 9, 11)),
+            *LARGE_ANISOTROPIC,
+        ],
+    )
     def test_axis_products_are_the_per_axis_transform(self, extent, cells):
         g = GridSpec(extent, cells)
         spec = g._spectrum
         b = np.random.default_rng(8).uniform(-1.0, 1.0, g.num_cells)
         sup_b = np.max(np.abs(b))
-        hat = grid_mod._apply_along_axes(b, spec.forward)
+        hat = grid_mod._transform(b, spec)
         ref = self.einsum_transform(g, b)
-        assert np.max(np.abs(hat.ravel() - ref)) <= 1e-13 * np.max(np.abs(ref))
-        back = grid_mod._apply_along_axes(b.reshape(spec.shape), spec.inverse).ravel()
+        assert np.max(np.abs(hat - ref)) <= 1e-13 * np.max(np.abs(ref))
+        back = grid_mod._transform(b, spec, inverse=True)
         ref = self.einsum_transform(g, b, transpose=True)
         assert np.max(np.abs(back - ref)) <= 1e-13 * np.max(np.abs(ref))
         # The cosine matrices are orthonormal to ~n eps: 2.5e-14 at n = 128.
-        identity = grid_mod._apply_along_axes(hat, spec.inverse).ravel()
+        identity = grid_mod._transform(hat, spec, inverse=True)
         assert np.max(np.abs(identity - b)) <= 1e-13 * sup_b
 
     @pytest.mark.parametrize("tau, scheme", [(0, "explicit"), (1, "imex-diffusion")])

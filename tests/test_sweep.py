@@ -109,6 +109,26 @@ class TestPlan:
         with pytest.raises(ValueError):
             tiny_plan(**overrides)
 
+    @pytest.mark.parametrize("bad", [True, "1"])
+    def test_float_keys_take_real_numbers_only(self, bad):
+        with pytest.raises(ValueError, match="^fixed_value must be a real number"):
+            tiny_plan(fixed_value=bad)
+        with pytest.raises(ValueError, match="^theta_values entry must be a real number"):
+            tiny_plan(theta_values=(0.05, bad))
+
+    def test_repetitions_stop_at_the_seed_stride(self):
+        # Seeds step by 7919 per theta, so 7920 repetitions would give
+        # (theta 0, rep 7919) and (theta 1, rep 0) the same seed.
+        plan = tiny_plan(theta_values=(0.1, 0.2), repetitions=7919)
+        seeds = {
+            sweep_mod._derived_seed(plan.scenario.seed, i, rep)
+            for i in range(2)
+            for rep in range(plan.repetitions)
+        }
+        assert len(seeds) == 2 * 7919
+        with pytest.raises(ValueError, match="^repetitions must be at most 7919"):
+            tiny_plan(repetitions=7920)
+
 
 class TestRunSweep:
     def test_single_steady_point_is_bounded(self):

@@ -11,7 +11,7 @@ blown up, or inconclusive from its record series.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -51,6 +51,10 @@ class DiagnosticsRecord:
     """Monitored quantities at one output time.
 
     The fields before lp_u are the time-series columns, in column order.
+    peak_u is the largest sup u over the steps the run accepted since the
+    previous record, this state included, and t_peak_u the time of it. The
+    t = 0 record holds its own sup u at 0; a window with no finite state
+    holds -inf at nan.
     """
 
     t: float
@@ -66,6 +70,8 @@ class DiagnosticsRecord:
     sup_grad_v: float
     lemma22_violation: float
     repr_residual: float
+    peak_u: float
+    t_peak_u: float
     lp_u: tuple[tuple[float, float], ...]
 
     @property
@@ -84,15 +90,24 @@ class BoundednessVerdict:
     crossing_time: float | None = None
 
 
-def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> DiagnosticsRecord:
+def record(
+    state: SimState,
+    p_list: list[float],
+    *,
+    eta: float = 0.0,
+    peak: tuple[float, float] | None = None,
+) -> DiagnosticsRecord:
     """Fill a record from the current state.
 
+    peak is (peak_u, t_peak_u), the peak of sup u over the record's window
+    of steps, which run keeps; without it the window is the state alone.
     The representation residual and the curvature-bound slack apply to the
     eta = 0 system on a finite state; otherwise they are reported as 0. The
     extrema of u, v and w come from state.field_extrema(), so a non-finite
     state yields a record whose finite property is False.
     """
     ext = state.field_extrema()
+    peak_u, t_peak_u = (ext.max_u, state.t) if peak is None else peak
     lem = rep = 0.0
     if ext.finite and eta == 0.0:
         lem, rep = _substrate_monitors(state)
@@ -110,6 +125,8 @@ def record(state: SimState, p_list: list[float], *, eta: float = 0.0) -> Diagnos
         sup_grad_v=_max(magnitude(gradient(state.v)).values),
         lemma22_violation=lem,
         repr_residual=rep,
+        peak_u=peak_u,
+        t_peak_u=t_peak_u,
         lp_u=tuple((float(p), lp_norm(state.u, p)) for p in p_list),
     )
 
@@ -190,6 +207,19 @@ def mass_bound_check(
     )
 
 
+def series_peak(series: list[DiagnosticsRecord]) -> tuple[float, float]:
+    """The peak of sup u over every state a run accepted, and its time: the
+    largest finite peak_u of its records (the first on a tie) with its
+    t_peak_u. A record flagged non-finite still carries the finite peak of
+    the steps before it. (inf, the first record's t) when no peak is finite.
+    """
+    finite = [rec for rec in series if math.isfinite(rec.peak_u)]
+    if not finite:
+        return math.inf, float(series[0].t)
+    best = max(finite, key=lambda rec: rec.peak_u)
+    return best.peak_u, best.t_peak_u
+
+
 def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessVerdict:
     """Classify a record series as bounded, growing, blew_up or inconclusive.
 
@@ -197,6 +227,9 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     growing: the final sup_u exceeds GROWTH_FACTOR times the first-half max.
     bounded: sup_u varies by under PLATEAU_FRACTION over the final quarter of
     the run and never exceeded GROWTH_FACTOR times its initial value.
+    The rules read the records' sup_u; the verdict reports the peak of sup u
+    over the run's steps and its time, from the records' peak_u (see
+    series_peak).
     Windows are selected by time fraction, so the verdict is invariant under
     uniform rescaling of the timestamps.
     """
@@ -206,14 +239,7 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     times = np.array([r.t for r in series])
     flagged = np.array([not r.finite for r in series])
     crossed = flagged | (sups >= cfg.blowup_threshold)
-
-    finite_sups = sups[~flagged]
-    if finite_sups.size:
-        max_sup = _max(finite_sups)
-        t_of_max = float(times[~flagged][int(np.argmax(finite_sups))])
-    else:
-        max_sup = math.inf
-        t_of_max = float(times[0])
+    max_sup, t_of_max = series_peak(series)
 
     if crossed.any():
         first = int(np.argmax(crossed))
@@ -232,7 +258,7 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     q_max = _max(quarter)
     q_min = _min(quarter)
     variation = (q_max - q_min) / max(abs(q_max), 1e-300)
-    if variation < PLATEAU_FRACTION and max_sup <= GROWTH_FACTOR * float(sups[0]):
+    if variation < PLATEAU_FRACTION and _max(sups) <= GROWTH_FACTOR * float(sups[0]):
         return BoundednessVerdict("bounded", max_sup, t_of_max)
     return BoundednessVerdict("inconclusive", max_sup, t_of_max)
 
@@ -243,7 +269,7 @@ def outcome_verdict(outcome: RunOutcome, seen: BoundednessVerdict) -> Boundednes
     How the run ended comes first: a run that diverged blew up at the time
     of its final state, even where its records are finite, and a run whose
     steps kept failing is inconclusive. Otherwise its records decide. The
-    peak of sup u and its time come from the run, which saw every step.
+    peak of sup u and its time come from the records, as seen reports them.
     """
     if outcome.status == "blew_up":
         classification, crossing = "blew_up", outcome.final_state.t
@@ -251,6 +277,4 @@ def outcome_verdict(outcome: RunOutcome, seen: BoundednessVerdict) -> Boundednes
         classification, crossing = "inconclusive", None
     else:
         classification, crossing = seen.classification, seen.crossing_time
-    return BoundednessVerdict(
-        classification, outcome.max_sup_u, outcome.t_of_max_sup_u, crossing
-    )
+    return replace(seen, classification=classification, crossing_time=crossing)

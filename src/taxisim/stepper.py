@@ -547,12 +547,14 @@ def step(state: SimState, params: ModelParams, cfg: SolverConfig) -> SimState:
 
 @dataclass(eq=False)
 class RunOutcome:
-    """Terminal status of a run plus summary statistics and the record series."""
+    """Terminal status of a run plus summary statistics and the record series.
+
+    The peak of sup u is not stored: max_sup_u and t_of_max_sup_u read it
+    from the records' peak_u and t_peak_u.
+    """
 
     status: str  # "completed" | "blew_up" | "cfl_failed"
     records: list
-    max_sup_u: float
-    t_of_max_sup_u: float
     min_u: float
     min_v: float
     min_w: float
@@ -561,6 +563,16 @@ class RunOutcome:
     steps: int
     final_state: SimState  # the state the run ends on; its t is the end (or failure) time
     failure: str | None = None  # "<Type>: <message>" of what ended the run early
+
+    @property
+    def max_sup_u(self) -> float:
+        """The largest sup u over every state the run accepted (see
+        diagnostics.series_peak)."""
+        return diagnostics.series_peak(self.records)[0]
+
+    @property
+    def t_of_max_sup_u(self) -> float:
+        return diagnostics.series_peak(self.records)[1]
 
 
 def run(
@@ -576,7 +588,9 @@ def run(
     Emits a diagnostics record at t = 0, at every output_every of simulated
     time and, exactly once, on the state the run ends on (t_end or where it
     stopped); the optional snapshot_sink receives the state at each
-    emission. At t = anchor_time > 0 the anchor snapshot is re-captured and
+    emission. Each record carries the peak of sup u over the steps accepted
+    since the previous record, a window maximum that run resets at each
+    record. At t = anchor_time > 0 the anchor snapshot is re-captured and
     the accumulator reset. Positivity and the substrate ceiling are
     monitored after every accepted step; step failures (divergence,
     persistent negativity) become the outcome status. A run that cannot
@@ -588,16 +602,18 @@ def run(
     # record and the first step.
     state.extrema = ext = Extrema.of(state.u.values, state.v.values, state.w.values)
     records: list = []
+    # The peak of sup u since the last record and its time.
+    peak_u, t_peak_u = ext.max_u, state.t
 
     def emit(st: SimState) -> None:
-        rec = diagnostics.record(st, list(p_list), eta=params.eta)
+        nonlocal peak_u, t_peak_u
+        rec = diagnostics.record(st, list(p_list), eta=params.eta, peak=(peak_u, t_peak_u))
         records.append(rec)
+        peak_u, t_peak_u = -math.inf, math.nan
         if snapshot_sink is not None:
             snapshot_sink(st)
 
     min_u, min_v, min_w, max_w = ext.min_u, ext.min_v, ext.min_w, ext.max_w
-    max_sup_u = ext.max_u
-    t_of_max = 0.0
     violations = 0
     steps = 0
     status = "completed"
@@ -616,9 +632,8 @@ def run(
             steps += 1
 
             ext = state.field_extrema()
-            if ext.max_u > max_sup_u:
-                max_sup_u = ext.max_u
-                t_of_max = state.t
+            if ext.max_u > peak_u:
+                peak_u, t_peak_u = ext.max_u, state.t
             min_u = min(min_u, ext.min_u)
             min_v = min(min_v, ext.min_v)
             min_w = min(min_w, ext.min_w)
@@ -647,9 +662,8 @@ def run(
         if isinstance(exc, Diverged):
             state = exc.state
             ext = state.field_extrema()
-            if ext.finite and ext.max_u > max_sup_u:
-                max_sup_u = ext.max_u
-                t_of_max = state.t
+            if ext.finite and ext.max_u > peak_u:
+                peak_u, t_peak_u = ext.max_u, state.t
     # The state the run ends on (at t_end or where it stopped), recorded once.
     if state.t != records[-1].t:
         emit(state)
@@ -657,8 +671,6 @@ def run(
     return RunOutcome(
         status=status,
         records=records,
-        max_sup_u=max_sup_u,
-        t_of_max_sup_u=t_of_max,
         min_u=min_u,
         min_v=min_v,
         min_w=min_w,

@@ -31,6 +31,15 @@ BLOWUP_CFG = """
 
 RENEWAL_CFG = BUMP_CFG.replace("mu=1", "mu=1 eta=0.5")
 
+# sup u peaks at t = 0.0015, between the records at 0 and 0.05.
+PEAK_CFG = """
+[grid] dim=1 extent=6 cells=64
+[model] chi=8 xi=1 mu=10 tau=1
+[solver] T_end=0.25 output_every=0.05 time_scheme=imex-diffusion
+[scenario] name=random-perturb amplitude=0.3 wbar=0.3 seed=0
+[outputs] dir={out}
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -334,6 +343,25 @@ class TestCheckCommand:
         assert any(x.startswith(mass) for x in checked)
         ended_early = any(x.startswith("ended early: the series stops at t=") for x in checked)
         assert ended_early == (exit_code == 2)
+
+    def test_repeats_a_run_peak_that_falls_between_records(self, tmp_path, capsys):
+        # The records' sup u never reaches the peak; their peak_u column
+        # holds it, so check prints the run's line.
+        assert main(["run", str(write_cfg(tmp_path, PEAK_CFG.format(out=tmp_path / "out")))]) == 0
+        ran = capsys.readouterr().out.splitlines()
+        series = tmp_path / "out" / "timeseries.csv"
+        assert main(["check", str(series)]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        for prefix in ("verdict:", "max sup u:", "mass bound:"):
+            (line,) = [x for x in ran if x.startswith(prefix)]
+            assert line in checked
+        (line,) = [x for x in ran if x.startswith("max sup u:")]
+        peak, t_peak = (float(x) for x in line[len("max sup u: ") :].split(" at t="))
+        assert peak == pytest.approx(1.8072861009391383, rel=1e-9)
+        with open(series, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert all(float(row["sup_u"]) < peak for row in rows)
+        assert t_peak not in {float(row["t"]) for row in rows}
 
     def test_a_series_of_only_its_header_is_an_error(self, tmp_path, capsys):
         assert main(["run", str(write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out")))]) == 0

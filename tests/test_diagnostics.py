@@ -46,6 +46,8 @@ def make_record(t: float, sup_u: float) -> DiagnosticsRecord:
         sup_grad_v=0.0,
         lemma22_violation=0.0,
         repr_residual=0.0,
+        peak_u=sup_u,
+        t_peak_u=t,
         lp_u=((2.0, sup_u),),
     )
 

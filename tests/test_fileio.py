@@ -35,7 +35,7 @@ from taxisim.fileio import (
 
 EXPECTED_HEADER = (
     "t,dt,mass_u,mass_v,min_u,sup_u,min_v,sup_v,min_w,sup_w,"
-    "sup_grad_v,lemma22_violation,repr_residual"
+    "sup_grad_v,lemma22_violation,repr_residual,peak_u,t_peak_u"
 )
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -976,6 +977,94 @@ class TestRun:
         out = run(sc.build(g), p, SolverConfig(t_end=1.0, output_every=0.25))
         assert out.status == "completed"
         assert out.invariant_violations == 0
+
+
+PEAK_GRIDS = {
+    1: GridSpec((6.0,), (32,)),
+    2: GridSpec((3.0, 2.5), (12, 10)),
+    3: GridSpec((2.0, 1.5, 1.75), (6, 5, 7)),
+}
+
+
+class TestPeakWindows:
+    """Each record's peak_u is the peak of sup u over its window of steps."""
+
+    def seen_run(self, monkeypatch, dim, tau, scheme, attempt=None):
+        """Run random data with chi = 8, keeping the initial state and every
+        state step returns; attempt, if given, replaces _attempt_step."""
+        seen = []
+        original = stepper_mod.step
+
+        def recording(state, params, cfg):
+            if not seen:
+                seen.append(state)
+            new = original(state, params, cfg)
+            seen.append(new)
+            return new
+
+        monkeypatch.setattr(stepper_mod, "step", recording)
+        if attempt is not None:
+            monkeypatch.setattr(stepper_mod, "_attempt_step", attempt)
+        sc = ScenarioSpec(name="random-perturb", amplitude=0.3, wbar=0.3, seed=dim)
+        p = ModelParams(chi=8.0, xi=1.0, mu=10.0, tau=tau)
+        cfg = SolverConfig(t_end=0.1, output_every=0.025, time_scheme=scheme)
+        return run(sc.build(PEAK_GRIDS[dim]), p, cfg), seen
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("tau, scheme", SCHEMES)
+    def test_each_record_holds_the_peak_of_its_window(self, monkeypatch, dim, tau, scheme):
+        out, seen = self.seen_run(monkeypatch, dim, tau, scheme)
+        assert out.status == "completed"
+        assert len(seen) == out.steps + 1
+        sups = [float(np.max(st.u.values)) for st in seen]
+        first = out.records[0]
+        assert (first.peak_u, first.t_peak_u) == (first.sup_u, 0.0)
+        for prev, rec in zip(out.records, out.records[1:]):
+            window = [(s, st.t) for s, st in zip(sups, seen) if prev.t < st.t <= rec.t]
+            peak = max(s for s, _ in window)
+            assert rec.peak_u >= rec.sup_u
+            assert prev.t < rec.t_peak_u <= rec.t
+            assert (rec.peak_u, rec.t_peak_u) == next(w for w in window if w[0] == peak)
+        top = int(np.argmax(sups))  # first index of the maximum
+        assert max(rec.peak_u for rec in out.records) == sups[top]
+        assert (out.max_sup_u, out.t_of_max_sup_u) == (sups[top], seen[top].t)
+
+    @pytest.mark.parametrize("after_record", [False, True], ids=["mid-window", "after-record"])
+    def test_a_run_ended_on_a_nonfinite_state_keeps_the_peak_of_its_steps(
+        self, monkeypatch, after_record
+    ):
+        # The step from the record at t = 0.05 (after_record) or the first
+        # to pass t = 0.06 writes a NaN into u: Diverged ends the run on that
+        # state, which is not counted, and its record is flagged. The record
+        # carries the finite peak of the steps since the previous record, or
+        # -inf when none came.
+        original = stepper_mod._attempt_step
+
+        def poisoned(state, params, cfg, dt):
+            new = original(state, params, cfg, dt)
+            if (state.t >= 0.05) if after_record else (new.t > 0.06):
+                new.u.values[3] = math.nan
+                new.extrema = None
+            return new
+
+        out, seen = self.seen_run(monkeypatch, 1, 1, "explicit", poisoned)
+        assert out.status == "blew_up"
+        last = out.records[-1]
+        assert not last.finite and last.t == out.final_state.t
+        accepted = seen  # step raised on the poisoned state, so seen lacks it
+        sups = [float(np.max(st.u.values)) for st in accepted]
+        top = int(np.argmax(sups))
+        assert (out.max_sup_u, out.t_of_max_sup_u) == (sups[top], accepted[top].t)
+        if after_record:
+            assert out.records[-2].t == accepted[-1].t == 0.05
+            assert last.peak_u == -math.inf and math.isnan(last.t_peak_u)
+        else:
+            assert out.records[-2].t < accepted[-1].t
+            assert last.peak_u == max(s for s, st in zip(sups, accepted) if st.t > out.records[-2].t)
+
+    def test_the_outcome_stores_no_peak(self):
+        names = {f.name for f in dataclasses.fields(stepper_mod.RunOutcome)}
+        assert not names & {"max_sup_u", "t_of_max_sup_u"}
 
 
 def half_box_data(grid):

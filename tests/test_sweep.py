@@ -156,9 +156,9 @@ class TestRunSweep:
         assert result.outcome is not None
 
     def test_peak_and_its_time_come_from_the_run(self):
-        # classify sees only the output records, so its maximum may sit at
-        # another time than the run's peak over every step; the table pairs
-        # the run's peak with the run's time of it. On this plan most points
+        # The records carry the peak of sup u over every step in their
+        # peak_u column, so the verdict pairs the run's peak with the run's
+        # time of it, even off the output times. On this plan most points
         # peak between outputs.
         plan = tiny_plan(
             theta_values=(0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4),

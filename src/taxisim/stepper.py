@@ -199,8 +199,8 @@ class SimState:
     stored: its readers call gradient themselves (the records once per
     output).
     extrema holds the minima and maxima of u, v and w that step finds on
-    every state it accepts: min u and min v come from the positivity clamps,
-    which take them anyway, and one pass each gives the other four. run
+    every state it accepts: the three minima come from the positivity
+    clamps, which take them anyway, and one pass each gives the maxima. run
     sets it once on the initial state; initial_state leaves it None. The
     divergence check, run, the records and the next step read it.
     It describes the fields as step left them. A non-finite value written
@@ -255,6 +255,13 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
         M=m,
         sup_w=sup_w,
     )
+
+
+def _substrate_ceiling(anchor: Snapshot, eta: float) -> float:
+    """The bound w keeps after the anchor time s0: sup w(s0) when eta = 0,
+    where w only decays, and max(sup w(s0), 1) when eta > 0, since u, v >= 0
+    give w_t <= eta w (1 - w)."""
+    return anchor.sup_w if eta == 0.0 else max(anchor.sup_w, 1.0)
 
 
 def initial_state(init: InitialData) -> SimState:
@@ -324,23 +331,28 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     its landing (see StepSize).
 
     Takes cfl_safety times the minimum of the diffusion limit 1/(2 sum h_a^-2)
-    (equal to h^2/(2 dim) on cubic cells), the per-axis transport limit
-    h_a / max(|chi (grad v)_a| + |xi (grad w)_a|), and the reaction limit
-    1 / (mu (1 + sup u + sup w)), then caps the result by dt_max and by exact
-    landing on the next output time, the anchor time and the final time. A
-    cap binds only when it is strictly smaller than the step it caps.
+    (equal to h^2/(2 dim) on cubic cells), the reaction limit and the
+    per-axis transport limit h_a / max(|chi (grad v)_a| + |xi (grad w)_a|),
+    then caps the result by dt_max and by exact landing on the next output
+    time, the anchor time and the final time. A cap binds only when it is
+    strictly smaller than the step it caps. The reaction limit is one over
+    the largest explicit rate a step applies: the cells' logistic term
+    mu (1 + sup u + sup w); the signal's decay, 1, when tau = 1 (the
+    implicit-diffusion scheme keeps it explicit too); and, when eta > 0, the
+    renewal step of w, sup v + eta (1 + sup u + sup w).
 
     The central gradient of a field is at most its range R = max - min over
     2 h_a, so the transport limit on axis a is at least
-    2 h_a^2 / (chi R_v + xi R_w). When that is at least twice the diffusion
-    limit on every axis, transport cannot bind and the gradients are not
-    computed; the factor 2 covers the rounding of both sides. Otherwise the
-    exact limit is computed as above. R_v comes from the state's extrema,
-    R_w from w itself (see SimState). A non-finite extremum, range of w or
-    transport speed raises Diverged: the state is non-finite, or its
-    gradient overflows (a finite v near the float limit). A
-    stability step (before the caps) below t_end / 10^15, which would take
-    more than 10^15 steps, raises ValueError naming the limit that binds.
+    2 h_a^2 / (chi R_v + xi R_w). When that is at least twice the smaller of
+    the diffusion and reaction limits on every axis, transport cannot bind
+    and the gradients are not computed; the factor 2 covers the rounding of
+    both sides. Otherwise the exact limit is computed as above; on an exact
+    tie with the reaction limit, reaction binds. R_v comes from the state's
+    extrema, R_w from w itself (see SimState). A non-finite extremum, range
+    of w or transport speed raises Diverged: the state is non-finite, or its
+    gradient overflows (a finite v near the float limit). A stability step
+    (before the caps) below t_end / 10^15, which would take more than 10^15
+    steps, raises ValueError naming the limit that binds.
     """
     ext = state.field_extrema()
     if not ext.finite:
@@ -348,6 +360,15 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     grid = state.grid
 
     limit, binding = grid._diffusion_limit, "diffusion"
+    load = 1.0 + ext.max_u + ext.max_w
+    rate = params.mu * load
+    if params.tau == 1:
+        rate = max(rate, 1.0)
+    if params.eta != 0.0:
+        rate = max(rate, ext.max_v + params.eta * load)
+    reaction = 1.0 / (rate + _EPS_RATE)
+    if reaction < limit:
+        limit, binding = reaction, "reaction"
 
     w = state.w.values
     range_w = _max(w) - _min(w)
@@ -365,10 +386,6 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
             transport = h / (peak + _EPS_RATE)
             if transport < limit:
                 limit, binding = transport, f"transport (axis {axis})"
-
-    reaction = 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + _EPS_RATE)
-    if reaction < limit:
-        limit, binding = reaction, "reaction"
 
     dt = cfg.cfl_safety * limit
     if dt < cfg.t_end / _MAX_STEPS:
@@ -444,10 +461,17 @@ def _signal_phase(
 
 
 def _substrate_phase(
-    state: SimState, params: ModelParams, v_new: Field, dt: float
-) -> tuple[Field, Field]:
+    state: SimState, params: ModelParams, v_new: Field, dt: float, max_w: float
+) -> tuple[Field, Field, float]:
     """Phase 2: the trapezoidal signal integral Iv and the substrate w at
-    t + dt, from the old and the new v."""
+    t + dt, from the old and the new v, and the minimum of w after the
+    round-off clamp (max_w, sup w at t, scales the clamp floor).
+
+    With eta = 0, w = w_anchor exp(-Iv) >= 0, so the clamp only reads the
+    minimum. With eta > 0 an explicit midpoint (RK2) step advances w, which
+    is capped at the substrate ceiling and clamped like u and v: negativity
+    beyond round-off rejects the step.
+    """
     grid = state.grid
     v, w = state.v, state.w
     iv_new_vals = v.values + v_new.values
@@ -469,9 +493,12 @@ def _substrate_phase(
         u = state.u
         v_half = Field(grid, 0.5 * (v.values + v_new.values))
         w_half = Field(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
-        k2 = rhs_w(u, v_half, w_half, params).values
-        w_new_vals = np.clip(w.values + dt * k2, 0.0, anchor.sup_w)
-    return Field(grid, iv_new_vals), Field(grid, w_new_vals)
+        w_new_vals = rhs_w(u, v_half, w_half, params).values
+        w_new_vals *= dt
+        w_new_vals += w.values
+        np.minimum(w_new_vals, _substrate_ceiling(anchor, params.eta), out=w_new_vals)
+    min_w = _clamp_negatives(w_new_vals, lambda: _ROUNDOFF_CLAMP * max_w)
+    return Field(grid, iv_new_vals), Field(grid, w_new_vals), min_w
 
 
 def _cell_phase(
@@ -489,11 +516,12 @@ def _cell_phase(
 def _attempt_step(
     state: SimState, params: ModelParams, cfg: SolverConfig, dt: float
 ) -> SimState:
-    """One step of size dt through the three phases; a clamp that meets more
-    than round-off negativity raises _RetryStep."""
+    """One step of size dt through the three phases; a clamp (of v, w or u)
+    that meets more than round-off negativity raises _RetryStep. The minima
+    of the new state's extrema are the ones the clamps leave."""
     ext = state.field_extrema()
     v_new, min_v = _signal_phase(state, params, cfg, dt, ext.max_v)
-    iv_new, w_new = _substrate_phase(state, params, v_new, dt)
+    iv_new, w_new, min_w = _substrate_phase(state, params, v_new, dt, ext.max_w)
     u_new, min_u = _cell_phase(state, params, v_new, w_new, dt, ext.max_u)
     return SimState(
         t=state.t + dt,
@@ -506,7 +534,7 @@ def _attempt_step(
         extrema=Extrema(
             min_u, _max(u_new.values),
             min_v, _max(v_new.values),
-            _min(w_new.values), _max(w_new.values),
+            min_w, _max(w_new.values),
         ),
     )
 
@@ -642,7 +670,7 @@ def run(
                 ext.min_u < 0.0
                 or ext.min_v < 0.0
                 or ext.min_w < 0.0
-                or ext.max_w > state.anchor.sup_w
+                or ext.max_w > _substrate_ceiling(state.anchor, params.eta)
             ):
                 violations += 1
 

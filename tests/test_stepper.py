@@ -154,6 +154,37 @@ class TestStableDt:
         dt = stable_dt(initial_state(init), p, big_caps())
         assert dt == pytest.approx(0.4 / (2.0 * (1.0 + 3.0 + 1.0)), rel=1e-12)
 
+    def test_reaction_limit_takes_the_renewal_rate(self):
+        # eta = 50: the renewal step's rate sup v + eta (1 + sup u + sup w)
+        # = 70.1 is far above mu (1 + sup u + sup w) = 1.4 and the decay 1.
+        g = GridSpec((8.0,), (4,))
+        init = ScenarioSpec(name="constant", u0=0.1, v0=0.1, w0=0.3).build(g)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, eta=50.0)
+        cfg = big_caps()
+        dt = stable_dt(initial_state(init), p, cfg)
+        assert dt.binding == "reaction"
+        assert dt == pytest.approx(cfg.cfl_safety / (0.1 + 50.0 * (1.0 + 0.1 + 0.3)), rel=1e-14)
+
+    def test_reaction_limit_takes_the_signal_decay(self):
+        # tau = 1 on coarse cells: diffusion allows 8 and mu (1 + sup u +
+        # sup w) = 0.18 allows 5.6, but the explicit decay of v allows 1. A
+        # step of 1 (the output landing) would set v to u outright and leave
+        # the run 27% off the ODE; at 0.4 it is 9% off.
+        g = GridSpec((16.0,), (4,))
+        init = ScenarioSpec(name="constant", u0=0.5, v0=1.0, w0=0.3).build(g)
+        p = ModelParams(chi=1.0, xi=1.0, mu=0.1)
+        cfg = SolverConfig(t_end=4.0, output_every=1.0)
+        dt = stable_dt(initial_state(init), p, cfg)
+        assert dt.binding == "reaction"
+        assert dt == cfg.cfl_safety * 1.0
+        out = run(init, p, cfg)
+        assert out.status == "completed"
+        assert out.records[1].sup_v != out.records[1].sup_u
+        traj = ode_reference(p, (0.5, 1.0, 0.3), 4.0, 1e-3)
+        for rec in out.records:
+            ref = traj.value_at(rec.t)
+            np.testing.assert_allclose((rec.sup_u, rec.sup_v, rec.sup_w), ref, rtol=0.1)
+
     def test_doubling_cfl_doubles_dt(self):
         g = GridSpec((1.0,), (16,))
         init = ScenarioSpec(name="steady").build(g)
@@ -209,6 +240,16 @@ def exact_stable_dt(state, params, cfg):
     grid = state.grid
     inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
     limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
+    # The largest explicit rate: logistic growth, the signal's decay (tau = 1)
+    # and the renewal step of w (eta > 0).
+    rates = [params.mu * (1.0 + ext.max_u + ext.max_w)]
+    if params.tau == 1:
+        rates.append(1.0)
+    if params.eta != 0.0:
+        rates.append(ext.max_v + params.eta * (1.0 + ext.max_u + ext.max_w))
+    reaction = 1.0 / (max(rates) + stepper_mod._EPS_RATE)
+    if reaction < limit:
+        limit, binding = reaction, "reaction"
     grad_v = gradient(state.v)
     grad_w = gradient(state.w)
     for axis, h in enumerate(grid.spacing):
@@ -217,9 +258,6 @@ def exact_stable_dt(state, params, cfg):
         transport = h / (float(np.max(speed)) + stepper_mod._EPS_RATE)
         if transport < limit:
             limit, binding = transport, f"transport (axis {axis})"
-    reaction = 1.0 / (params.mu * (1.0 + ext.max_u + ext.max_w) + stepper_mod._EPS_RATE)
-    if reaction < limit:
-        limit, binding = reaction, "reaction"
     return min(cfg.cfl_safety * limit, cfg.dt_max), binding
 
 
@@ -295,6 +333,13 @@ DT_CASES = {
     "reaction": (
         lambda: _random_state(GridSpec((100.0,), (4,)), 11),
         ModelParams(chi=1.0, xi=1.0, mu=2.0), "reaction", True,
+    ),
+    # spread * limit is 1.17 h^2 against the diffusion limit h^2 / 2 and
+    # 0.75 h^2 against the smaller reaction limit 1/800, so only the latter
+    # lets the range bound rule transport out.
+    "reaction-rules-transport-out": (
+        lambda: _ramp_state(GridSpec((1.0,), (16,)), 2.5),
+        ModelParams(chi=1.0, xi=0.0, mu=400.0), "reaction", True,
     ),
 }
 
@@ -384,6 +429,32 @@ class TestStep:
                 abs(rec.sup_w - ref[2]) / max(abs(ref[2]), 1e-30),
             )
         assert worst <= 10.0 * dt
+
+    @pytest.mark.parametrize(
+        "extent, cells, eta, tau, scheme",
+        [
+            pytest.param((1.0,), (8,), 1.0, 1, "explicit", id="eta1-explicit"),
+            pytest.param((1.0,), (8,), 1.0, 1, "imex-diffusion", id="eta1-imex"),
+            pytest.param((1.0,), (8,), 1.0, 0, "explicit", id="eta1-tau0"),
+            pytest.param((8.0,), (4,), 50.0, 1, "explicit", id="eta50"),
+        ],
+    )
+    def test_renewal_matches_ode_oracle(self, extent, cells, eta, tau, scheme):
+        # w rises above its initial 0.3 (to 0.50-0.90), past the eta = 0
+        # ceiling sup w0 and below the renewal ceiling 1. With eta = 50 the
+        # renewal rate sets the step.
+        g = GridSpec(extent, cells)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, eta=eta, tau=tau)
+        init = ScenarioSpec(name="constant", u0=0.1, v0=0.1, w0=0.3).build(g)
+        out = run(init, p, SolverConfig(t_end=5.0, output_every=1.0, time_scheme=scheme))
+        assert out.status == "completed"
+        traj = ode_reference(p, (0.1, 0.1, 0.3), 5.0, 1e-3)
+        for rec in out.records:
+            ref = traj.value_at(rec.t)
+            np.testing.assert_allclose((rec.sup_u, rec.sup_v, rec.sup_w), ref, rtol=0.01)
+        assert out.invariant_violations == 0
+        assert out.min_w >= 0.0
+        assert 0.45 < out.max_w <= 1.0
 
     def test_frozen_signal_gives_exact_exponential_decay(self):
         # u = v = c and mu = 0 keep every field constant except w, whose exact
@@ -1145,6 +1216,68 @@ class TestPositivityAndExtrema:
         if tau == 0 or scheme == "imex-diffusion":
             assert out.min_v == 0.0
             assert all(state.v.values[3] == 0.0 for state in accepted)
+
+    @staticmethod
+    def renewal_run(monkeypatch, shift, calls=math.inf):
+        """An eta = 1 run on half_box_data with w = 0 in cell 9, whose
+        rate of w the first `calls` calls of rhs_w set to shift times the sup
+        of the w it is given; returns the outcome and the recorded attempts."""
+        accepted, rejected = record_attempts(monkeypatch)
+        exact_rhs_w = stepper_mod.rhs_w
+        made = 0
+
+        def shifted_rhs_w(u, v, w, params):
+            nonlocal made
+            out = exact_rhs_w(u, v, w, params)
+            if made < calls:
+                out.values[9] = shift * np.max(w.values)
+            made += 1
+            return out
+
+        monkeypatch.setattr(stepper_mod, "rhs_w", shifted_rhs_w)
+        g = GridSpec((1.0, 1.5), (6, 5))
+        init = half_box_data(g)
+        init.w0.values[9] = 0.0
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, eta=1.0)
+        out = run(init, p, SolverConfig(t_end=0.01, output_every=0.01))
+        return out, accepted, rejected
+
+    def test_renewal_clamp_zeroes_roundoff(self, monkeypatch):
+        # A 1e-16 sup w dip of the renewal step is round-off: zeroed, with no
+        # rejection, and the minimum of w is the clamp's.
+        out, accepted, rejected = self.renewal_run(monkeypatch, -1e-16)
+        assert out.status == "completed"
+        assert rejected == []
+        assert out.min_w == 0.0
+        assert out.invariant_violations == 0
+        for state in accepted:
+            assert state.w.values[9] == 0.0
+            assert_extrema_are_fresh(state)
+
+    def test_renewal_clamp_rejects_real_negativity(self, monkeypatch):
+        # A 1e-6 sup w dip on the first attempt only (both of its rhs_w
+        # calls) is real negativity: the step is retried at half the size.
+        out, accepted, rejected = self.renewal_run(monkeypatch, -1e-6, calls=2)
+        assert out.status == "completed"
+        assert len(rejected) == 1
+        assert accepted[0].last_dt == 0.5 * rejected[0]
+        assert out.min_w == 0.0
+        assert out.invariant_violations == 0
+        for state in accepted:
+            assert_extrema_are_fresh(state)
+
+    def test_renewal_caps_w_at_its_ceiling(self, monkeypatch):
+        # A rate of 1000 sup w in cell 9 lifts w past 1 in one step: the
+        # cap holds it at the ceiling max(sup w0, 1) = 1, which the run's
+        # invariant count reads too.
+        out, accepted, rejected = self.renewal_run(monkeypatch, 1e3)
+        assert out.status == "completed"
+        assert rejected == []
+        assert out.max_w == 1.0
+        assert out.invariant_violations == 0
+        for state in accepted:
+            assert state.w.values[9] == 1.0
+            assert_extrema_are_fresh(state)
 
     def test_clamp_reports_the_minimum_it_leaves(self):
         clamp, floor = stepper_mod._clamp_negatives, lambda: 1e-13

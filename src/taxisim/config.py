@@ -6,23 +6,26 @@ line, ``#`` starts a comment). Values must not contain whitespace; lists are
 comma separated. Unknown sections, unknown keys and duplicate keys are
 rejected. One table maps every key to the dataclass field it sets and the
 parser of its value, and the echo writes the fields back through the same
-table. The dataclasses own every range check and start each message with
-the config key it rejects (T_end and dir, though their fields are t_end and
+table. The dataclasses own every check and start each message with the
+config key it rejects (T_end and dir, though their fields are t_end and
 directory), so a rejected value is reported, unchanged, as a ValidationError
-naming its ``section.key``. They also own the types: an integer setting
-keeps a Python int and a float setting a Python float (grid._as_int and
-grid._as_float), so a dataclass built in code echoes every digit of its
-values, and its echo re-runs it exactly.
+naming its ``section.key``. Two helpers, grid._as_int and grid._as_float,
+own the type and the range of every single value (grid.dim here too): each
+converts a setting to a Python int or float and tests its interval,
+refusing it as ``<key> must be in <interval>, got <value>``. Since a
+setting keeps a Python int or float, a dataclass built in code echoes every
+digit of its values, and its echo re-runs it exactly.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
-from .grid import GridSpec, _as_float
+from .grid import GridSpec, _as_float, _as_int
 from .model import ModelParams, ScenarioSpec
 from .stepper import SolverConfig
 from .sweep import SweepPlan
@@ -68,10 +71,8 @@ class OutputOptions:
                 f"dir must contain no whitespace or '#', got {str(self.directory)!r};"
                 " set dir to an absolute path without them"
             )
-        p_values = tuple(_as_float(p, "p_values entry") for p in self.p_values)
+        p_values = tuple(_as_float(p, "p_values entry", 1, math.inf, "[)") for p in self.p_values)
         object.__setattr__(self, "p_values", p_values)
-        if not all(1.0 <= p < float("inf") for p in p_values):
-            raise ValueError("p_values entries must be finite and >= 1")
         if len(set(p_values)) != len(p_values):
             raise ValueError("p_values entries must be distinct")
 
@@ -234,9 +235,10 @@ def parse_config(text: str, base_dir: str | Path = ".") -> RunConfig:
         if required not in data:
             raise ValidationError(f"[{required}]", "section is required")
     grid_fields = _fields("grid", data["grid"])
-    dim = grid_fields.pop("dim")
-    if dim not in (1, 2, 3):
-        raise ValidationError("grid.dim", "must be 1, 2 or 3")
+    try:
+        dim = _as_int(grid_fields.pop("dim"), "dim", 1, 3)
+    except ValueError as exc:
+        raise ValidationError("grid.dim", str(exc).removeprefix("dim ")) from None
     for key in ("extent", "cells"):
         if len(grid_fields[key]) != dim:
             raise ValidationError(f"grid.{key}", f"must have {dim} entries")

@@ -74,19 +74,19 @@ class GridSpec:
     num_cells: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        extent = tuple(_as_float(x, "extent entry") for x in self.extent)
-        cells = tuple(_as_int(n, "cells entry") for n in self.cells)
+        # Two cells per axis suffice for the mirror-ghost stencils.
+        cells = tuple(_as_int(n, "cells entry", 2, math.inf) for n in self.cells)
+        if not 1 <= len(self.extent) <= 3:
+            raise ValueError("extent must have 1, 2 or 3 entries")
+        if len(cells) != len(self.extent):
+            raise ValueError("cells must have one entry per axis of extent")
+        # The spacing L / n is a length too, so n * _LENGTH_MIN bounds L.
+        extent = tuple(
+            _as_float(L, "extent entry", n * _LENGTH_MIN, _LENGTH_MAX, "[]")
+            for L, n in zip(self.extent, cells)
+        )
         object.__setattr__(self, "extent", extent)
         object.__setattr__(self, "cells", cells)
-        if not 1 <= len(extent) <= 3:
-            raise ValueError("extent must have 1, 2 or 3 entries")
-        if len(cells) != len(extent):
-            raise ValueError("cells must have one entry per axis of extent")
-        if not all(0.0 < length < np.inf for length in extent):
-            raise ValueError("extent entries must be finite and > 0")
-        # Two cells per axis suffice for the mirror-ghost stencils.
-        if any(n < 2 for n in cells):
-            raise ValueError("cells entries must be >= 2")
         object.__setattr__(self, "spacing", tuple(L / n for L, n in zip(extent, cells)))
         object.__setattr__(self, "num_cells", math.prod(cells))
 
@@ -167,26 +167,53 @@ class GridSpec:
         return h_min * h_min
 
 
-def _as_int(value: object, key: str) -> int:
-    """value as an int where it is a Python or NumPy integer; anything else,
-    a bool or a float included, raises a ValueError that starts with key."""
+# Bounds of a length (a side, a spacing or a bump width): its square, inverse
+# square and cube, so the cell volume and domain measure, are finite and > 0.
+_LENGTH_MIN = 1e-100
+_LENGTH_MAX = 1e100
+
+
+def _as_int(value: object, key: str, low: float, high: float) -> int:
+    """value as an int in [low, high] where it is a Python or NumPy integer;
+    anything else, a bool or a float included, raises as _as_float does."""
     if not isinstance(value, bool):
         try:
-            return operator.index(value)
+            n = operator.index(value)
         except TypeError:
             pass
+        else:
+            if low <= n <= high:
+                return n
+            right = ")" if high == math.inf else "]"
+            raise ValueError(f"{key} must be in [{low}, {high}{right}, got {n!r}")
     raise ValueError(f"{key} must be an integer, got {value!r}")
 
 
-def _as_float(value: object, key: str) -> float:
-    """value as a Python float where it is a real number (a Python or NumPy
-    integer or float); anything else, a bool or a string included, or an
-    integer too large for a float, raises a ValueError that starts with key."""
+def _as_float(
+    value: object, key: str, low: float = -math.inf, high: float = math.inf, ends: str = "()"
+) -> float:
+    """value as a Python float in the interval from low to high, by default
+    any finite number; ends ("()", "[)", "(]" or "[]") says which bounds the
+    interval holds. These two helpers own the range of every setting.
+
+    A ValueError that starts with key is raised for anything but a real
+    number (a Python or NumPy integer or float), a bool, a string or an
+    integer too large for a float included, and, as `<key> must be in
+    <interval>, got <value>`, for a number outside the interval, NaN
+    included."""
     if isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:
-            return float(value)
+            x = float(value)
         except OverflowError:
             pass
+        else:
+            # An open end moves its bound one float inward, so that one
+            # comparison tests the interval; NaN fails it.
+            lo = low if ends[0] == "[" else math.nextafter(low, math.inf)
+            hi = high if ends[1] == "]" else math.nextafter(high, -math.inf)
+            if lo <= x <= hi:
+                return x
+            raise ValueError(f"{key} must be in {ends[0]}{low}, {high}{ends[1]}, got {x!r}")
     raise ValueError(f"{key} must be a real number, got {value!r}")
 
 

@@ -22,6 +22,8 @@ import numpy as np
 from .grid import (
     Field,
     GridSpec,
+    _LENGTH_MAX,
+    _LENGTH_MIN,
     _as_float,
     _as_int,
     _max,
@@ -60,19 +62,11 @@ class ModelParams:
     tau: int = 1
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "tau", _as_int(self.tau, "tau"))
-        for name in ("chi", "xi", "mu", "eta"):
-            value = _as_float(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            object.__setattr__(self, name, value)
-        if not self.chi > 0.0:
-            raise ValueError("chi must be > 0")
+        object.__setattr__(self, "tau", _as_int(self.tau, "tau", 0, 1))
+        object.__setattr__(self, "chi", _as_float(self.chi, "chi", 0, math.inf))
         for name in ("xi", "mu", "eta"):
-            if getattr(self, name) < 0.0:
-                raise ValueError(f"{name} must be >= 0")
-        if self.tau not in (0, 1):
-            raise ValueError("tau must be 0 or 1")
+            value = _as_float(getattr(self, name), name, 0, math.inf, "[)")
+            object.__setattr__(self, name, value)
 
     def theta(self) -> float:
         """Taxis-to-damping ratio chi / mu, defined only for mu > 0."""
@@ -172,25 +166,20 @@ class ScenarioSpec:
     def __post_init__(self) -> None:
         if self.name not in SCENARIO_NAMES:
             raise ValueError(f"name must be one of {SCENARIO_NAMES}")
-        for name in ("amplitude", "wbar", "u0", "v0", "w0"):
-            value = _as_float(getattr(self, name), name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
-            if value < 0.0:
-                raise ValueError(f"{name} must be >= 0")
+        # u, v = 1 + A d with d in [-1, 1) stay nonnegative for every seed
+        # exactly when A <= 1.
+        high, ends = (1, "[]") if self.name == "random-perturb" else (math.inf, "[)")
+        object.__setattr__(self, "amplitude", _as_float(self.amplitude, "amplitude", 0, high, ends))
+        for name in ("wbar", "u0", "v0", "w0"):
+            value = _as_float(getattr(self, name), name, 0, math.inf, "[)")
             object.__setattr__(self, name, value)
         if self.sigma is not None:
-            object.__setattr__(self, "sigma", _as_float(self.sigma, "sigma"))
-            if not 0.0 < self.sigma < math.inf:
-                raise ValueError("sigma must be finite and > 0")
+            sigma = _as_float(self.sigma, "sigma", _LENGTH_MIN, _LENGTH_MAX, "[]")
+            object.__setattr__(self, "sigma", sigma)
         if self.center is not None:
             center = tuple(_as_float(x, "center entry") for x in self.center)
             object.__setattr__(self, "center", center)
-            if not all(map(math.isfinite, center)):
-                raise ValueError("center entries must be finite")
-        object.__setattr__(self, "seed", _as_int(self.seed, "seed"))
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        object.__setattr__(self, "seed", _as_int(self.seed, "seed", 0, math.inf))
 
     def with_seed(self, seed: int) -> ScenarioSpec:
         return replace(self, seed=seed)
@@ -354,12 +343,9 @@ def ode_reference(
     last time is t_end. Integration stops early, with the trajectory
     flagged as diverged, as soon as any component exceeds 1e12 in magnitude.
     """
-    if dt <= 0.0:
-        raise ValueError("dt must be > 0")
-    if t_end < 0.0:
-        raise ValueError("t_end must be >= 0")
-    if not all(0.0 <= y < np.inf for y in y0):
-        raise ValueError("y0 must be componentwise finite and nonnegative")
+    dt = _as_float(dt, "dt", 0, math.inf)
+    t_end = _as_float(t_end, "t_end", 0, math.inf, "[)")
+    y0 = [_as_float(y, "y0 entry", 0, math.inf, "[)") for y in y0]
 
     slaved = params.tau == 0
     y = np.array(y0, dtype=float)

@@ -109,19 +109,17 @@ class SolverConfig:
     def __post_init__(self) -> None:
         # Each message starts with the config key it rejects and names the
         # final time by its key, T_end, so config reports it unchanged.
-        object.__setattr__(self, "t_end", _as_float(self.t_end, "T_end"))
-        if not 0.0 < self.t_end < math.inf:
-            raise ValueError("T_end must be finite and > 0")
+        object.__setattr__(self, "t_end", _as_float(self.t_end, "T_end", 0, math.inf))
         if self.output_every is None:
             object.__setattr__(self, "output_every", self.t_end / 50.0)
-        for key in ("output_every", "cfl_safety", "dt_max", "blowup_threshold", "anchor_time"):
-            object.__setattr__(self, key, _as_float(getattr(self, key), key))
-        if not 0.0 < self.output_every < math.inf:
-            raise ValueError("output_every must be finite and > 0")
-        if not 0.0 < self.cfl_safety <= 1.0:
-            raise ValueError("cfl_safety must be in (0, 1]")
-        if not self.dt_max > 0.0:
-            raise ValueError("dt_max must be > 0")
+        for key, low, high, ends in (
+            ("output_every", 0, math.inf, "()"),
+            ("cfl_safety", 0, 1, "(]"),
+            ("dt_max", 0, math.inf, "(]"),
+            ("blowup_threshold", 0, math.inf, "(]"),
+            ("anchor_time", 0, math.inf, "[)"),
+        ):
+            object.__setattr__(self, key, _as_float(getattr(self, key), key, low, high, ends))
         # Each forces at least t_end / value steps, counted so that 1e-6 at
         # t_end = 1e9 (exactly 10^15 steps) passes: 1e-15 * t_end rounds
         # above 1e-6.
@@ -131,9 +129,7 @@ class SolverConfig:
                     f"{key} must be at least T_end / {_MAX_STEPS:.0e}: a smaller "
                     f"{noun} needs more than {_MAX_STEPS:.0e} steps"
                 )
-        if not self.blowup_threshold > 0.0:
-            raise ValueError("blowup_threshold must be > 0")
-        if not 0.0 <= self.anchor_time < self.t_end:
+        if not self.anchor_time < self.t_end:
             raise ValueError("anchor_time must be in [0, T_end)")
         if self.time_scheme not in ("explicit", "imex-diffusion"):
             raise ValueError("time_scheme must be explicit or imex-diffusion")

@@ -57,20 +57,16 @@ class SweepPlan:
     def __post_init__(self) -> None:
         if self.mode not in SWEEP_MODES:
             raise ValueError(f"mode must be {' or '.join(SWEEP_MODES)}")
-        object.__setattr__(self, "fixed_value", _as_float(self.fixed_value, "fixed_value"))
-        if not 0.0 < self.fixed_value < math.inf:
-            raise ValueError("fixed_value must be finite and > 0")
-        thetas = tuple(_as_float(t, "theta_values entry") for t in self.theta_values)
+        fixed_value = _as_float(self.fixed_value, "fixed_value", 0, math.inf)
+        object.__setattr__(self, "fixed_value", fixed_value)
+        thetas = tuple(_as_float(t, "theta_values entry", 0, math.inf) for t in self.theta_values)
         object.__setattr__(self, "theta_values", thetas)
         if not thetas:
             raise ValueError("theta_values must be nonempty")
-        if not all(0.0 < t < math.inf for t in thetas):
-            raise ValueError("theta_values entries must be finite and > 0")
         if any(b <= a for a, b in zip(thetas, thetas[1:])):
             raise ValueError("theta_values must be strictly increasing")
-        object.__setattr__(self, "repetitions", _as_int(self.repetitions, "repetitions"))
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        repetitions = _as_int(self.repetitions, "repetitions", 1, math.inf)
+        object.__setattr__(self, "repetitions", repetitions)
         if self.repetitions > _SEED_STRIDE:
             raise ValueError(
                 f"repetitions must be at most {_SEED_STRIDE}, the seed stride"
@@ -107,8 +103,7 @@ def params_for_theta(plan: SweepPlan, theta: float) -> ModelParams:
 def check_pe_condition(params: ModelParams, dim: int) -> bool:
     """Sufficient boundedness condition for the slaved-signal (tau = 0) regime:
     mu > ((dim - 2)_+ / dim) * chi."""
-    if dim not in (1, 2, 3):
-        raise ValueError("dim must be 1, 2 or 3")
+    dim = _as_int(dim, "dim", 1, 3)
     return params.mu > (max(dim - 2, 0) / dim) * params.chi
 
 

@@ -107,6 +107,35 @@ class TestRunCommand:
         assert "the diffusion limit gives dt=" in err
         assert "T_end" in err and "t_end" not in err
 
+    @pytest.mark.parametrize(
+        "command, scenario, extent, key",
+        [
+            ("run", "name=random-perturb amplitude=1.5", "1", "scenario.amplitude"),
+            ("sweep", "name=random-perturb amplitude=1.5", "1", "scenario.amplitude"),
+            ("run", "name=steady", "1e160", "grid.extent"),
+            ("run", "name=gaussian-bump", "1e160", "grid.extent"),
+            ("run", "name=gaussian-bump sigma=1e-170 center=0.0625", "1", "scenario.sigma"),
+        ],
+        ids=["amplitude-run", "amplitude-sweep", "extent-steady", "extent-bump", "sigma"],
+    )
+    def test_setting_that_cannot_run_is_refused_by_its_key(
+        self, tmp_path, capsys, command, scenario, extent, key
+    ):
+        # Each once ran into a failure under another key (u0 must be
+        # nonnegative or finite), a sweep of failed rows that exited 0, or a
+        # ZeroDivisionError from the diffusion limit.
+        text = (
+            f"[grid] dim=1 extent={extent} cells=8\n"
+            "[model] chi=1 mu=1\n"
+            "[solver] T_end=0.1\n"
+            f"[scenario] {scenario}\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+            "[sweep] mode=fix_mu_vary_chi fixed_value=1 theta_values=0.5,1\n"
+        )
+        assert main([command, str(write_cfg(tmp_path, text))]) == 1
+        assert capsys.readouterr().err.startswith(f"error: {key} ")
+        assert not (tmp_path / "out").exists()
+
     def test_blowup_exits_two(self, tmp_path, capsys):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"

@@ -42,10 +42,11 @@ VALID = {
 }
 
 
-def with_value(key: str, value: str) -> str:
-    section, name = key.split(".")
+def with_value(key: str, value: str, *more: tuple[str, str]) -> str:
     doc = {sec: dict(keys) for sec, keys in VALID.items()}
-    doc[section][name] = value
+    for k, v in ((key, value), *more):
+        section, name = k.split(".")
+        doc[section][name] = v
     return "\n".join(
         f"[{sec}] " + " ".join(f"{k}={v}" for k, v in keys.items()) for sec, keys in doc.items()
     )
@@ -108,6 +109,81 @@ NON_FINITE = [
     ("grid.extent", "inf"),
     ("outputs.p_values", "inf"),
 ]
+
+# The message of every case above that bounds one value, and of more such
+# cases (a third entry sets one more key): <section>.<key> must be in
+# <interval>, got <value>. The grid has 16 cells, so an extent entry's
+# spacing bound 1e-100 puts it at 1.6e-99 or more.
+RANGE_MESSAGES = {
+    ("grid.dim", "4"): "grid.dim must be in [1, 3], got 4",
+    ("grid.extent", "-1"): "grid.extent entry must be in [1.6e-99, 1e+100], got -1.0",
+    ("grid.extent", "inf"): "grid.extent entry must be in [1.6e-99, 1e+100], got inf",
+    ("grid.extent", "1e160"): "grid.extent entry must be in [1.6e-99, 1e+100], got 1e+160",
+    ("grid.extent", "1e-160"): "grid.extent entry must be in [1.6e-99, 1e+100], got 1e-160",
+    ("grid.cells", "1"): "grid.cells entry must be in [2, inf), got 1",
+    ("model.chi", "0"): "model.chi must be in (0, inf), got 0.0",
+    ("model.chi", "inf"): "model.chi must be in (0, inf), got inf",
+    ("model.xi", "-1"): "model.xi must be in [0, inf), got -1.0",
+    ("model.xi", "nan"): "model.xi must be in [0, inf), got nan",
+    ("model.mu", "-1"): "model.mu must be in [0, inf), got -1.0",
+    ("model.mu", "nan"): "model.mu must be in [0, inf), got nan",
+    ("model.eta", "-1"): "model.eta must be in [0, inf), got -1.0",
+    ("model.eta", "inf"): "model.eta must be in [0, inf), got inf",
+    ("model.tau", "2"): "model.tau must be in [0, 1], got 2",
+    ("solver.T_end", "0"): "solver.T_end must be in (0, inf), got 0.0",
+    ("solver.T_end", "inf"): "solver.T_end must be in (0, inf), got inf",
+    ("solver.output_every", "0"): "solver.output_every must be in (0, inf), got 0.0",
+    ("solver.output_every", "inf"): "solver.output_every must be in (0, inf), got inf",
+    ("solver.cfl_safety", "2"): "solver.cfl_safety must be in (0, 1], got 2.0",
+    ("solver.dt_max", "0"): "solver.dt_max must be in (0, inf], got 0.0",
+    ("solver.blowup_threshold", "0"): "solver.blowup_threshold must be in (0, inf], got 0.0",
+    ("solver.anchor_time", "-0.5"): "solver.anchor_time must be in [0, inf), got -0.5",
+    ("scenario.amplitude", "-1"): "scenario.amplitude must be in [0, inf), got -1.0",
+    ("scenario.amplitude", "nan"): "scenario.amplitude must be in [0, inf), got nan",
+    ("scenario.sigma", "0"): "scenario.sigma must be in [1e-100, 1e+100], got 0.0",
+    ("scenario.sigma", "inf"): "scenario.sigma must be in [1e-100, 1e+100], got inf",
+    ("scenario.sigma", "1e-170"): "scenario.sigma must be in [1e-100, 1e+100], got 1e-170",
+    ("scenario.amplitude", "1.5", ("scenario.name", "random-perturb")): (
+        "scenario.amplitude must be in [0, 1], got 1.5"
+    ),
+    ("scenario.center", "nan"): "scenario.center entry must be in (-inf, inf), got nan",
+    ("scenario.wbar", "-1"): "scenario.wbar must be in [0, inf), got -1.0",
+    ("scenario.wbar", "inf"): "scenario.wbar must be in [0, inf), got inf",
+    ("scenario.u0", "-1"): "scenario.u0 must be in [0, inf), got -1.0",
+    ("scenario.u0", "nan"): "scenario.u0 must be in [0, inf), got nan",
+    ("scenario.v0", "-1"): "scenario.v0 must be in [0, inf), got -1.0",
+    ("scenario.w0", "-1"): "scenario.w0 must be in [0, inf), got -1.0",
+    ("scenario.seed", "-1"): "scenario.seed must be in [0, inf), got -1",
+    ("outputs.p_values", "0.5"): "outputs.p_values entry must be in [1, inf), got 0.5",
+    ("outputs.p_values", "inf"): "outputs.p_values entry must be in [1, inf), got inf",
+    ("sweep.fixed_value", "0"): "sweep.fixed_value must be in (0, inf), got 0.0",
+    ("sweep.fixed_value", "inf"): "sweep.fixed_value must be in (0, inf), got inf",
+    ("sweep.theta_values", "0,0.1"): "sweep.theta_values entry must be in (0, inf), got 0.0",
+    ("sweep.theta_values", "nan"): "sweep.theta_values entry must be in (0, inf), got nan",
+    ("sweep.theta_values", "0.1,inf"): "sweep.theta_values entry must be in (0, inf), got inf",
+    ("sweep.repetitions", "0"): "sweep.repetitions must be in [1, inf), got 0",
+}
+# The cases above whose rule relates two values, or picks one of named
+# choices, keep their own wording.
+OTHER_MESSAGES = {
+    ("solver.dt_max", "1e-17"): "solver.dt_max must be at least T_end / 1e+15:"
+    " a smaller cap needs more than 1e+15 steps",
+    ("solver.dt_max", "1e-300"): "solver.dt_max must be at least T_end / 1e+15:"
+    " a smaller cap needs more than 1e+15 steps",
+    ("solver.output_every", "1e-17"): "solver.output_every must be at least T_end / 1e+15:"
+    " a smaller interval needs more than 1e+15 steps",
+    ("solver.output_every", "1e-300"): "solver.output_every must be at least T_end / 1e+15:"
+    " a smaller interval needs more than 1e+15 steps",
+    ("solver.anchor_time", "1"): "solver.anchor_time must be in [0, T_end)",
+    ("solver.time_scheme", "magic"): "solver.time_scheme must be explicit or imex-diffusion",
+    ("scenario.name", "vortex"): "scenario.name must be one of"
+    " ('steady', 'constant', 'gaussian-bump', 'random-perturb')",
+    ("scenario.center", "0.5,0.5"): "scenario.center must have 1 entries",
+    ("outputs.p_values", "2,2.0"): "outputs.p_values entries must be distinct",
+    ("sweep.mode", "fix_nothing"): "sweep.mode must be fix_mu_vary_chi or fix_chi_vary_mu",
+    ("sweep.theta_values", "0.2,0.1"): "sweep.theta_values must be strictly increasing",
+}
+RANGE_FORM = re.compile(r"^\S+( entry)? must be in [\[(]\S+, \S+[\])], got \S+$")
 
 
 class TestParsing:
@@ -186,7 +262,7 @@ class TestParsing:
 
 class TestValidation:
     def test_negative_chi_names_key_and_constraint(self):
-        with pytest.raises(ValidationError, match=r"model\.chi must be > 0"):
+        with pytest.raises(ValidationError, match=r"^model\.chi must be in \(0, inf\), got -1\.0$"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=-1\n[solver] T_end=1")
 
     def test_unknown_key_rejected(self):
@@ -262,6 +338,27 @@ class TestValidation:
     )
     def test_bad_value_names_its_key(self, key, value):
         with pytest.raises(ValidationError, match="^" + re.escape(key) + " "):
+            parse_config(with_value(key, value))
+
+    def test_every_bad_value_case_has_its_full_message(self):
+        assert set(OUT_OF_RANGE + NON_FINITE) <= RANGE_MESSAGES.keys() | OTHER_MESSAGES.keys()
+        assert not RANGE_MESSAGES.keys() & OTHER_MESSAGES.keys()
+
+    @pytest.mark.parametrize(
+        "case", list(RANGE_MESSAGES), ids=[f"{c[0]}={c[1]}" for c in RANGE_MESSAGES]
+    )
+    def test_value_out_of_range_gives_key_interval_and_value(self, case):
+        message = RANGE_MESSAGES[case]
+        assert RANGE_FORM.match(message)
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
+            parse_config(with_value(*case))
+
+    @pytest.mark.parametrize(
+        "key,value", list(OTHER_MESSAGES), ids=[f"{k}={v}" for k, v in OTHER_MESSAGES]
+    )
+    def test_relational_and_choice_rules_keep_their_wording(self, key, value):
+        message = OTHER_MESSAGES[key, value]
+        with pytest.raises(ValidationError, match="^" + re.escape(message) + "$"):
             parse_config(with_value(key, value))
 
     @pytest.mark.parametrize(

@@ -198,7 +198,7 @@ class TestSnapshot:
                 lambda lines: [*lines[:-1], "1.0 abc 0.0"],
                 "line 9: could not convert string to float: 'abc'",
             ),
-            (lambda lines: [lines[0], "cells 1", *lines[2:]], "cells entries must be >= 2"),
+            (lambda lines: [lines[0], "cells 1", *lines[2:]], "cells entry must be in [2, inf), got 1"),
         ],
         ids=[
             "truncated",

@@ -6,6 +6,7 @@ import copy
 import inspect
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,52 @@ class TestGridSpec:
     def test_as_float_rejects_anything_else_naming_the_key(self, value):
         with pytest.raises(ValueError, match="^chi must be a real number"):
             grid_mod._as_float(value, "chi")
+
+    @pytest.mark.parametrize(
+        "low, high, ends, inside, outside, interval",
+        [
+            (0, math.inf, "()", [5e-324, 1e308], [0.0, math.inf, math.nan], "(0, inf)"),
+            (0, math.inf, "[)", [0.0, -0.0, 1e308], [-5e-324, math.inf, math.nan], "[0, inf)"),
+            (0, 1, "(]", [5e-324, 1.0], [0.0, 1.0000000000000002, math.nan], "(0, 1]"),
+            (0, math.inf, "(]", [1.0, math.inf], [0.0, math.nan], "(0, inf]"),
+            (
+                -math.inf, math.inf, "()", [-1e308, 1e308],
+                [-math.inf, math.inf, math.nan], "(-inf, inf)",
+            ),
+        ],
+    )
+    def test_as_float_tests_its_interval(
+        self, low, high, ends, inside, outside, interval
+    ):
+        for x in inside:
+            assert grid_mod._as_float(x, "chi", low, high, ends) == x
+        for x in outside:
+            message = f"chi must be in {interval}, got {x!r}"
+            with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+                grid_mod._as_float(x, "chi", low, high, ends)
+
+    def test_as_int_tests_its_closed_interval(self):
+        assert grid_mod._as_int(np.int64(3), "tau", 0, 3) == 3
+        assert grid_mod._as_int(10**30, "seed", 0, math.inf) == 10**30
+        with pytest.raises(ValueError, match=r"^tau must be in \[0, 3\], got 4$"):
+            grid_mod._as_int(4, "tau", 0, 3)
+        with pytest.raises(ValueError, match=r"^seed must be in \[0, inf\), got -1$"):
+            grid_mod._as_int(-1, "seed", 0, math.inf)
+
+    @pytest.mark.parametrize("length", [1e160, 1e101, 7e-100, 1e-160])
+    def test_extent_whose_squares_are_not_finite_positive_floats_rejected(self, length):
+        # 8 cells: the spacing L / 8 must be at least 1e-100.
+        message = f"extent entry must be in [8e-100, 1e+100], got {length!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            GridSpec((1.0, length), (4, 8))
+
+    @pytest.mark.parametrize("length", [8e-100, 1e100])
+    def test_extent_at_its_bounds_has_finite_positive_constants(self, length):
+        g = GridSpec((length,) * 3, (8,) * 3)
+        for value in (g.domain_measure, g.volume_element, g._diffusion_limit, g._h_min_sq):
+            assert 0.0 < value < math.inf
+        assert all(np.isfinite(faces.inv_h2).all() for faces in g._face_table)
+        assert np.all(laplacian(Field.full(g, 1.0)).values == 0.0)
 
     def test_field_length_must_match(self):
         g = GridSpec((1.0,), (4,))

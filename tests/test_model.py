@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -246,6 +247,29 @@ class TestScenarios:
         with pytest.raises(ValueError):
             ScenarioSpec(name="vortex")
 
+    def test_random_perturb_amplitude_is_at_most_one(self):
+        # u, v = 1 + A d with d in [-1, 1) stay nonnegative for every seed
+        # exactly when A <= 1; a bump 1 + A exp(...) does for any A >= 0.
+        g = GridSpec((1.0,), (64,))
+        for seed in range(5):
+            init = ScenarioSpec(name="random-perturb", amplitude=1.0, seed=seed).build(g)
+            assert min(init.u0.values.min(), init.v0.values.min()) >= 0.0
+        with pytest.raises(ValueError, match=r"^amplitude must be in \[0, 1\], got 1\.5$"):
+            ScenarioSpec(name="random-perturb", amplitude=1.5)
+        assert ScenarioSpec(name="gaussian-bump", amplitude=1.5).amplitude == 1.5
+
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-101, 1e101, 1e160])
+    def test_sigma_whose_square_is_not_a_finite_positive_float_rejected(self, sigma):
+        message = f"sigma must be in [1e-100, 1e+100], got {sigma!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ScenarioSpec(name="gaussian-bump", sigma=sigma)
+
+    @pytest.mark.parametrize("sigma", [1e-100, 1e100])
+    def test_sigma_at_its_bounds_builds_finite_data(self, sigma):
+        g = GridSpec((1.0,), (8,))
+        init = ScenarioSpec(name="gaussian-bump", sigma=sigma, center=(0.0625,)).build(g)
+        assert init.u0.is_finite()
+
     @pytest.mark.parametrize("seed", [1.5, 2.0, True])
     def test_non_integer_seed_rejected(self, seed):
         with pytest.raises(ValueError, match="^seed must be an integer"):
@@ -388,14 +412,33 @@ class TestOdeReference:
             ode_reference(p, (-1.0, 1.0, 0.0), 1.0, 1e-2)
 
     def test_negative_t_end_is_rejected(self):
-        with pytest.raises(ValueError, match="t_end must be >= 0"):
+        with pytest.raises(ValueError, match=r"^t_end must be in \[0, inf\), got -1\.0$"):
             ode_reference(ModelParams(chi=1.0), (1.0, 1.0, 0.0), -1.0, 1e-2)
 
     @pytest.mark.parametrize(
-        "y0", [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf)]
+        "y0",
+        [(math.nan, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, -math.inf), (1.0, -1.0, 1.0)],
     )
     def test_nonfinite_start_is_rejected(self, y0):
         # As InitialData does: a NaN start would otherwise return a NaN
         # trajectory that is not flagged as diverged.
-        with pytest.raises(ValueError, match="finite and nonnegative"):
+        bad = next(y for y in y0 if y != 1.0)
+        message = f"y0 entry must be in [0, inf), got {bad!r}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
             ode_reference(ModelParams(chi=1.0), y0, 0.0, 1e-2)
+
+    @pytest.mark.parametrize(
+        "t_end, dt, message",
+        [
+            (1.0, 0.0, "dt must be in (0, inf), got 0.0"),
+            (1.0, -1.0, "dt must be in (0, inf), got -1.0"),
+            (1.0, math.nan, "dt must be in (0, inf), got nan"),
+            # An infinite step once returned the start alone, not diverged.
+            (1.0, math.inf, "dt must be in (0, inf), got inf"),
+            (math.nan, 0.1, "t_end must be in [0, inf), got nan"),
+            (math.inf, 0.1, "t_end must be in [0, inf), got inf"),
+        ],
+    )
+    def test_step_and_final_time_ranges(self, t_end, dt, message):
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            ode_reference(ModelParams(chi=1.0), (1.0, 1.0, 0.0), t_end, dt)

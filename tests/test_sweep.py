@@ -69,7 +69,7 @@ class TestPeCondition:
             assert check_pe_condition(ModelParams(chi=100.0, mu=1e-6), dim) is True
 
     def test_dim_validated(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^dim must be in \[1, 3\], got 4$"):
             check_pe_condition(ModelParams(chi=1.0, mu=1.0), 4)
 
 
@@ -247,7 +247,7 @@ class TestRunSweep:
         # theta * fixed_value overflows to chi = inf, which ModelParams rejects.
         (result,) = run_sweep(tiny_plan(fixed_value=1e300, theta_values=(1e10,)))
         assert result.verdict.classification == "inconclusive"
-        assert result.failure == "ValueError: chi must be finite"
+        assert result.failure == "ValueError: chi must be in (0, inf), got inf"
         assert result.chi == math.inf and result.mu == 1e300
 
     def test_unfinishable_point_becomes_inconclusive(self):

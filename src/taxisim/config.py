@@ -268,13 +268,18 @@ def format_number(x: float) -> str:
     return repr(float(x))
 
 
-def _format_value(value: object) -> str:
+def format_value(value: object) -> str:
+    """The text of one value, as every file taxisim writes holds it: a float
+    by format_number, a bool as true or false, None as an empty string and a
+    tuple as its entries joined by commas."""
+    if value is None:
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return format_number(value)
     if isinstance(value, tuple):
-        return ",".join(_format_value(v) for v in value)
+        return ",".join(format_value(v) for v in value)
     return str(value)
 
 
@@ -295,6 +300,6 @@ def render_config(cfg: RunConfig) -> str:
         for key in keys:
             value = getattr(obj, _FIELD_OF.get(key, key), None)
             if value is not None:
-                lines.append(f"{key} = {_format_value(value)}")
+                lines.append(f"{key} = {format_value(value)}")
         lines.append("")
     return "\n".join(lines)

@@ -1,22 +1,31 @@
 """Plain-text serialization: time-series CSV, field snapshots, sweep tables.
 
-All floating-point values are written with shortest round-trip decimal
-precision, so read(write(x)) reproduces every 64-bit value bitwise and
-re-serialization is byte-identical.
+config.format_value is the one text rule for a value: a float is written
+by format_number, with shortest round-trip decimal precision, so
+read(write(x)) reproduces every 64-bit value bitwise and re-serialization
+is byte-identical; a bool is written as true or false and None as an empty
+cell. Time-series and snapshot data are floats, written by format_number
+directly; every sweep.csv cell goes through format_value. The sweep.csv
+schema is one table of columns and the SweepResult attribute each holds.
+One helper writes and one reads every file here, and a failure of either
+is an OSError naming the file: ``cannot write <what> <path>`` or ``cannot
+read <what> <path>``.
 """
 
 from __future__ import annotations
 
 import io
+import operator
 from dataclasses import fields
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import format_number
+from .config import format_number, format_value
 from .diagnostics import DiagnosticsRecord
 from .grid import Field, GridSpec
+from .sweep import _scan_thetas
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
@@ -39,18 +48,37 @@ __all__ = [
 _RECORD_NAMES = tuple(f.name for f in fields(DiagnosticsRecord))
 BASE_COLUMNS = _RECORD_NAMES[: _RECORD_NAMES.index("lp_u")]
 
-SWEEP_COLUMNS = (
-    "theta",
-    "chi",
-    "mu",
-    "repetition",
-    "classification",
-    "max_sup_u",
-    "t_of_max",
-    "crossing_time",
-    "pe_condition",
-    "failure",
-)
+# The sweep.csv schema, in column order: each column and the attribute of a
+# SweepResult it holds.
+_SWEEP_TABLE = {
+    "theta": "theta",
+    "chi": "chi",
+    "mu": "mu",
+    "repetition": "repetition",
+    "classification": "verdict.classification",
+    "max_sup_u": "max_sup_u",
+    "t_of_max": "verdict.t_of_max",
+    "crossing_time": "verdict.crossing_time",
+    "pe_condition": "pe_condition",
+    "failure": "failure",
+}
+SWEEP_COLUMNS = tuple(_SWEEP_TABLE)
+_sweep_cells = operator.attrgetter(*_SWEEP_TABLE.values())
+
+
+def _write_text(path: Path, noun: str, text: str) -> Path:
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise OSError(f"cannot write {noun} {path}: {exc}") from exc
+    return path
+
+
+def _read_lines(path: Path, noun: str) -> list[str]:
+    try:
+        return path.read_text(encoding="utf-8").splitlines()
+    except OSError as exc:
+        raise OSError(f"cannot read {noun} {path}: {exc}") from exc
 
 
 def lp_column(p: float) -> str:
@@ -75,14 +103,9 @@ def write_timeseries(
     records: list[DiagnosticsRecord], path: str | Path, p_values: tuple[float, ...] = (2.0,)
 ) -> Path:
     """Write records in time order under the fixed column schema."""
-    path = Path(path)
     lines = [timeseries_header(p_values)]
     lines.extend(_record_row(rec, p_values) for rec in records)
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write time series {path}: {exc}") from exc
-    return path
+    return _write_text(Path(path), "time series", "\n".join(lines) + "\n")
 
 
 def _numbers(path: Path, number: int, texts: list[str], convert=float) -> list:
@@ -105,10 +128,7 @@ def _parse_p(path: Path, label: str) -> float:
 def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[float, ...]]:
     """Read a time-series CSV back into records (inverse of write_timeseries)."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read time series {path}: {exc}") from exc
+    lines = _read_lines(path, "time series")
     if not lines:
         raise ValueError(f"{path}: empty time-series file")
     header = tuple(lines[0].split(","))
@@ -134,7 +154,6 @@ def write_snapshot(state: SimState, path: str | Path) -> Path:
     Header block: dim, cells, extent and time, then the column line ``u v w``
     and one line per cell in lexicographic order.
     """
-    path = Path(path)
     grid = state.grid
     lines = [
         f"dim {grid.dim}",
@@ -148,20 +167,13 @@ def write_snapshot(state: SimState, path: str | Path) -> Path:
         f"{format_number(u[i])} {format_number(v[i])} {format_number(w[i])}"
         for i in range(grid.num_cells)
     )
-    try:
-        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write snapshot {path}: {exc}") from exc
-    return path
+    return _write_text(Path(path), "snapshot", "\n".join(lines) + "\n")
 
 
 def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Field]:
     """Read a snapshot file; validates the header against the data line count."""
     path = Path(path)
-    try:
-        lines = path.read_text(encoding="utf-8").splitlines()
-    except OSError as exc:
-        raise OSError(f"cannot read snapshot {path}: {exc}") from exc
+    lines = _read_lines(path, "snapshot")
     if len(lines) < 5:
         raise ValueError(f"{path}: truncated snapshot header")
 
@@ -201,10 +213,6 @@ def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Fiel
     return grid, t, Field(grid, u), Field(grid, v), Field(grid, w)
 
 
-def _optional_number(x: float | None) -> str:
-    return "" if x is None else format_number(x)
-
-
 def write_sweep_table(results: list[SweepResult], path: str | Path) -> Path:
     """Write one row per sweep point.
 
@@ -216,36 +224,35 @@ def write_sweep_table(results: list[SweepResult], path: str | Path) -> Path:
     """
     import csv  # here, not at import: only the sweep command writes a table
 
-    path = Path(path)
     text = io.StringIO()
     table = csv.writer(text, lineterminator="\n")
     table.writerow(SWEEP_COLUMNS)
-    for res in results:
-        table.writerow(
-            [
-                format_number(res.theta),
-                format_number(res.chi),
-                format_number(res.mu),
-                str(res.repetition),
-                res.verdict.classification,
-                format_number(res.max_sup_u),
-                format_number(res.verdict.t_of_max),
-                _optional_number(res.verdict.crossing_time),
-                "true" if res.pe_condition else "false",
-                res.failure or "",
-            ]
+    table.writerows([format_value(x) for x in _sweep_cells(res)] for res in results)
+    return _write_text(Path(path), "sweep table", text.getvalue())
+
+
+def _no_bracket_reason(results: list[SweepResult]) -> str:
+    scan = _scan_thetas(results)
+    if scan.bounded_above is not None:
+        return (
+            f"non-monotone: theta={format_number(scan.bounded_above)} stayed bounded"
+            f" above theta={format_number(scan.first_unbounded)}"
         )
-    try:
-        path.write_text(text.getvalue(), encoding="utf-8")
-    except OSError as exc:
-        raise OSError(f"cannot write sweep table {path}: {exc}") from exc
-    return path
+    if scan.first_unbounded is None:
+        return "every theta stayed bounded"
+    if scan.theta_lo is None:
+        return "no theta stayed bounded"
+    return (
+        f"bounded up to theta={format_number(scan.theta_lo)};"
+        " no theta above it grew or blew up"
+    )
 
 
 def render_sweep_summary(
     results: list[SweepResult], bracket: tuple[float, float] | None, tau: int
 ) -> str:
-    """Human-readable sweep summary: verdict per theta plus the bracket."""
+    """Human-readable sweep summary: verdict per theta, then the bracket or,
+    when bracket is None, why the results give none."""
     lines = ["sweep summary"]
     for res in results:
         parts = [
@@ -256,10 +263,10 @@ def render_sweep_summary(
             f"verdict={res.verdict.classification}",
         ]
         if tau == 0:
-            parts.append(f"pe_condition={'true' if res.pe_condition else 'false'}")
+            parts.append(f"pe_condition={format_value(res.pe_condition)}")
         lines.append("  " + " ".join(parts))
     if bracket is None:
-        lines.append("threshold bracket: none (outcomes all alike or non-monotone)")
+        lines.append(f"threshold bracket: none ({_no_bracket_reason(results)})")
     else:
         lines.append(
             "threshold bracket: theta_lo="

@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 ODE_DIVERGENCE_LIMIT = 1e12
+# A run that needs more than this many steps cannot finish: the stepper
+# refuses a stability step, an output_every or a dt_max below
+# t_end / _MAX_STEPS, and ode_reference a dt below it. That floor sits well
+# below 1e-12 t_end (t_end = 1e9 on an 8-cell 1D grid has ordinary steps of
+# ~1e-12 t_end) and above half the spacing of floats near t_end
+# (~1.1e-16 t_end), so a step of that size still moves the clock.
+_MAX_STEPS = 1e15
 
 
 @dataclass(frozen=True)
@@ -345,6 +352,11 @@ def ode_reference(
     """
     dt = _as_float(dt, "dt", 0, math.inf)
     t_end = _as_float(t_end, "t_end", 0, math.inf, "[)")
+    if t_end / dt > _MAX_STEPS:
+        raise ValueError(
+            f"dt must be at least t_end / {_MAX_STEPS:.0e}: a smaller step needs"
+            f" more than {_MAX_STEPS:.0e} steps"
+        )
     y0 = [_as_float(y, "y0 entry", 0, math.inf, "[)") for y in y0]
 
     slaved = params.tau == 0
@@ -361,9 +373,10 @@ def ode_reference(
     remainder = t_end - n_full * dt
     if remainder < 1e-12 * max(t_end, dt):
         remainder = 0.0
-    step_sizes = [dt] * n_full + ([remainder] if remainder > 0.0 else [])
+    n_steps = n_full + 1 if remainder > 0.0 else n_full
 
-    for i, h in enumerate(step_sizes, start=1):
+    for i in range(1, n_steps + 1):
+        h = dt if i <= n_full else remainder
         k1 = _rates(y, params)
         k2 = _rates(y + 0.5 * h * k1, params)
         k3 = _rates(y + 0.5 * h * k2, params)
@@ -371,7 +384,7 @@ def ode_reference(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if slaved:
             y[1] = y[0]
-        times.append(t_end if i == len(step_sizes) else i * dt)
+        times.append(t_end if i == n_steps else i * dt)
         states.append(y)
         if not np.isfinite(y).all() or _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
             return OdeTrajectory(np.array(times), np.array(states), diverged=True)

@@ -46,7 +46,7 @@ from .grid import (
     magnitude,
     sup_norm,
 )
-from .model import InitialData, ModelParams, rhs_u, rhs_v, rhs_w
+from .model import _MAX_STEPS, InitialData, ModelParams, rhs_u, rhs_v, rhs_w
 
 __all__ = [
     "CFLViolation",
@@ -66,13 +66,6 @@ __all__ = [
 _EPS_RATE = 1e-30
 _MAX_HALVINGS = 10
 _ROUNDOFF_CLAMP = 1e-13
-# A run that needs more than this many steps cannot finish: a stability step
-# below t_end / _MAX_STEPS raises, and so does an output_every or a dt_max
-# below it. That floor sits well below 1e-12 t_end (t_end = 1e9 on an 8-cell
-# 1D grid has ordinary steps of ~1e-12 t_end) and above half the spacing of
-# floats near t_end (~1.1e-16 t_end), so a step of that size still moves the
-# clock.
-_MAX_STEPS = 1e15
 
 
 class CFLViolation(RuntimeError):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import KW_ONLY, dataclass, replace
+from typing import NamedTuple
 
 from .diagnostics import BoundednessVerdict, classify, outcome_verdict
 from .grid import GridSpec, _as_float, _as_int
@@ -158,6 +159,39 @@ def run_sweep(plan: SweepPlan, *, keep_outcomes: bool = False) -> list[SweepResu
     ]
 
 
+class _ThetaScan(NamedTuple):
+    """A sweep table read theta by theta, in increasing order, up to the
+    first all-bounded theta above a not-bounded one (bounded_above), which
+    breaks monotony. theta_lo is the last all-bounded theta before the first
+    not-bounded one (first_unbounded), theta_hi the first theta with a
+    blew_up or growing verdict; each is None when there is none."""
+
+    theta_lo: float | None
+    theta_hi: float | None
+    first_unbounded: float | None
+    bounded_above: float | None
+
+
+def _scan_thetas(results: list[SweepResult]) -> _ThetaScan:
+    groups: dict[float, list[str]] = {}
+    for res in results:
+        groups.setdefault(res.theta, []).append(res.verdict.classification)
+
+    theta_lo = theta_hi = first_unbounded = None
+    for theta in sorted(groups):
+        cls = groups[theta]
+        if all(c == "bounded" for c in cls):
+            if first_unbounded is not None:
+                return _ThetaScan(theta_lo, theta_hi, first_unbounded, theta)
+            theta_lo = theta
+        else:
+            if first_unbounded is None:
+                first_unbounded = theta
+            if theta_hi is None and any(c in ("blew_up", "growing") for c in cls):
+                theta_hi = theta
+    return _ThetaScan(theta_lo, theta_hi, first_unbounded, None)
+
+
 def estimate_threshold(results: list[SweepResult]) -> tuple[float, float] | None:
     """Bracket the boundedness threshold from a sweep table.
 
@@ -167,25 +201,7 @@ def estimate_threshold(results: list[SweepResult]) -> tuple[float, float] | None
     theta (no all-bounded theta above a non-bounded one). Growing and
     inconclusive verdicts count as not bounded. Otherwise returns None.
     """
-    groups: dict[float, list[SweepResult]] = {}
-    for res in results:
-        groups.setdefault(res.theta, []).append(res)
-
-    theta_lo: float | None = None
-    theta_hi: float | None = None
-    seen_unbounded = False
-    for theta in sorted(groups):
-        cls = [r.verdict.classification for r in groups[theta]]
-        all_bounded = all(c == "bounded" for c in cls)
-        any_bad = any(c in ("blew_up", "growing") for c in cls)
-        if all_bounded:
-            if seen_unbounded:
-                return None  # non-monotone
-            theta_lo = theta
-        else:
-            seen_unbounded = True
-            if any_bad and theta_hi is None:
-                theta_hi = theta
-    if theta_lo is None or theta_hi is None:
+    scan = _scan_thetas(results)
+    if scan.bounded_above is not None or scan.theta_lo is None or scan.theta_hi is None:
         return None
-    return (theta_lo, theta_hi)
+    return (scan.theta_lo, scan.theta_hi)

@@ -20,7 +20,7 @@ from taxisim import (
     render_config,
     run,
 )
-from taxisim.config import OutputOptions, RunConfig
+from taxisim.config import OutputOptions, RunConfig, format_value
 from taxisim.config import _KEYS
 
 MINIMAL = """
@@ -391,6 +391,27 @@ class TestValidation:
     def test_bad_time_scheme(self):
         with pytest.raises(ValidationError, match=r"solver\.time_scheme"):
             parse_config("[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] T_end=1 time_scheme=magic")
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (None, ""),
+        (True, "true"),
+        (False, "false"),
+        (3, "3"),
+        (np.int64(3), "3"),
+        (0.1, "0.1"),
+        (np.float64(0.1), "0.1"),
+        (math.nan, "nan"),
+        (math.inf, "inf"),
+        ((1.0, 2.5, 3), "1.0,2.5,3"),
+    ],
+)
+def test_format_value(value, text):
+    # The one text rule for a value: the config echo, every sweep.csv cell
+    # and the sweep summary's pe_condition are written by it.
+    assert format_value(value) == text
 
 
 class TestEcho:

@@ -17,6 +17,7 @@ from taxisim import (
     SolverConfig,
     SweepResult,
     classify,
+    estimate_threshold,
     initial_state,
     run,
 )
@@ -291,5 +292,30 @@ class TestSweepSummary:
         ]
 
     def test_no_bracket_line(self):
-        lines = render_sweep_summary(self.RESULTS, None, tau=1).splitlines()
-        assert lines[-1] == "threshold bracket: none (outcomes all alike or non-monotone)"
+        results = [sweep_result(0.1, "bounded"), sweep_result(0.5, "inconclusive")]
+        lines = render_sweep_summary(results, None, tau=1).splitlines()
+        assert lines[-1] == (
+            "threshold bracket: none (bounded up to theta=0.1; no theta above it grew or blew up)"
+        )
+
+    # The verdicts per theta of three imex-sweep-1d seed classes (b bounded,
+    # i inconclusive) and of a sweep where no theta stays bounded.
+    THETAS = (0.05, 0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.4)
+    VERDICTS = {"b": "bounded", "i": "inconclusive", "g": "growing"}
+
+    @pytest.mark.parametrize(
+        "pattern, reason",
+        [
+            ("bbbbbbbi", "bounded up to theta=3.2; no theta above it grew or blew up"),
+            ("bbbbbiib", "non-monotone: theta=6.4 stayed bounded above theta=1.6"),
+            ("bbbbbbbb", "every theta stayed bounded"),
+            ("iiiggggg", "no theta stayed bounded"),
+        ],
+    )
+    def test_no_bracket_names_its_case(self, pattern, reason):
+        results = [
+            sweep_result(theta, self.VERDICTS[c]) for theta, c in zip(self.THETAS, pattern)
+        ]
+        assert estimate_threshold(results) is None
+        summary = render_sweep_summary(results, None, tau=1)
+        assert summary.splitlines()[-1] == f"threshold bracket: none ({reason})"

@@ -437,6 +437,12 @@ class TestOdeReference:
             (1.0, math.inf, "dt must be in (0, inf), got inf"),
             (math.nan, 0.1, "t_end must be in [0, inf), got nan"),
             (math.inf, 0.1, "t_end must be in [0, inf), got inf"),
+            # 1e300 steps once overflowed building the list of step sizes.
+            (
+                1e300,
+                1e-300,
+                "dt must be at least t_end / 1e+15: a smaller step needs more than 1e+15 steps",
+            ),
         ],
     )
     def test_step_and_final_time_ranges(self, t_end, dt, message):

@@ -25,11 +25,10 @@ import numpy as np
 from .config import format_number, format_value
 from .diagnostics import DiagnosticsRecord
 from .grid import Field, GridSpec
-from .sweep import _scan_thetas
+from .sweep import SweepResult, _scan_thetas
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
-    from .sweep import SweepResult
 
 __all__ = [
     "BASE_COLUMNS",

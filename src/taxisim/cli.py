@@ -18,9 +18,10 @@ from .fileio import (
     render_sweep_summary,
     write_snapshot,
     write_sweep_table,
+    write_text,
     write_timeseries,
 )
-from .model import ode_reference
+from .model import _rk4_samples
 from .stepper import _outputs_reached, run
 from .sweep import estimate_threshold, run_sweep
 
@@ -38,8 +39,7 @@ def _load_config(path_text: str) -> RunConfig:
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
     outdir = cfg.outputs.directory
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "effective.cfg").write_text(render_config(cfg), encoding="utf-8")
+    write_text(outdir / "effective.cfg", "effective config", render_config(cfg), parents=True)
     return outdir
 
 
@@ -102,7 +102,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     table_path = write_sweep_table(results, outdir / "sweep.csv")
     bracket = estimate_threshold(results)
     summary = render_sweep_summary(results, bracket, cfg.model.tau)
-    (outdir / "sweep_summary.txt").write_text(summary, encoding="utf-8")
+    write_text(outdir / "sweep_summary.txt", "sweep summary", summary)
     print(summary, end="")
     print(f"wrote {table_path}")
     return 0
@@ -117,23 +117,26 @@ def _cmd_ode(args: argparse.Namespace) -> int:
     outdir = _prepare_outdir(cfg)
     y0 = cfg.scenario.homogeneous_values()
     dt = cfg.solver.dt_max if cfg.solver.dt_max != float("inf") else cfg.solver.t_end / 1000.0
-    traj = ode_reference(cfg.model, y0, cfg.solver.t_end, dt)
 
-    # Thin to the output cadence with run's output-index rule: the first
-    # sample to reach each k * output_every, plus the first and last samples.
+    # Thin to the output cadence while integrating, with run's output-index
+    # rule: the first sample to reach each k * output_every, plus the first
+    # and last samples.
     out = cfg.solver.output_every
     lines = ["t,u,v,w"]
     emitted = -1
-    for i, t in enumerate(traj.times):
+    unwritten = None  # the last sample, while no row holds it
+    for t, y, diverged in _rk4_samples(cfg.model, y0, cfg.solver.t_end, dt):
         reached = _outputs_reached(t, out)
-        if reached > emitted or i == len(traj.times) - 1:
-            u, v, w = traj.states[i]
-            lines.append(",".join(format_number(x) for x in (t, u, v, w)))
-            emitted = reached
-    path = outdir / "ode.csv"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        if reached > emitted:
+            lines.append(",".join(format_number(x) for x in (t, *y)))
+            emitted, unwritten = reached, None
+        else:
+            unwritten = (t, *y)
+    if unwritten is not None:
+        lines.append(",".join(format_number(x) for x in unwritten))
+    path = write_text(outdir / "ode.csv", "ode trajectory", "\n".join(lines) + "\n")
     print(f"wrote {path}")
-    if traj.diverged:
+    if diverged:
         print("trajectory diverged")
         return 2
     return 0

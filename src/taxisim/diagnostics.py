@@ -103,10 +103,10 @@ def record(
     of steps, which run keeps; without it the window is the state alone.
     The representation residual and the curvature-bound slack apply to the
     eta = 0 system on a finite state; otherwise they are reported as 0. The
-    extrema of u, v and w come from state.field_extrema(), so a non-finite
-    state yields a record whose finite property is False.
+    extrema of u, v and w are the state's own, so a non-finite state yields
+    a record whose finite property is False.
     """
-    ext = state.field_extrema()
+    ext = state.extrema
     peak_u, t_peak_u = (ext.max_u, state.t) if peak is None else peak
     lem = rep = 0.0
     if ext.finite and eta == 0.0:

@@ -9,7 +9,8 @@ directly; every sweep.csv cell goes through format_value. The sweep.csv
 schema is one table of columns and the SweepResult attribute each holds.
 One helper writes and one reads every file here, and a failure of either
 is an OSError naming the file: ``cannot write <what> <path>`` or ``cannot
-read <what> <path>``.
+read <what> <path>``. The writer, write_text, is public: the command line
+writes its other files through it too.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 from .config import format_number, format_value
 from .diagnostics import DiagnosticsRecord
 from .grid import Field, GridSpec
-from .sweep import SweepResult, _scan_thetas
+from .sweep import SweepResult, _scan_thetas, _ThetaScan
 
 if TYPE_CHECKING:  # pragma: no cover
     from .stepper import SimState
@@ -41,6 +42,7 @@ __all__ = [
     "read_snapshot",
     "write_sweep_table",
     "render_sweep_summary",
+    "write_text",
 ]
 
 # The time-series columns before the Lp_u_<p> ones: the record fields before lp_u.
@@ -65,8 +67,11 @@ SWEEP_COLUMNS = tuple(_SWEEP_TABLE)
 _sweep_cells = operator.attrgetter(*_SWEEP_TABLE.values())
 
 
-def _write_text(path: Path, noun: str, text: str) -> Path:
+def write_text(path: Path, noun: str, text: str, *, parents: bool = False) -> Path:
+    """Write text to path; with parents, make its missing directories first."""
     try:
+        if parents:
+            path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text, encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot write {noun} {path}: {exc}") from exc
@@ -104,7 +109,7 @@ def write_timeseries(
     """Write records in time order under the fixed column schema."""
     lines = [timeseries_header(p_values)]
     lines.extend(_record_row(rec, p_values) for rec in records)
-    return _write_text(Path(path), "time series", "\n".join(lines) + "\n")
+    return write_text(Path(path), "time series", "\n".join(lines) + "\n")
 
 
 def _numbers(path: Path, number: int, texts: list[str], convert=float) -> list:
@@ -166,7 +171,7 @@ def write_snapshot(state: SimState, path: str | Path) -> Path:
         f"{format_number(u[i])} {format_number(v[i])} {format_number(w[i])}"
         for i in range(grid.num_cells)
     )
-    return _write_text(Path(path), "snapshot", "\n".join(lines) + "\n")
+    return write_text(Path(path), "snapshot", "\n".join(lines) + "\n")
 
 
 def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Field]:
@@ -227,11 +232,10 @@ def write_sweep_table(results: list[SweepResult], path: str | Path) -> Path:
     table = csv.writer(text, lineterminator="\n")
     table.writerow(SWEEP_COLUMNS)
     table.writerows([format_value(x) for x in _sweep_cells(res)] for res in results)
-    return _write_text(Path(path), "sweep table", text.getvalue())
+    return write_text(Path(path), "sweep table", text.getvalue())
 
 
-def _no_bracket_reason(results: list[SweepResult]) -> str:
-    scan = _scan_thetas(results)
+def _no_bracket_reason(scan: _ThetaScan) -> str:
     if scan.bounded_above is not None:
         return (
             f"non-monotone: theta={format_number(scan.bounded_above)} stayed bounded"
@@ -251,7 +255,13 @@ def render_sweep_summary(
     results: list[SweepResult], bracket: tuple[float, float] | None, tau: int
 ) -> str:
     """Human-readable sweep summary: verdict per theta, then the bracket or,
-    when bracket is None, why the results give none."""
+    when the results give none, why. Both come from one scan of results;
+    a bracket that is not estimate_threshold(results) raises ValueError."""
+    scan = _scan_thetas(results)
+    if bracket != scan.bracket:
+        raise ValueError(
+            f"bracket {bracket!r} is not the one the results give, {scan.bracket!r}"
+        )
     lines = ["sweep summary"]
     for res in results:
         parts = [
@@ -265,7 +275,7 @@ def render_sweep_summary(
             parts.append(f"pe_condition={format_value(res.pe_condition)}")
         lines.append("  " + " ".join(parts))
     if bracket is None:
-        lines.append(f"threshold bracket: none ({_no_bracket_reason(results)})")
+        lines.append(f"threshold bracket: none ({_no_bracket_reason(scan)})")
     else:
         lines.append(
             "threshold bracket: theta_lo="

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import operator
+from collections.abc import Iterator
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -338,18 +339,12 @@ def _rates(y: np.ndarray, p: ModelParams) -> np.ndarray:
     )
 
 
-def ode_reference(
+def _rk4_samples(
     params: ModelParams, y0: tuple[float, float, float], t_end: float, dt: float
-) -> OdeTrajectory:
-    """Classical 4th-order fixed-step integration of the homogeneous reduction.
-
-        u' = mu u (1 - u - w),  tau v' = u - v,  w' = -v w + eta w (1 - u - w)
-
-    For tau = 0 the signal is set to u algebraically each step. The time
-    after step i is i * dt (a running sum drifts by round-off), and the
-    last time is t_end. Integration stops early, with the trajectory
-    flagged as diverged, as soon as any component exceeds 1e12 in magnitude.
-    """
+) -> Iterator[tuple[float, np.ndarray, bool]]:
+    """The samples of ode_reference, one at a time: (t, y, diverged) at
+    t = 0 and after each step, ending with the first that diverged. The
+    arguments are checked when the first sample is asked for."""
     dt = _as_float(dt, "dt", 0, math.inf)
     t_end = _as_float(t_end, "t_end", 0, math.inf, "[)")
     if t_end / dt > _MAX_STEPS:
@@ -364,18 +359,18 @@ def ode_reference(
     if slaved:
         y[1] = y[0]
 
-    times = [0.0]
-    states = [y]
-    if _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
-        return OdeTrajectory(np.array(times), np.array(states), diverged=True)
-
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
     if remainder < 1e-12 * max(t_end, dt):
         remainder = 0.0
     n_steps = n_full + 1 if remainder > 0.0 else n_full
 
-    for i in range(1, n_steps + 1):
+    t = 0.0
+    for i in range(1, n_steps + 2):  # the sample after step i - 1, then step i
+        diverged = not np.isfinite(y).all() or _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT
+        yield t, y, diverged
+        if diverged or i > n_steps:
+            return
         h = dt if i <= n_full else remainder
         k1 = _rates(y, params)
         k2 = _rates(y + 0.5 * h * k1, params)
@@ -384,8 +379,23 @@ def ode_reference(
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if slaved:
             y[1] = y[0]
-        times.append(t_end if i == n_steps else i * dt)
+        t = t_end if i == n_steps else i * dt
+
+
+def ode_reference(
+    params: ModelParams, y0: tuple[float, float, float], t_end: float, dt: float
+) -> OdeTrajectory:
+    """Classical 4th-order fixed-step integration of the homogeneous reduction.
+
+        u' = mu u (1 - u - w),  tau v' = u - v,  w' = -v w + eta w (1 - u - w)
+
+    For tau = 0 the signal is set to u algebraically each step. The time
+    after step i is i * dt (a running sum drifts by round-off), and the
+    last time is t_end. Integration stops early, with the trajectory
+    flagged as diverged, as soon as any component exceeds 1e12 in magnitude.
+    """
+    times, states = [], []
+    for t, y, diverged in _rk4_samples(params, y0, t_end, dt):
+        times.append(t)
         states.append(y)
-        if not np.isfinite(y).all() or _max(np.abs(y)) > ODE_DIVERGENCE_LIMIT:
-            return OdeTrajectory(np.array(times), np.array(states), diverged=True)
-    return OdeTrajectory(np.array(times), np.array(states), diverged=False)
+    return OdeTrajectory(np.array(times), np.array(states), diverged=diverged)

@@ -26,7 +26,6 @@ a halved dt (at most 10 halvings); runs terminate cleanly on divergence
 from __future__ import annotations
 
 import math
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import NamedTuple
@@ -187,11 +186,10 @@ class SimState:
     of grad v is gradient(Iv), so it is not accumulated. No gradient is
     stored: its readers call gradient themselves (the records once per
     output).
-    extrema holds the minima and maxima of u, v and w that step finds on
-    every state it accepts: the three minima come from the positivity
-    clamps, which take them anyway, and one pass each gives the maxima. run
-    sets it once on the initial state; initial_state leaves it None. The
-    divergence check, run, the records and the next step read it.
+    extrema holds the minima and maxima of u, v and w: initial_state takes
+    them in one pass, and step on every state it accepts takes the minima
+    from the positivity clamps and one pass each for the maxima. stable_dt,
+    the clamp floors, the divergence check, run and the records read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step. Mostly it spreads into the
     new fields: u and v are read by every step (v through rhs_v or the
@@ -199,8 +197,8 @@ class SimState:
     does not spread with eta = 0, since w = w_anchor exp(-Iv) is then 0, so
     the step checks the new Iv itself. With eta = 0 the step reads w nowhere
     but stable_dt, so stable_dt takes the range of w from w itself, never
-    from extrema. A finite edit is not seen until extrema is set to None,
-    which makes the next step recompute it.
+    from extrema. A finite edit is not seen until extrema is set to
+    Extrema.of the edited fields.
     """
 
     t: float
@@ -209,18 +207,12 @@ class SimState:
     w: Field
     Iv: Field
     anchor: Snapshot
+    extrema: Extrema
     last_dt: float = 0.0
-    extrema: Extrema | None = None
 
     @property
     def grid(self) -> GridSpec:
         return self.u.grid
-
-    def field_extrema(self) -> Extrema:
-        """extrema, or a fresh pass over u, v and w when it is not set."""
-        if self.extrema is not None:
-            return self.extrema
-        return Extrema.of(self.u.values, self.v.values, self.w.values)
 
 
 def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
@@ -254,14 +246,15 @@ def _substrate_ceiling(anchor: Snapshot, eta: float) -> float:
 
 
 def initial_state(init: InitialData) -> SimState:
+    u, v, w = init.u0.copy(), init.v0.copy(), init.w0.copy()
     return SimState(
         t=0.0,
-        u=init.u0.copy(),
-        v=init.v0.copy(),
-        w=init.w0.copy(),
+        u=u,
+        v=v,
+        w=w,
         Iv=Field.zeros(init.grid),
-        anchor=take_snapshot(0.0, init.u0, init.v0, init.w0),
-        last_dt=0.0,
+        anchor=take_snapshot(0.0, u, v, w),
+        extrema=Extrema.of(u.values, v.values, w.values),
     )
 
 
@@ -343,7 +336,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     (before the caps) below t_end / 10^15, which would take more than 10^15
     steps, raises ValueError naming the limit that binds.
     """
-    ext = state.field_extrema()
+    ext = state.extrema
     if not ext.finite:
         raise Diverged(f"non-finite state at t={state.t!r}", state=state)
     grid = state.grid
@@ -404,57 +397,60 @@ def solve_elliptic(u: Field, cfg: SolverConfig | None = None) -> Field:
     return Field(u.grid, _screened_solve(u.grid, u.values, 1.0))
 
 
-def _clamp_negatives(values: np.ndarray, floor: Callable[[], float]) -> float:
-    """Zero out negativity within |floor()| in place; reject anything worse.
+def _clamp_negatives(values: np.ndarray, floor: float) -> float:
+    """Zero out negativity within floor in place; reject anything worse.
 
-    floor is called only when values dip below 0, so a floor that costs a
-    pass over an array is not computed on the usual nonnegative result.
-    Returns the minimum of values after the clamp: max(low, 0.0) of the
-    minimum low before it, which is low itself when it is NaN or -inf (a
-    non-finite state, which no smaller dt repairs).
+    Each phase passes 1e-13 times a bound it reads from the pre-step
+    extrema. Returns the minimum of values after the clamp: max(low, 0.0)
+    of the minimum low before it, which is low itself when it is NaN or
+    -inf (a non-finite state, which no smaller dt repairs).
     """
     low = _min(values)
     if not -math.inf < low < 0.0:
         return low
-    if low < -floor():
+    if low < -floor:
         raise _RetryStep
     np.maximum(values, 0.0, out=values)
     return max(low, 0.0)
 
 
 def _signal_phase(
-    state: SimState, params: ModelParams, cfg: SolverConfig, dt: float, max_v: float
+    state: SimState, params: ModelParams, cfg: SolverConfig, dt: float
 ) -> tuple[Field, float]:
     """Phase 1: v at t + dt and its minimum after the round-off clamp.
 
     Slaved to the cells (tau = 0) or with implicit diffusion, v solves
     (I - alpha lap) v = b. The exact inverse of I - alpha lap is nonnegative,
-    so the solve only needs its transform round-off clamped. max_v is sup v
-    at t (max v equals sup |v|, since v >= 0), which scales the clamp floor.
+    so the solve only needs its transform round-off clamped. The floor
+    scales with sup v at t and, for the solve, with B >= sup b: max u when
+    b = u (tau = 0), (1 - dt) max v + dt max u under IMEX, where dt <= 1
+    (stable_dt) makes b a nonnegative combination of u, v >= 0, and
+    rounding is monotone, so b <= B exactly.
     """
-    u, v = state.u, state.v
+    u, v, ext = state.u, state.v, state.extrema
+    floor = ext.max_v  # sup v, since v >= 0
     if params.tau == 0 or cfg.time_scheme == "imex-diffusion":
         if params.tau == 0:
-            b, alpha = u.values, 1.0
+            b, alpha, sup_b = u.values, 1.0, ext.max_u
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
+            sup_b = (1.0 - dt) * ext.max_v + dt * ext.max_u
         v_new_vals = _screened_solve(state.grid, b, alpha)
-        floor = lambda: _ROUNDOFF_CLAMP * max(_max(np.abs(b)), max_v)
+        floor = max(floor, sup_b)
     else:
         v_new_vals = rhs_v(u, v, params).values
         v_new_vals *= dt
         v_new_vals += v.values
-        floor = lambda: _ROUNDOFF_CLAMP * max_v
-    min_v = _clamp_negatives(v_new_vals, floor)
+    min_v = _clamp_negatives(v_new_vals, _ROUNDOFF_CLAMP * floor)
     return Field(state.grid, v_new_vals), min_v
 
 
 def _substrate_phase(
-    state: SimState, params: ModelParams, v_new: Field, dt: float, max_w: float
+    state: SimState, params: ModelParams, v_new: Field, dt: float
 ) -> tuple[Field, Field, float]:
     """Phase 2: the trapezoidal signal integral Iv and the substrate w at
     t + dt, from the old and the new v, and the minimum of w after the
-    round-off clamp (max_w, sup w at t, scales the clamp floor).
+    round-off clamp (sup w at t scales the clamp floor).
 
     With eta = 0, w = w_anchor exp(-Iv) >= 0, so the clamp only reads the
     minimum. With eta > 0 an explicit midpoint (RK2) step advances w, which
@@ -486,19 +482,19 @@ def _substrate_phase(
         w_new_vals *= dt
         w_new_vals += w.values
         np.minimum(w_new_vals, _substrate_ceiling(anchor, params.eta), out=w_new_vals)
-    min_w = _clamp_negatives(w_new_vals, lambda: _ROUNDOFF_CLAMP * max_w)
+    min_w = _clamp_negatives(w_new_vals, _ROUNDOFF_CLAMP * state.extrema.max_w)
     return Field(grid, iv_new_vals), Field(grid, w_new_vals), min_w
 
 
 def _cell_phase(
-    state: SimState, params: ModelParams, v_new: Field, w_new: Field, dt: float, max_u: float
+    state: SimState, params: ModelParams, v_new: Field, w_new: Field, dt: float
 ) -> tuple[Field, float]:
     """Phase 3: u at t + dt from the new v and w, and its minimum after the
-    round-off clamp (max_u, sup u at t, scales the clamp floor)."""
+    round-off clamp (sup u at t, kept above 1e-30, scales the clamp floor)."""
     u = state.u
     u_new_vals = rhs_u(u, v_new, w_new, params, dt=dt).values
     u_new_vals += u.values
-    min_u = _clamp_negatives(u_new_vals, lambda: _ROUNDOFF_CLAMP * max(max_u, _EPS_RATE))
+    min_u = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(state.extrema.max_u, _EPS_RATE))
     return Field(state.grid, u_new_vals), min_u
 
 
@@ -506,12 +502,12 @@ def _attempt_step(
     state: SimState, params: ModelParams, cfg: SolverConfig, dt: float
 ) -> SimState:
     """One step of size dt through the three phases; a clamp (of v, w or u)
-    that meets more than round-off negativity raises _RetryStep. The minima
-    of the new state's extrema are the ones the clamps leave."""
-    ext = state.field_extrema()
-    v_new, min_v = _signal_phase(state, params, cfg, dt, ext.max_v)
-    iv_new, w_new, min_w = _substrate_phase(state, params, v_new, dt, ext.max_w)
-    u_new, min_u = _cell_phase(state, params, v_new, w_new, dt, ext.max_u)
+    that meets more than round-off negativity raises _RetryStep. The clamp
+    floors scale with the pre-step extrema; the minima of the new state's
+    extrema are the ones the clamps leave."""
+    v_new, min_v = _signal_phase(state, params, cfg, dt)
+    iv_new, w_new, min_w = _substrate_phase(state, params, v_new, dt)
+    u_new, min_u = _cell_phase(state, params, v_new, w_new, dt)
     return SimState(
         t=state.t + dt,
         u=u_new,
@@ -519,17 +515,17 @@ def _attempt_step(
         w=w_new,
         Iv=iv_new,
         anchor=state.anchor,
-        last_dt=dt,
         extrema=Extrema(
             min_u, _max(u_new.values),
             min_v, _max(v_new.values),
             min_w, _max(w_new.values),
         ),
+        last_dt=dt,
     )
 
 
 def _check_divergence(state: SimState, cfg: SolverConfig) -> None:
-    ext = state.field_extrema()
+    ext = state.extrema
     if not ext.finite:
         raise Diverged(f"non-finite fields at t={state.t!r}", state=state)
     sup_u = ext.max_u
@@ -615,9 +611,7 @@ def run(
     (more than 10^15 steps; the message names the binding limit).
     """
     state = initial_state(init)
-    # One pass over the t = 0 fields serves the run's summary, the first
-    # record and the first step.
-    state.extrema = ext = Extrema.of(state.u.values, state.v.values, state.w.values)
+    ext = state.extrema
     records: list = []
     # The peak of sup u since the last record and its time.
     peak_u, t_peak_u = ext.max_u, state.t
@@ -648,7 +642,7 @@ def run(
             state = step(state, params, cfg)
             steps += 1
 
-            ext = state.field_extrema()
+            ext = state.extrema
             if ext.max_u > peak_u:
                 peak_u, t_peak_u = ext.max_u, state.t
             min_u = min(min_u, ext.min_u)
@@ -678,7 +672,7 @@ def run(
         # the last state the run accepted.
         if isinstance(exc, Diverged):
             state = exc.state
-            ext = state.field_extrema()
+            ext = state.extrema
             if ext.finite and ext.max_u > peak_u:
                 peak_u, t_peak_u = ext.max_u, state.t
     # The state the run ends on (at t_end or where it stopped), recorded once.

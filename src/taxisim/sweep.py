@@ -171,6 +171,13 @@ class _ThetaScan(NamedTuple):
     first_unbounded: float | None
     bounded_above: float | None
 
+    @property
+    def bracket(self) -> tuple[float, float] | None:
+        """(theta_lo, theta_hi) when the scan is monotone and has both."""
+        if self.bounded_above is not None or self.theta_lo is None or self.theta_hi is None:
+            return None
+        return (self.theta_lo, self.theta_hi)
+
 
 def _scan_thetas(results: list[SweepResult]) -> _ThetaScan:
     groups: dict[float, list[str]] = {}
@@ -201,7 +208,4 @@ def estimate_threshold(results: list[SweepResult]) -> tuple[float, float] | None
     theta (no all-bounded theta above a non-bounded one). Growing and
     inconclusive verdicts count as not bounded. Otherwise returns None.
     """
-    scan = _scan_thetas(results)
-    if scan.bounded_above is not None or scan.theta_lo is None or scan.theta_hi is None:
-        return None
-    return (scan.theta_lo, scan.theta_hi)
+    return _scan_thetas(results).bracket

@@ -31,6 +31,15 @@ BLOWUP_CFG = """
 
 RENEWAL_CFG = BUMP_CFG.replace("mu=1", "mu=1 eta=0.5")
 
+SWEEP_CFG = """
+[grid] dim=1 extent=2 cells=16
+[model] chi=1 xi=1 mu=10
+[solver] T_end=1 output_every=0.25
+[scenario] name=steady
+[outputs] dir={out}
+[sweep] mode=fix_mu_vary_chi fixed_value=10 theta_values=0.05,0.1
+"""
+
 # sup u peaks at t = 0.0015, between the records at 0 and 0.05.
 PEAK_CFG = """
 [grid] dim=1 extent=6 cells=64
@@ -75,6 +84,37 @@ class TestRunCommand:
         assert "outputs.dir" in err and "absolute" in err
         assert repr(str(tmp_path / folder / "out")) in err
         assert not (tmp_path / folder / "out").exists()
+
+    @pytest.mark.parametrize(
+        "command, text, blocked, noun",
+        [
+            ("run", STEADY_CFG, "effective.cfg", "effective config"),
+            ("sweep", SWEEP_CFG, "sweep_summary.txt", "sweep summary"),
+            ("ode", STEADY_CFG, "ode.csv", "ode trajectory"),
+        ],
+        ids=["run", "sweep", "ode"],
+    )
+    def test_an_output_that_is_a_directory_exits_one(
+        self, tmp_path, capsys, command, text, blocked, noun
+    ):
+        # Every file the commands write goes through fileio's writer, whose
+        # error names what it wrote and where, not only the errno.
+        out = tmp_path / "out"
+        (out / blocked).mkdir(parents=True)
+        assert main([command, str(write_cfg(tmp_path, text.format(out=out)))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {noun} {out / blocked}: ")
+        assert "Traceback" not in err
+
+    def test_an_output_dir_that_is_a_file_exits_one(self, tmp_path, capsys):
+        # The directory is made by the writer of effective.cfg, the first
+        # file a command writes, so its failure names that file.
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(["run", str(write_cfg(tmp_path, STEADY_CFG.format(out=out)))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write effective config {out / 'effective.cfg'}: ")
+        assert out.read_text() == "not a directory"
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
@@ -251,6 +291,29 @@ class TestOdeCommand:
         for k, t in enumerate(times):
             assert abs(t - k * 0.1) <= 4 * math.ulp(t)
 
+    def test_rows_are_thinned_while_integrating(self, tmp_path):
+        # 2 * 10^4 RK4 steps thinned to 51 rows: the command holds the rows,
+        # not a state per step (a peak of ~4.8 MB when it kept them all).
+        import tracemalloc
+
+        text = (
+            "[grid] dim=1 extent=4 cells=4\n"
+            "[model] chi=1 mu=1 eta=0.5\n"
+            "[solver] T_end=20 dt_max=0.001\n"
+            "[scenario] name=constant u0=2 v0=0.5 w0=0.5\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        cfg = write_cfg(tmp_path, text)
+        tracemalloc.start()
+        try:
+            assert main(["ode", str(cfg)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = (tmp_path / "out" / "ode.csv").read_text().splitlines()[1:]
+        assert len(rows) == 51
+        assert peak < 512 * 1024
+
     def test_matches_closed_form_decay(self, tmp_path):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"
@@ -275,15 +338,7 @@ class TestSweepCommand:
         assert "[sweep]" in capsys.readouterr().err
 
     def test_writes_table_and_summary(self, tmp_path, capsys):
-        text = (
-            "[grid] dim=1 extent=2 cells=16\n"
-            "[model] chi=1 xi=1 mu=10\n"
-            "[solver] T_end=1 output_every=0.25\n"
-            "[scenario] name=steady\n"
-            f"[outputs] dir={tmp_path / 'out'}\n"
-            "[sweep] mode=fix_mu_vary_chi fixed_value=10 theta_values=0.05,0.1\n"
-        )
-        cfg = write_cfg(tmp_path, text)
+        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=tmp_path / "out"))
         assert main(["sweep", str(cfg)]) == 0
         table = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert table[0].startswith("theta,chi,mu,")

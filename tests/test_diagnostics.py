@@ -29,6 +29,7 @@ from taxisim import (
     step,
     take_snapshot,
 )
+from taxisim.stepper import Extrema
 
 
 def make_record(t: float, sup_u: float) -> DiagnosticsRecord:
@@ -96,6 +97,7 @@ class TestRecord:
         g = GridSpec((1.0,), (4,))
         state = initial_state(ScenarioSpec(name="steady").build(g))
         state.u.values[1] = np.nan
+        state.extrema = Extrema.of(state.u.values, state.v.values, state.w.values)
         rec = record(state, [2.0])
         assert not rec.finite
 
@@ -245,10 +247,10 @@ class TestSubstrateMonitors:
             state = step(state, p, cfg)
         if kind == "poisoned":
             iv = smooth_field(g, rng, amplitude=3.0)
-            state = replace(state, Iv=iv, extrema=None)
+            state = replace(state, Iv=iv)
         elif kind == "perturbed":
             state.w.values[g.num_cells // 2] *= 1.0 + 1e-3
-            state.extrema = None
+            state.extrema = Extrema.of(state.u.values, state.v.values, state.w.values)
         slack, error = monitor_oracle(state)
         rec = record(state, [2.0])
         assert rec.lemma22_violation == float(np.max(slack))

@@ -291,6 +291,22 @@ class TestSweepSummary:
             "  theta=0.5 chi=0.5 mu=1.0 rep=0 verdict=growing pe_condition=false",
         ]
 
+    @pytest.mark.parametrize(
+        "results, bracket",
+        [
+            (RESULTS, None),
+            (RESULTS, (0.1, 0.2)),
+            ([sweep_result(0.1, "bounded"), sweep_result(0.5, "inconclusive")], (0.1, 0.5)),
+        ],
+        ids=["bracketed-passed-none", "bracketed-passed-another", "none-passed-one"],
+    )
+    def test_a_bracket_the_results_do_not_give_is_refused(self, results, bracket):
+        # Given None for results that bracket (bounded 0.1, growing 0.5),
+        # the summary once printed "none (bounded up to theta=0.1; no theta
+        # above it grew or blew up)", which is false.
+        with pytest.raises(ValueError, match="is not the one the results give"):
+            render_sweep_summary(results, bracket, tau=1)
+
     def test_no_bracket_line(self):
         results = [sweep_result(0.1, "bounded"), sweep_result(0.5, "inconclusive")]
         lines = render_sweep_summary(results, None, tau=1).splitlines()

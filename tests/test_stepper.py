@@ -236,7 +236,7 @@ def exact_stable_dt(state, params, cfg):
     """stable_dt with the transport limit always computed from the gradients:
     the formula before the range bound, kept as the reference. Returns the
     step before the landing caps and the name of the binding limit."""
-    ext = state.field_extrema()
+    ext = state.extrema
     grid = state.grid
     inv_h2_sum = sum(1.0 / (h * h) for h in grid.spacing)
     limit, binding = 1.0 / (2.0 * inv_h2_sum), "diffusion"
@@ -372,7 +372,7 @@ class TestStableDtRangeBound:
         # reads for the range of v.
         for _ in range(3):
             state = step(state, params, cfg)
-            assert state.extrema is not None
+            assert_extrema_are_fresh(state)
             assert stable_dt(state, params, cfg) == exact_stable_dt(state, params, cfg)[0]
 
     def test_steps_of_a_run_take_no_gradient(self, monkeypatch):
@@ -548,8 +548,8 @@ class TestStep:
         cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
         state = step(initial_state(sc.build(g)), p, cfg)
         state.v.values[0] = 1.7e308
-        state.extrema = None
-        assert state.field_extrema().finite
+        state.extrema = stepper_mod.Extrema.of(state.u.values, state.v.values, state.w.values)
+        assert state.extrema.finite
         with pytest.raises(Diverged, match="non-finite transport speed"):
             step(state, p, cfg)
 
@@ -1023,8 +1023,9 @@ class TestRun:
         assert out.final_state.t == 0.25
 
     def test_a_run_scans_the_t0_fields_once(self, monkeypatch):
-        # The run's summary, the t = 0 record and the first step share one
-        # pass; every later state carries the extrema its step found.
+        # initial_state's pass serves the run's summary, the t = 0 record
+        # and the first step; every later state carries the extrema its
+        # step found.
         scanned = []
         original = stepper_mod.Extrema.of.__func__
 
@@ -1039,7 +1040,7 @@ class TestRun:
         assert out.status == "completed" and out.steps > 1
         assert len(scanned) == 1
         np.testing.assert_array_equal(scanned[0], init.u0.values)
-        assert initial_state(init).extrema is None
+        assert_extrema_are_fresh(initial_state(init))
 
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))
@@ -1115,7 +1116,7 @@ class TestPeakWindows:
             new = original(state, params, cfg, dt)
             if (state.t >= 0.05) if after_record else (new.t > 0.06):
                 new.u.values[3] = math.nan
-                new.extrema = None
+                new.extrema = stepper_mod.Extrema.of(new.u.values, new.v.values, new.w.values)
             return new
 
         out, seen = self.seen_run(monkeypatch, 1, 1, "explicit", poisoned)
@@ -1280,7 +1281,7 @@ class TestPositivityAndExtrema:
             assert_extrema_are_fresh(state)
 
     def test_clamp_reports_the_minimum_it_leaves(self):
-        clamp, floor = stepper_mod._clamp_negatives, lambda: 1e-13
+        clamp, floor = stepper_mod._clamp_negatives, 1e-13
         values = np.array([2.0, -1e-15, 0.5])
         assert clamp(values, floor) == 0.0
         assert np.array_equal(values, [2.0, 0.0, 0.5])
@@ -1290,14 +1291,43 @@ class TestPositivityAndExtrema:
         with pytest.raises(stepper_mod._RetryStep):
             clamp(np.array([1.0, -1e-12]), floor)
 
-    def test_clamp_computes_its_floor_only_on_a_dip(self):
-        def floor():
-            raise AssertionError("floor computed on a nonnegative field")
+    @pytest.mark.parametrize("eta", [0.0, 1.0])
+    @pytest.mark.parametrize("tau, scheme", SCHEMES)
+    def test_clamp_floors_read_the_pre_step_extrema(self, monkeypatch, tau, scheme, eta):
+        # v, w and u in phase order: 1e-13 times sup v (explicit) or
+        # max(sup v, B) with B >= sup b (the solve), sup w, and sup u.
+        floors = []
+        original = stepper_mod._clamp_negatives
 
-        values = np.array([2.0, 0.0, 0.5])
-        assert stepper_mod._clamp_negatives(values, floor) == 0.0
-        assert np.array_equal(values, [2.0, 0.0, 0.5])
-        assert math.isnan(stepper_mod._clamp_negatives(np.array([1.0, math.nan]), floor))
+        def recording(values, floor):
+            floors.append(floor)
+            return original(values, floor)
+
+        monkeypatch.setattr(stepper_mod, "_clamp_negatives", recording)
+        state = initial_state(half_box_data(GridSpec((1.0, 1.5), (6, 5))))
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, eta=eta, tau=tau)
+        dt = 1e-3
+        stepper_mod._attempt_step(state, p, SolverConfig(t_end=1.0, time_scheme=scheme), dt)
+        ext = state.extrema
+        signal = ext.max_v
+        if tau == 0:
+            signal = max(signal, ext.max_u)
+        elif scheme == "imex-diffusion":
+            signal = max(signal, (1.0 - dt) * ext.max_v + dt * ext.max_u)
+        assert floors == [1e-13 * signal, 1e-13 * ext.max_w, 1e-13 * ext.max_u]
+
+    def test_imex_right_hand_side_is_at_most_its_bound(self):
+        # b = (1 - dt) v + dt u on u, v >= 0 and 0 < dt < 1 never exceeds
+        # B = (1 - dt) max v + dt max u, bit for bit, at any magnitude.
+        rng = np.random.default_rng(32)
+        for _ in range(2000):
+            n = int(rng.integers(1, 64))
+            u = 10.0 ** rng.uniform(-300, 300) * rng.random(n)
+            v = 10.0 ** rng.uniform(-300, 300) * rng.random(n)
+            dt = 10.0 ** rng.uniform(-17, 0)
+            b = (1.0 - dt) * v + dt * u
+            bound = (1.0 - dt) * float(np.max(v)) + dt * float(np.max(u))
+            assert float(np.max(b)) <= bound
 
 
 class TestSpatialConvergence:

@@ -94,7 +94,7 @@ def record(
     state: SimState,
     p_list: list[float],
     *,
-    eta: float = 0.0,
+    eta: float,
     peak: tuple[float, float] | None = None,
 ) -> DiagnosticsRecord:
     """Fill a record from the current state.
@@ -102,9 +102,11 @@ def record(
     peak is (peak_u, t_peak_u), the peak of sup u over the record's window
     of steps, which run keeps; without it the window is the state alone.
     The representation residual and the curvature-bound slack apply to the
-    eta = 0 system on a finite state; otherwise they are reported as 0. The
-    extrema of u, v and w are the state's own, so a non-finite state yields
-    a record whose finite property is False.
+    eta = 0 system on a finite state; otherwise they are reported as 0. eta
+    is the run's renewal rate and has no default, since the eta = 0 monitors
+    read a renewing substrate as a scheme fault. The extrema of u, v and w
+    are the state's own, so a non-finite state yields a record whose finite
+    property is False.
     """
     ext = state.extrema
     peak_u, t_peak_u = (ext.max_u, state.t) if peak is None else peak

@@ -24,11 +24,13 @@ contiguous pass. Where p is the last cell of its row along a, the pair
 (p, p + s_a) straddles a boundary and is no face; a per-grid table of face
 weights (1/h^2, 1/(2h)) holds 0 there, so those entries scatter nothing.
 
-Each GridSpec builds its constants on first use and keeps them in its
-instance: the face table, the cosine spectrum of the Laplacian and the
-explicit diffusion limit. They are not dataclass fields, so eq, hash and
-repr ignore them, and a pickled or copied grid is rebuilt from extent and
-cells. The spectrum is one plan for both directions of the transform that
+Each GridSpec sets its scalar constants once, when it is made: spacing,
+cell count, cell volume, domain measure, the explicit diffusion limit and
+the smallest squared spacing. They are fields that eq, hash and repr
+ignore. Its two array constants, the face table and the cosine spectrum of
+the Laplacian, are built on first use and kept in the instance; a pickled
+or deep-copied grid carries writable copies of whichever it has built. The
+spectrum is one plan for both directions of the transform that
 _screened_solve applies for the stepper: per axis, a view of the flat array
 and the cosine matrix C, whose one product on that view leaves its result
 in the flat layout again, and the eigenvalues summed flat through the same
@@ -72,6 +74,11 @@ class GridSpec:
     cells: tuple[int, ...]
     spacing: tuple[float, ...] = field(init=False, repr=False, compare=False)
     num_cells: int = field(init=False, repr=False, compare=False)
+    volume_element: float = field(init=False, repr=False, compare=False)
+    domain_measure: float = field(init=False, repr=False, compare=False)
+    # 1 / (2 sum_a h_a^-2): the explicit Euler step limit of u_t = lap u.
+    _diffusion_limit: float = field(init=False, repr=False, compare=False)
+    _h_min_sq: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Two cells per axis suffice for the mirror-ghost stencils.
@@ -85,28 +92,23 @@ class GridSpec:
             _as_float(L, "extent entry", n * _LENGTH_MIN, _LENGTH_MAX, "[]")
             for L, n in zip(self.extent, cells)
         )
-        object.__setattr__(self, "extent", extent)
-        object.__setattr__(self, "cells", cells)
-        object.__setattr__(self, "spacing", tuple(L / n for L, n in zip(extent, cells)))
-        object.__setattr__(self, "num_cells", math.prod(cells))
+        spacing = tuple(L / n for L, n in zip(extent, cells))
+        h_min = min(spacing)
+        for name, value in (
+            ("extent", extent),
+            ("cells", cells),
+            ("spacing", spacing),
+            ("num_cells", math.prod(cells)),
+            ("volume_element", math.prod(spacing)),
+            ("domain_measure", math.prod(extent)),
+            ("_diffusion_limit", 1.0 / (2.0 * sum(1.0 / (h * h) for h in spacing))),
+            ("_h_min_sq", h_min * h_min),
+        ):
+            object.__setattr__(self, name, value)
 
     @property
     def dim(self) -> int:
         return len(self.extent)
-
-    @property
-    def volume_element(self) -> float:
-        out = 1.0
-        for h in self.spacing:
-            out *= h
-        return out
-
-    @property
-    def domain_measure(self) -> float:
-        out = 1.0
-        for L in self.extent:
-            out *= L
-        return out
 
     def cell_centers(self, axis: int) -> np.ndarray:
         h = self.spacing[axis]
@@ -115,11 +117,6 @@ class GridSpec:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         coords = [self.cell_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*coords, indexing="ij"))
-
-    def __reduce__(self):
-        # Pickle and copy by extent and cells: the cached constants below
-        # are rebuilt by the copy, not carried over.
-        return (type(self), (self.extent, self.cells))
 
     @cached_property
     def _face_table(self) -> tuple[_AxisFaces, ...]:
@@ -154,17 +151,6 @@ class GridSpec:
             lam_view += lam_a if axis == 0 else lam_a[:, None]
         lam.flags.writeable = False
         return _Spectrum(tuple(axes), lam)
-
-    @cached_property
-    def _diffusion_limit(self) -> float:
-        """1 / (2 sum_a h_a^-2): the explicit Euler step limit of u_t = lap u."""
-        return 1.0 / (2.0 * sum(1.0 / (h * h) for h in self.spacing))
-
-    @cached_property
-    def _h_min_sq(self) -> float:
-        """Square of the smallest spacing."""
-        h_min = min(self.spacing)
-        return h_min * h_min
 
 
 # Bounds of a length (a side, a spacing or a bump width): its square, inverse
@@ -241,7 +227,8 @@ _sum = np.add.reduce
 
 @dataclass(eq=False)
 class Field:
-    """One scalar value per cell, stored flat with axis 0 fastest."""
+    """One scalar value per cell, stored flat with axis 0 fastest; from_nd
+    takes an array of shape grid.cells."""
 
     grid: GridSpec
     values: np.ndarray
@@ -255,7 +242,14 @@ class Field:
             and values.dtype is _FLOAT64
             and values.strides == (8,)
         ):
-            values = np.asarray(values, dtype=float).ravel()
+            values = np.asarray(values, dtype=float)
+            # Raveling in C order would not give the axis-0-fastest layout.
+            if values.ndim != 1:
+                raise ValueError(
+                    f"field values must be flat, got {values.ndim} dimensions; "
+                    "use Field.from_nd for an array of shape grid.cells"
+                )
+            values = values.ravel()
         if values.size != self.grid.num_cells:
             raise ValueError(
                 f"field has {values.size} values, grid has {self.grid.num_cells} cells"

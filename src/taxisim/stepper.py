@@ -26,8 +26,7 @@ a halved dt (at most 10 halvings); runs terminate cleanly on divergence
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import cached_property
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -97,6 +96,9 @@ class SolverConfig:
     blowup_threshold: float = 1e6
     anchor_time: float = 0.0
     time_scheme: str = "explicit"
+    # Distance below which two clock times count as one landing, set once
+    # from output_every and t_end; eq, hash and repr ignore it.
+    _landing_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         # Each message starts with the config key it rejects and names the
@@ -125,12 +127,7 @@ class SolverConfig:
             raise ValueError("anchor_time must be in [0, T_end)")
         if self.time_scheme not in ("explicit", "imex-diffusion"):
             raise ValueError("time_scheme must be explicit or imex-diffusion")
-
-    @cached_property
-    def _landing_tol(self) -> float:
-        """Distance below which two clock times count as one landing (kept
-        in the instance; not a field, so eq, hash and repr ignore it)."""
-        return 1e-9 * min(self.output_every, self.t_end)
+        object.__setattr__(self, "_landing_tol", 1e-9 * min(self.output_every, self.t_end))
 
 
 @dataclass(eq=False)

@@ -291,6 +291,24 @@ class TestOdeCommand:
         for k, t in enumerate(times):
             assert abs(t - k * 0.1) <= 4 * math.ulp(t)
 
+    def test_a_final_time_off_the_output_grid_is_the_last_row(self, tmp_path):
+        # 0, 0.3, 0.6 and 0.9 are output times; T_end = 1 is not, so its
+        # sample is written after the loop.
+        text = (
+            "[grid] dim=1 extent=4 cells=4\n"
+            "[model] chi=1 mu=1\n"
+            "[solver] T_end=1 output_every=0.3\n"
+            "[scenario] name=constant u0=2 v0=0.5 w0=0.5\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["ode", str(write_cfg(tmp_path, text))]) == 0
+        rows = (tmp_path / "out" / "ode.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) == 5
+        assert times[-1] == 1.0
+        for k, t in enumerate(times[:-1]):
+            assert abs(t - k * 0.3) <= 4 * math.ulp(1.0)
+
     def test_rows_are_thinned_while_integrating(self, tmp_path):
         # 2 * 10^4 RK4 steps thinned to 51 rows: the command holds the rows,
         # not a state per step (a peak of ~4.8 MB when it kept them all).
@@ -468,6 +486,13 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"cannot read config {alone / 'effective.cfg'}" in captured.err
+
+    def test_a_missing_series_is_an_error(self, tmp_path, capsys):
+        series = tmp_path / "timeseries.csv"
+        assert main(["check", str(series)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot read time series {series}: ")
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_lp_norm_is_not_blow_up(self, tmp_path, capsys):

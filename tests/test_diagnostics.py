@@ -65,7 +65,7 @@ class TestRecord:
     def test_steady_state_record(self):
         g = GridSpec((1.0,), (10,))  # unit measure
         state = initial_state(ScenarioSpec(name="steady").build(g))
-        rec = record(state, [2.0])
+        rec = record(state, [2.0], eta=0.0)
         assert rec.mass_u == pytest.approx(1.0, rel=1e-14)
         assert rec.mass_v == pytest.approx(1.0, rel=1e-14)
         assert rec.sup_u == 1.0
@@ -77,7 +77,7 @@ class TestRecord:
     def test_two_cell_hand_values(self):
         g = GridSpec((1.0,), (2,))  # h = 0.5
         init = InitialData(Field(g, [0.0, 2.0]), Field.zeros(g), Field.zeros(g))
-        rec = record(initial_state(init), [2.0])
+        rec = record(initial_state(init), [2.0], eta=0.0)
         assert rec.mass_u == pytest.approx(1.0, rel=1e-15)
         assert rec.sup_u == 2.0
         assert rec.min_u == 0.0
@@ -88,7 +88,7 @@ class TestRecord:
         g = GridSpec((2.0,), (32,))
         u = Field(g, rng.uniform(0.1, 3.0, size=32))
         init = InitialData(u, Field.zeros(g), Field.zeros(g))
-        rec = record(initial_state(init), [1.0, 2.0, 4.0])
+        rec = record(initial_state(init), [1.0, 2.0, 4.0], eta=0.0)
         measure = g.domain_measure
         normalized = [val / measure ** (1.0 / p) for p, val in rec.lp_u]
         assert normalized == sorted(normalized)
@@ -98,8 +98,15 @@ class TestRecord:
         state = initial_state(ScenarioSpec(name="steady").build(g))
         state.u.values[1] = np.nan
         state.extrema = Extrema.of(state.u.values, state.v.values, state.w.values)
-        rec = record(state, [2.0])
+        rec = record(state, [2.0], eta=0.0)
         assert not rec.finite
+
+    def test_eta_has_no_default(self):
+        # The eta = 0 monitors misread a renewing substrate, so a caller
+        # must say which system the state belongs to.
+        state = initial_state(ScenarioSpec(name="steady").build(GridSpec((1.0,), (4,))))
+        with pytest.raises(TypeError, match="eta"):
+            record(state, [2.0])
 
 
 def wrapper_record(state, p_list):
@@ -143,7 +150,7 @@ class TestUfuncReductions:
         p_list = [1.0, 2.0, 3.5]
         for _ in range(4):
             state = step(state, p, cfg)
-            rec = record(state, p_list)
+            rec = record(state, p_list, eta=0.0)
             got = (
                 rec.mass_u, rec.mass_v, rec.sup_grad_v,
                 rec.lemma22_violation, rec.repr_residual, rec.lp_u,
@@ -193,7 +200,7 @@ class TestSubstrateMonitors:
     def test_zero_at_anchor_time(self):
         g = GridSpec((2.0,), (32,))
         sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
-        rec = record(initial_state(sc.build(g)), [2.0])
+        rec = record(initial_state(sc.build(g)), [2.0], eta=0.0)
         assert rec.lemma22_violation == 0.0
         assert rec.repr_residual == 0.0
 
@@ -214,14 +221,14 @@ class TestSubstrateMonitors:
         g = GridSpec((2.0,), (64,))
         state = bump_state(g)
         poisoned = replace(state, Iv=Field(g, -10.0 * state.anchor.w_s0.values))
-        assert record(state, [2.0]).lemma22_violation == 0.0
-        assert record(poisoned, [2.0]).lemma22_violation > 1.0
+        assert record(state, [2.0], eta=0.0).lemma22_violation == 0.0
+        assert record(poisoned, [2.0], eta=0.0).lemma22_violation > 1.0
 
     def test_perturbed_substrate_is_detected(self):
         g = GridSpec((1.0,), (8,))
         state = initial_state(ScenarioSpec(name="gaussian-bump", wbar=0.5).build(g))
         state.w.values[3] += 1e-3
-        assert record(state, [2.0]).repr_residual == pytest.approx(1e-3, rel=1e-10)
+        assert record(state, [2.0], eta=0.0).repr_residual == pytest.approx(1e-3, rel=1e-10)
 
     def test_residual_exact_through_full_run(self):
         g = GridSpec((2.0,), (32,))
@@ -252,7 +259,7 @@ class TestSubstrateMonitors:
             state.w.values[g.num_cells // 2] *= 1.0 + 1e-3
             state.extrema = Extrema.of(state.u.values, state.v.values, state.w.values)
         slack, error = monitor_oracle(state)
-        rec = record(state, [2.0])
+        rec = record(state, [2.0], eta=0.0)
         assert rec.lemma22_violation == float(np.max(slack))
         assert rec.repr_residual == float(np.max(error))
         if kind == "stepped":

@@ -66,7 +66,7 @@ class TestTimeseries:
         from taxisim import record
 
         state = initial_state(ScenarioSpec(name="steady").build(g))
-        rec = record(state, [2.0])
+        rec = record(state, [2.0], eta=0.0)
         path = write_timeseries([rec], tmp_path / "ts.csv", (2.0,))
         row = path.read_text().splitlines()[1].split(",")
         assert float(row[0]) == 0.0

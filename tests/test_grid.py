@@ -140,17 +140,33 @@ class TestField:
         [
             np.arange(6.0)[::-1],
             np.arange(12.0)[::2],
-            np.arange(6.0).reshape(2, 3),
             np.arange(6.0).astype(">f8"),
             np.arange(6, dtype=np.float32),
         ],
-        ids=["negative-stride", "strided", "2d", "big-endian", "float32"],
+        ids=["negative-stride", "strided", "big-endian", "float32"],
     )
     def test_other_arrays_become_flat_native_float64(self, values):
         kept = Field(GridSpec((1.0,), (6,)), values).values
         assert kept.dtype == np.float64 and kept.dtype.isnative
         assert kept.ndim == 1 and kept.flags.c_contiguous
         assert np.array_equal(kept, np.asarray(values, dtype=float).ravel())
+
+    @pytest.mark.parametrize(
+        "extent, cells, shape",
+        [((1.0,), (6,), (2, 3)), ((1.0, 2.0), (2, 3), (2, 3)), ((1.0, 2.0), (2, 3), (6, 1))],
+        ids=["2d-on-1d", "nd-on-2x3", "column"],
+    )
+    def test_arrays_that_are_not_flat_are_refused(self, extent, cells, shape):
+        # A C-order ravel would not give the axis-0-fastest layout.
+        g = GridSpec(extent, cells)
+        with pytest.raises(ValueError, match=r"must be flat, got 2 dimensions.*Field\.from_nd"):
+            Field(g, np.arange(6.0).reshape(shape))
+
+    def test_from_nd_keeps_the_array(self):
+        g = GridSpec((1.0, 2.0), (2, 3))
+        a = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(Field.from_nd(g, a).nd, a)
+        assert np.array_equal(Field.from_nd(g, a).values, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
 
 
 def _fill_cache(g):

@@ -231,6 +231,21 @@ class TestStableDt:
         with pytest.raises(ValueError, match=r"no positive step available \(already at T_end\?\)"):
             stable_dt(state, ModelParams(chi=1.0), cfg)
 
+    @pytest.mark.parametrize("mu", [0.0, 1.0])
+    def test_nonfinite_extrema_signal_divergence(self, mu):
+        # Past the guard, an infinite u gives a NaN reaction rate at mu = 0,
+        # so a step is offered, and a zero reaction limit at mu > 0, so a
+        # step-floor ValueError names the wrong cause.
+        from taxisim import Diverged
+
+        g = GridSpec((1.0,), (8,))
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        state.u.values[2] = math.inf
+        state.extrema = stepper_mod.Extrema.of(state.u.values, state.v.values, state.w.values)
+        with pytest.raises(Diverged, match="non-finite state") as info:
+            stable_dt(state, ModelParams(chi=1.0, mu=mu), big_caps())
+        assert info.value.state is state
+
 
 def exact_stable_dt(state, params, cfg):
     """stable_dt with the transport limit always computed from the gradients:

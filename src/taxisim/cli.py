@@ -14,6 +14,7 @@ from pathlib import Path
 from .config import ConfigError, RunConfig, ValidationError, format_number, parse_config, render_config
 from .diagnostics import BoundednessVerdict, MassBoundCheck, classify, mass_bound_check, outcome_verdict
 from .fileio import (
+    read_text,
     read_timeseries,
     render_sweep_summary,
     write_snapshot,
@@ -30,11 +31,7 @@ __all__ = ["main"]
 
 def _load_config(path_text: str) -> RunConfig:
     path = Path(path_text)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config(text, base_dir=path.parent)
+    return parse_config(read_text(path, "config"), base_dir=path.parent)
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
@@ -43,12 +40,12 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return outdir
 
 
-def _print_verdict(verdict: BoundednessVerdict) -> None:
+def _report(verdict: BoundednessVerdict, mass: MassBoundCheck) -> None:
+    """Print the verdict block: run prints it and check repeats it."""
     print(f"verdict: {verdict.classification}")
     print(f"max sup u: {format_number(verdict.max_sup_u)} at t={format_number(verdict.t_of_max)}")
-
-
-def _print_mass_bound(mass: MassBoundCheck) -> None:
+    if verdict.crossing_time is not None:
+        print(f"crossing time: {format_number(verdict.crossing_time)}")
     if mass.skipped:
         print("mass bound: skipped (needs mu > 0 and eta = 0)")
     else:
@@ -87,8 +84,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(f"outcome: {outcome.status} (t_final={format_number(outcome.final_state.t)})")
     if outcome.failure is not None:
         print(f"failure: {outcome.failure}")
-    _print_verdict(verdict)
-    _print_mass_bound(mass)
+    _report(verdict, mass)
     print(f"wrote {series_path}")
     return 0 if outcome.status == "completed" else 2
 
@@ -163,11 +159,18 @@ def _cmd_check(args: argparse.Namespace) -> int:
         )
         if verdict.classification != "blew_up":
             verdict = replace(verdict, classification="inconclusive")
-    _print_verdict(verdict)
-    if verdict.crossing_time is not None:
-        print(f"crossing time: {format_number(verdict.crossing_time)}")
-    _print_mass_bound(mass_bound_check(records, run_cfg.grid, run_cfg.model))
+    _report(verdict, mass_bound_check(records, run_cfg.grid, run_cfg.model))
     return 0
+
+
+# Each command: its handler, its help, and the name and help of its one
+# path argument.
+_COMMANDS = {
+    "run": (_cmd_run, "run a single simulation", "config", "path to a configuration file"),
+    "sweep": (_cmd_sweep, "run a theta sweep", "config", "path to a configuration file with [sweep]"),
+    "ode": (_cmd_ode, "homogeneous reference trajectory", "config", "path to a configuration file"),
+    "check": (_cmd_check, "re-evaluate checks on a saved series", "timeseries", "path to a timeseries.csv"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -177,33 +180,16 @@ def build_parser() -> argparse.ArgumentParser:
         "taxis system with runtime bound monitors and parameter sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_run = sub.add_parser("run", help="run a single simulation")
-    p_run.add_argument("config", help="path to a configuration file")
-
-    p_sweep = sub.add_parser("sweep", help="run a theta sweep")
-    p_sweep.add_argument("config", help="path to a configuration file with [sweep]")
-
-    p_ode = sub.add_parser("ode", help="homogeneous reference trajectory")
-    p_ode.add_argument("config", help="path to a configuration file")
-
-    p_check = sub.add_parser("check", help="re-evaluate checks on a saved series")
-    p_check.add_argument("timeseries", help="path to a timeseries.csv")
+    for name, (_, help_text, path, path_help) in _COMMANDS.items():
+        sub.add_parser(name, help=help_text).add_argument(path, help=path_help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handlers = {
-        "run": _cmd_run,
-        "sweep": _cmd_sweep,
-        "ode": _cmd_ode,
-        "check": _cmd_check,
-    }
+    args = build_parser().parse_args(argv)
     try:
-        return handlers[args.command](args)
-    except (ConfigError, ValueError, OSError) as exc:
+        return _COMMANDS[args.command][0](args)
+    except (ValueError, OSError) as exc:  # a ConfigError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,10 +7,10 @@ is byte-identical; a bool is written as true or false and None as an empty
 cell. Time-series and snapshot data are floats, written by format_number
 directly; every sweep.csv cell goes through format_value. The sweep.csv
 schema is one table of columns and the SweepResult attribute each holds.
-One helper writes and one reads every file here, and a failure of either
-is an OSError naming the file: ``cannot write <what> <path>`` or ``cannot
-read <what> <path>``. The writer, write_text, is public: the command line
-writes its other files through it too.
+One helper writes and one reads every file taxisim touches, and a failure
+of either is an OSError naming the file: ``cannot write <what> <path>`` or
+``cannot read <what> <path>``. Both are public, write_text and read_text:
+the command line writes its other files and reads its configs through them.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ __all__ = [
     "read_snapshot",
     "write_sweep_table",
     "render_sweep_summary",
+    "read_text",
     "write_text",
 ]
 
@@ -78,9 +79,10 @@ def write_text(path: Path, noun: str, text: str, *, parents: bool = False) -> Pa
     return path
 
 
-def _read_lines(path: Path, noun: str) -> list[str]:
+def read_text(path: Path, noun: str) -> str:
+    """The text of path; noun names the file in a failure."""
     try:
-        return path.read_text(encoding="utf-8").splitlines()
+        return path.read_text(encoding="utf-8")
     except OSError as exc:
         raise OSError(f"cannot read {noun} {path}: {exc}") from exc
 
@@ -132,7 +134,7 @@ def _parse_p(path: Path, label: str) -> float:
 def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[float, ...]]:
     """Read a time-series CSV back into records (inverse of write_timeseries)."""
     path = Path(path)
-    lines = _read_lines(path, "time series")
+    lines = read_text(path, "time series").splitlines()
     if not lines:
         raise ValueError(f"{path}: empty time-series file")
     header = tuple(lines[0].split(","))
@@ -177,7 +179,7 @@ def write_snapshot(state: SimState, path: str | Path) -> Path:
 def read_snapshot(path: str | Path) -> tuple[GridSpec, float, Field, Field, Field]:
     """Read a snapshot file; validates the header against the data line count."""
     path = Path(path)
-    lines = _read_lines(path, "snapshot")
+    lines = read_text(path, "snapshot").splitlines()
     if len(lines) < 5:
         raise ValueError(f"{path}: truncated snapshot header")
 

@@ -28,13 +28,13 @@ Each GridSpec sets its scalar constants once, when it is made: spacing,
 cell count, cell volume, domain measure, the explicit diffusion limit and
 the smallest squared spacing. They are fields that eq, hash and repr
 ignore. Its two array constants, the face table and the cosine spectrum of
-the Laplacian, are built on first use and kept in the instance; a pickled
-or deep-copied grid carries writable copies of whichever it has built. The
-spectrum is one plan for both directions of the transform that
-_screened_solve applies for the stepper: per axis, a view of the flat array
-and the cosine matrix C, whose one product on that view leaves its result
-in the flat layout again, and the eigenvalues summed flat through the same
-views.
+the Laplacian, are built on first use and kept in the instance; a copied,
+deep-copied or pickled grid is rebuilt from its extent and cells, so it
+builds its own read-only ones. The spectrum is one plan for both
+directions of the transform that _screened_solve applies for the stepper:
+per axis, a view of the flat array and the cosine matrix C, whose one
+product on that view leaves its result in the flat layout again, and the
+eigenvalues summed flat through the same views.
 """
 
 from __future__ import annotations
@@ -117,6 +117,10 @@ class GridSpec:
     def meshgrid(self) -> tuple[np.ndarray, ...]:
         coords = [self.cell_centers(a) for a in range(self.dim)]
         return tuple(np.meshgrid(*coords, indexing="ij"))
+
+    def __reduce__(self):
+        # Copy and pickle by extent and cells: a copy builds its own caches.
+        return (GridSpec, (self.extent, self.cells))
 
     @cached_property
     def _face_table(self) -> tuple[_AxisFaces, ...]:
@@ -263,7 +267,10 @@ class Field:
 
     @classmethod
     def from_nd(cls, grid: GridSpec, array: np.ndarray) -> Field:
-        return cls(grid, np.asarray(array, dtype=float).ravel(order="F"))
+        array = np.asarray(array, dtype=float)
+        if array.shape != grid.cells:
+            raise ValueError(f"array has shape {array.shape}, grid has cells {grid.cells}")
+        return cls(grid, array.ravel(order="F"))
 
     @classmethod
     def full(cls, grid: GridSpec, value: float) -> Field:

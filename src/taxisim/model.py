@@ -359,9 +359,12 @@ def _rk4_samples(
     if slaved:
         y[1] = y[0]
 
+    # A shortfall or an excess below 1e-9 of a step (or 1e-12 of t_end) is
+    # no step of its own: the last full step lands on t_end, as the run's
+    # clock lands there.
     n_full = int(np.floor(t_end / dt + 1e-9))
     remainder = t_end - n_full * dt
-    if remainder < 1e-12 * max(t_end, dt):
+    if remainder < max(1e-9 * dt, 1e-12 * t_end):
         remainder = 0.0
     n_steps = n_full + 1 if remainder > 0.0 else n_full
 

@@ -56,6 +56,31 @@ def write_cfg(tmp_path, text, name="run.cfg"):
     return path
 
 
+def verdict_block(lines):
+    """The printed lines from verdict: through mass bound:."""
+    start = next(i for i, x in enumerate(lines) if x.startswith("verdict:"))
+    end = next(i for i, x in enumerate(lines) if x.startswith("mass bound:"))
+    return lines[start : end + 1]
+
+
+class TestCommandLayer:
+    def test_no_command_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([])
+        assert exc.value.code == 2
+        assert "usage: taxisim [-h] {run,sweep,ode,check} ..." in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, path",
+        [("run", "config"), ("sweep", "config"), ("ode", "config"), ("check", "timeseries")],
+    )
+    def test_each_command_names_its_path_in_its_help(self, capsys, command, path):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-h"])
+        assert exc.value.code == 0
+        assert f"usage: taxisim {command} [-h] {path}\n" in capsys.readouterr().out
+
+
 class TestRunCommand:
     def test_steady_run_exits_zero(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out"))
@@ -118,7 +143,7 @@ class TestRunCommand:
 
     def test_missing_config_exits_one(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "nope.cfg")]) == 1
-        assert "error:" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith(f"error: cannot read config {tmp_path / 'nope.cfg'}: ")
 
     def test_unfinishable_run_exits_one_and_names_the_limit(self, tmp_path, capsys):
         text = (
@@ -332,6 +357,22 @@ class TestOdeCommand:
         assert len(rows) == 51
         assert peak < 512 * 1024
 
+    def test_a_last_step_within_1e_9_of_a_step_of_t_end_lands_on_it(self, tmp_path):
+        # Three steps of dt fall 3.3e-11 (1e-10 of a step) short of T_end = 1:
+        # the third lands on T_end, leaving no sliver step and no fifth row.
+        text = (
+            "[grid] dim=1 extent=4 cells=4\n"
+            "[model] chi=1 mu=1\n"
+            "[solver] T_end=1 output_every=0.25 dt_max=0.3333333333222222\n"
+            "[scenario] name=constant u0=2 v0=0.5 w0=0.5\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["ode", str(write_cfg(tmp_path, text))]) == 0
+        rows = (tmp_path / "out" / "ode.csv").read_text().splitlines()[1:]
+        times = [float(row.split(",")[0]) for row in rows]
+        assert len(times) == 4
+        assert times[-1] == 1.0
+
     def test_matches_closed_form_decay(self, tmp_path):
         text = (
             "[grid] dim=1 extent=4 cells=8\n"
@@ -439,9 +480,10 @@ class TestCheckCommand:
         assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
         checked = capsys.readouterr().out.splitlines()
         assert verdict in ran
-        for prefix in ("verdict:", "max sup u:", "mass bound:"):
-            (line,) = [x for x in ran if x.startswith(prefix)]
-            assert line in checked
+        # The block from verdict: to mass bound:, crossing time: included
+        # when the run blew up, is the same in both.
+        assert verdict_block(checked) == verdict_block(ran)
+        assert any(x.startswith("crossing time: ") for x in ran) == (exit_code == 2)
         assert any(x.startswith(mass) for x in checked)
         ended_early = any(x.startswith("ended early: the series stops at t=") for x in checked)
         assert ended_early == (exit_code == 2)

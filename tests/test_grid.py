@@ -168,6 +168,14 @@ class TestField:
         assert np.array_equal(Field.from_nd(g, a).nd, a)
         assert np.array_equal(Field.from_nd(g, a).values, [0.0, 3.0, 1.0, 4.0, 2.0, 5.0])
 
+    @pytest.mark.parametrize("shape", [(3, 2), (6,)], ids=["transposed", "flat"])
+    def test_from_nd_refuses_arrays_not_of_the_grid_shape(self, shape):
+        # A transposed array would be raveled into the wrong cells, and a
+        # flat one has no axes to ravel.
+        g = GridSpec((1.0, 2.0), (2, 3))
+        with pytest.raises(ValueError, match=re.escape(f"shape {shape}, grid has cells (2, 3)")):
+            Field.from_nd(g, np.arange(6.0).reshape(shape))
+
 
 def _fill_cache(g):
     """Build every per-grid constant, including a screened-solve divisor."""
@@ -206,6 +214,20 @@ class TestPerGridCache:
             assert x.tobytes() == stepper_mod._screened_solve(twin, b, alpha).tobytes()
         f = Field(g, b)
         assert laplacian(f).values.tobytes() == laplacian(Field(twin, b)).values.tobytes()
+
+    def test_copies_rebuild_their_caches_from_extent_and_cells(self):
+        g = GridSpec((1.0, 2.0), (2, 3))
+        laplacian(Field.zeros(g))
+        stepper_mod._screened_solve(g, np.ones(g.num_cells), 0.5)
+        fresh_size = len(pickle.dumps(GridSpec((1.0, 2.0), (2, 3))))
+        for duplicate in (copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))):
+            twin = duplicate(g)
+            assert twin == g
+            assert "_face_table" not in vars(twin) and "_spectrum" not in vars(twin)
+            arrays = [a for faces in twin._face_table for a in (faces.inv_h2, faces.inv_2h)]
+            arrays += [c for _, c in twin._spectrum.axes] + [twin._spectrum.lam]
+            assert not any(a.flags.writeable for a in arrays)
+            assert len(pickle.dumps(twin)) == fresh_size
 
     def test_no_lru_cache_left(self):
         for module in (grid_mod, stepper_mod):

@@ -71,10 +71,20 @@ class OutputOptions:
                 f"dir must contain no whitespace or '#', got {str(self.directory)!r};"
                 " set dir to an absolute path without them"
             )
-        p_values = tuple(_as_float(p, "p_values entry", 1, math.inf, "[)") for p in self.p_values)
-        object.__setattr__(self, "p_values", p_values)
-        if len(set(p_values)) != len(p_values):
-            raise ValueError("p_values entries must be distinct")
+        p_values: list[float] = []
+        for p in self.p_values:
+            p_values.append(lp_order(p, p_values))
+        object.__setattr__(self, "p_values", tuple(p_values))
+
+
+def lp_order(p: object, before: list[float]) -> float:
+    """p as the order of an Lp norm a run records: a float in [1, inf) that
+    no order in before equals. The config and the time-series reader both
+    apply this one rule."""
+    p = _as_float(p, "p_values entry", 1, math.inf, "[)")
+    if p in before:
+        raise ValueError("p_values entries must be distinct")
+    return p
 
 
 @dataclass(frozen=True)

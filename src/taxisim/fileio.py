@@ -23,7 +23,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .config import format_number, format_value
+from .config import format_number, format_value, lp_order
 from .diagnostics import DiagnosticsRecord
 from .grid import Field, GridSpec
 from .sweep import SweepResult, _scan_thetas, _ThetaScan
@@ -140,7 +140,13 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
     header = tuple(lines[0].split(","))
     if header[: len(BASE_COLUMNS)] != BASE_COLUMNS:
         raise ValueError(f"{path}: unexpected time-series header")
-    p_values = tuple(_parse_p(path, label) for label in header[len(BASE_COLUMNS) :])
+    p_values: list[float] = []
+    for label in header[len(BASE_COLUMNS) :]:
+        p = _parse_p(path, label)
+        try:  # the rule the config applies to p_values
+            p_values.append(lp_order(p, p_values))
+        except ValueError as exc:
+            raise ValueError(f"{path}: time-series column {label!r}: {exc}") from exc
     records = []
     for number, line in enumerate(lines[1:], start=2):
         if not line:
@@ -151,7 +157,7 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
         vals = _numbers(path, number, parts)
         lp = tuple(zip(p_values, vals[len(BASE_COLUMNS) :]))
         records.append(DiagnosticsRecord(**dict(zip(BASE_COLUMNS, vals)), lp_u=lp))
-    return records, p_values
+    return records, tuple(p_values)
 
 
 def write_snapshot(state: SimState, path: str | Path) -> Path:

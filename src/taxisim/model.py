@@ -328,12 +328,11 @@ class OdeTrajectory:
 
 def _rates(y: np.ndarray, p: ModelParams) -> np.ndarray:
     u, v, w = y
-    if p.tau == 0:
-        v = u  # the signal equals the cell density: v's rate is 0
+    du = p.mu * u * (1.0 - u - w)
     return np.array(
         [
-            p.mu * u * (1.0 - u - w),
-            u - v,
+            du,
+            du if p.tau == 0 else u - v,  # slaved, the signal moves with u
             -v * w + p.eta * w * (1.0 - u - w),
         ]
     )
@@ -354,9 +353,8 @@ def _rk4_samples(
         )
     y0 = [_as_float(y, "y0 entry", 0, math.inf, "[)") for y in y0]
 
-    slaved = params.tau == 0
     y = np.array(y0, dtype=float)
-    if slaved:
+    if params.tau == 0:
         y[1] = y[0]
 
     # A shortfall or an excess below 1e-9 of a step (or 1e-12 of t_end) is
@@ -380,8 +378,6 @@ def _rk4_samples(
         k3 = _rates(y + 0.5 * h * k2, params)
         k4 = _rates(y + h * k3, params)
         y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if slaved:
-            y[1] = y[0]
         t = t_end if i == n_steps else i * dt
 
 
@@ -392,7 +388,8 @@ def ode_reference(
 
         u' = mu u (1 - u - w),  tau v' = u - v,  w' = -v w + eta w (1 - u - w)
 
-    For tau = 0 the signal is set to u algebraically each step. The time
+    For tau = 0 the signal starts at u and takes u's rate, so every stage
+    and step computes the same numbers for both and v stays u. The time
     after step i is i * dt (a running sum drifts by round-off), and the
     last time is t_end. Integration stops early, with the trajectory
     flagged as diverged, as soon as any component exceeds 1e12 in magnitude.

@@ -186,7 +186,8 @@ class SimState:
     extrema holds the minima and maxima of u, v and w: initial_state takes
     them in one pass, and step on every state it accepts takes the minima
     from the positivity clamps and one pass each for the maxima. stable_dt,
-    the clamp floors, the divergence check, run and the records read it.
+    the clamp floors, the divergence check, the anchor snapshot, run and
+    the records read it.
     It describes the fields as step left them. A non-finite value written
     into them later still stops the next step. Mostly it spreads into the
     new fields: u and v are read by every step (v through rhs_v or the
@@ -212,16 +213,16 @@ class SimState:
         return self.u.grid
 
 
-def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
-    """Freeze w, grad w and lap w at time t, plus the scale bound M, which
-    also reads the suprema of u and v."""
+def take_snapshot(t: float, w: Field, extrema: Extrema) -> Snapshot:
+    """Freeze w, grad w and lap w at time t, plus the scale bound M. extrema
+    are those of the state w belongs to: u, v, w >= 0, so their maxima are
+    the suprema M and sup_w read."""
     grad_w = gradient(w)
     lap_w = laplacian(w)
-    sup_w = _max(w.values)
     m = max(
-        sup_norm(u),
-        sup_norm(v),
-        sup_norm(w),
+        extrema.max_u,
+        extrema.max_v,
+        extrema.max_w,
         sup_norm(magnitude(grad_w)),
         sup_norm(lap_w),
     )
@@ -231,7 +232,7 @@ def take_snapshot(t: float, u: Field, v: Field, w: Field) -> Snapshot:
         grad_w_s0=grad_w,
         lap_w_s0=lap_w,
         M=m,
-        sup_w=sup_w,
+        sup_w=extrema.max_w,
     )
 
 
@@ -244,21 +245,22 @@ def _substrate_ceiling(anchor: Snapshot, eta: float) -> float:
 
 def initial_state(init: InitialData) -> SimState:
     u, v, w = init.u0.copy(), init.v0.copy(), init.w0.copy()
+    extrema = Extrema.of(u.values, v.values, w.values)
     return SimState(
         t=0.0,
         u=u,
         v=v,
         w=w,
         Iv=Field.zeros(init.grid),
-        anchor=take_snapshot(0.0, u, v, w),
-        extrema=Extrema.of(u.values, v.values, w.values),
+        anchor=take_snapshot(0.0, w, extrema),
+        extrema=extrema,
     )
 
 
 def _reanchor(state: SimState) -> SimState:
     return replace(
         state,
-        anchor=take_snapshot(state.t, state.u, state.v, state.w),
+        anchor=take_snapshot(state.t, state.w, state.extrema),
         Iv=Field.zeros(state.grid),
     )
 

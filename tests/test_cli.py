@@ -4,9 +4,14 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import taxisim
 from taxisim import GridSpec, ModelParams, ScenarioSpec, SolverConfig, SweepPlan, run_sweep
 from taxisim.cli import main
 from taxisim.fileio import write_sweep_table
@@ -79,6 +84,27 @@ class TestCommandLayer:
             main([command, "-h"])
         assert exc.value.code == 0
         assert f"usage: taxisim {command} [-h] {path}\n" in capsys.readouterr().out
+
+
+class TestEntryPoint:
+    @pytest.mark.parametrize(
+        "text, code",
+        [(STEADY_CFG, 0), (STEADY_CFG.replace("chi=1", "chi=-1"), 1), (BLOWUP_CFG, 2)],
+        ids=["completed", "refused", "blew-up"],
+    )
+    def test_python_m_taxisim_cli_exits_with_main_s_code(self, tmp_path, text, code):
+        # python -m runs the module's sys.exit(main()), which in-process
+        # calls of main never reach.
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "out"))
+        path = [str(Path(taxisim.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+        proc = subprocess.run(
+            [sys.executable, "-m", "taxisim.cli", "run", str(cfg)],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == code
+        assert "Traceback" not in proc.stderr
+        assert ("model.chi" in proc.stderr) == (code == 1)
 
 
 class TestRunCommand:
@@ -535,6 +561,19 @@ class TestCheckCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read time series {series}: ")
+
+    def test_a_series_with_a_p_the_config_refuses_is_an_error(self, tmp_path, capsys):
+        assert main(["run", str(write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out")))]) == 0
+        capsys.readouterr()
+        series = tmp_path / "out" / "timeseries.csv"
+        series.write_text(series.read_text().replace(",Lp_u_2\n", ",Lp_u_0.5\n", 1))
+        assert main(["check", str(series)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {series}: time-series column 'Lp_u_0.5':"
+            " p_values entry must be in [1, inf), got 0.5\n"
+        )
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_lp_norm_is_not_blow_up(self, tmp_path, capsys):

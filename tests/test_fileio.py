@@ -123,8 +123,33 @@ class TestTimeseries:
             ("", "empty time-series file"),
             (EXPECTED_HEADER + ",Lq_u_2\n", "unexpected time-series column 'Lq_u_2'"),
             (EXPECTED_HEADER + ",Lp_u_abc\n", "unexpected time-series column 'Lp_u_abc'"),
+            # No run writes a p the config refuses: p lies in [1, inf) and no
+            # two are equal, by the one rule OutputOptions applies.
+            (
+                EXPECTED_HEADER + ",Lp_u_0.5\n",
+                "time-series column 'Lp_u_0.5': p_values entry must be in [1, inf), got 0.5",
+            ),
+            (
+                EXPECTED_HEADER + ",Lp_u_-3\n",
+                "time-series column 'Lp_u_-3': p_values entry must be in [1, inf), got -3.0",
+            ),
+            (
+                EXPECTED_HEADER + ",Lp_u_nan\n",
+                "time-series column 'Lp_u_nan': p_values entry must be in [1, inf), got nan",
+            ),
+            (
+                EXPECTED_HEADER + ",Lp_u_inf\n",
+                "time-series column 'Lp_u_inf': p_values entry must be in [1, inf), got inf",
+            ),
+            (
+                EXPECTED_HEADER + ",Lp_u_2,Lp_u_2.0\n",
+                "time-series column 'Lp_u_2.0': p_values entries must be distinct",
+            ),
         ],
-        ids=["empty", "foreign-norm-column", "non-numeric-p"],
+        ids=[
+            "empty", "foreign-norm-column", "non-numeric-p",
+            "p-below-one", "p-negative", "p-nan", "p-inf", "p-repeated",
+        ],
     )
     def test_read_rejects_an_empty_file_and_a_foreign_column(self, tmp_path, text, message):
         path = tmp_path / "ts.csv"

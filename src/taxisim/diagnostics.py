@@ -225,7 +225,7 @@ def series_peak(series: list[DiagnosticsRecord]) -> tuple[float, float]:
 def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessVerdict:
     """Classify a record series as bounded, growing, blew_up or inconclusive.
 
-    blew_up: a flagged (non-finite) record or sup_u at the blow-up threshold.
+    blew_up: a flagged (non-finite) record or sup_u above the blow-up threshold.
     growing: the final sup_u exceeds GROWTH_FACTOR times the first-half max.
     bounded: sup_u varies by under PLATEAU_FRACTION over the final quarter of
     the run and never exceeded GROWTH_FACTOR times its initial value.
@@ -240,7 +240,7 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     sups = np.array([r.sup_u for r in series])
     times = np.array([r.t for r in series])
     flagged = np.array([not r.finite for r in series])
-    crossed = flagged | (sups >= cfg.blowup_threshold)
+    crossed = flagged | cfg.above_threshold(sups)
     max_sup, t_of_max = series_peak(series)
 
     if crossed.any():

@@ -143,8 +143,10 @@ def read_timeseries(path: str | Path) -> tuple[list[DiagnosticsRecord], tuple[fl
     p_values: list[float] = []
     for label in header[len(BASE_COLUMNS) :]:
         p = _parse_p(path, label)
-        try:  # the rule the config applies to p_values
+        try:  # the rule the config applies to p_values, under the label a run writes
             p_values.append(lp_order(p, p_values))
+            if label != lp_column(p):
+                raise ValueError(f"taxisim writes p = {p!r} as {lp_column(p)!r}")
         except ValueError as exc:
             raise ValueError(f"{path}: time-series column {label!r}: {exc}") from exc
     records = []

@@ -109,21 +109,18 @@ class InitialData:
 def rhs_u(u: Field, v: Field, w: Field, params: ModelParams, dt: float = 1.0) -> Field:
     """dt * du/dt: diffusion, both taxis fluxes, and logistic competition.
 
-    The result is seeded with the reaction dt mu u (1 - u - w) (zeros when
-    mu = 0). Diffusion and taxis are one conservative flux divergence, so one
-    face pass of taxis_divergence, with chi, xi and the cell diffusion all
-    scaled by dt, subtracts both from that seed: the cell diffusion adds to
-    the coefficient of the lower cell of each face and takes from that of
-    the upper one (see taxis_divergence). An explicit step adds u to the
-    result once.
+    The result is seeded with the reaction dt mu u (1 - u - w). Diffusion
+    and taxis are one conservative flux divergence, so one face pass of
+    taxis_divergence, with chi, xi and the cell diffusion all scaled by dt,
+    subtracts both from that seed: the cell diffusion adds to the
+    coefficient of the lower cell of each face and takes from that of the
+    upper one (see taxis_divergence). An explicit step adds u to the result
+    once.
     """
-    if params.mu != 0.0:
-        out = 1.0 - u.values
-        out -= w.values
-        out *= u.values
-        out *= dt * params.mu
-    else:
-        out = np.zeros(u.values.size)
+    out = 1.0 - u.values
+    out -= w.values
+    out *= u.values
+    out *= dt * params.mu
     return taxis_divergence(
         u, v, params.chi * dt, (w, params.xi * dt), diffusion=dt, out=out
     )
@@ -141,10 +138,9 @@ def rhs_v(u: Field, v: Field, params: ModelParams) -> Field:
 
 
 def rhs_w(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
-    """dw/dt: degradation by the signal plus optional logistic renewal."""
+    """dw/dt: degradation by the signal plus logistic renewal at rate eta."""
     out = -v.values * w.values
-    if params.eta != 0.0:
-        out += params.eta * w.values * (1.0 - u.values - w.values)
+    out += params.eta * w.values * (1.0 - u.values - w.values)
     return Field(w.grid, out)
 
 

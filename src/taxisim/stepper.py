@@ -129,6 +129,10 @@ class SolverConfig:
             raise ValueError("time_scheme must be explicit or imex-diffusion")
         object.__setattr__(self, "_landing_tol", 1e-9 * min(self.output_every, self.t_end))
 
+    def above_threshold(self, sup_u: float | np.ndarray) -> bool | np.ndarray:
+        """sup_u > blowup_threshold (elementwise for an array): the one blow-up rule."""
+        return sup_u > self.blowup_threshold
+
 
 @dataclass(eq=False)
 class Snapshot:
@@ -527,10 +531,9 @@ def _check_divergence(state: SimState, cfg: SolverConfig) -> None:
     ext = state.extrema
     if not ext.finite:
         raise Diverged(f"non-finite fields at t={state.t!r}", state=state)
-    sup_u = ext.max_u
-    if sup_u > cfg.blowup_threshold:
+    if cfg.above_threshold(ext.max_u):
         raise Diverged(
-            f"sup u = {sup_u!r} crossed threshold at t={state.t!r}", state=state
+            f"sup u = {ext.max_u!r} crossed threshold at t={state.t!r}", state=state
         )
 
 
@@ -605,9 +608,10 @@ def run(
     record. At t = anchor_time > 0 the anchor snapshot is re-captured and
     the accumulator reset. Positivity and the substrate ceiling are
     monitored after every accepted step; step failures (divergence,
-    persistent negativity) become the outcome status. A run that cannot
-    proceed raises ValueError: the stability step falls below t_end / 10^15
-    (more than 10^15 steps; the message names the binding limit).
+    persistent negativity) become the outcome status; the t = 0 state is
+    checked for divergence too, so data above blowup_threshold end the run
+    at t = 0. A run that cannot proceed raises ValueError: the stability
+    step falls below t_end / 10^15 (the message names the binding limit).
     """
     state = initial_state(init)
     ext = state.extrema
@@ -637,6 +641,7 @@ def run(
     anchor_pending = cfg.anchor_time > 0.0
 
     try:
+        _check_divergence(state, cfg)
         while state.t < cfg.t_end:
             state = step(state, params, cfg)
             steps += 1

@@ -36,6 +36,16 @@ BLOWUP_CFG = """
 
 RENEWAL_CFG = BUMP_CFG.replace("mu=1", "mu=1 eta=0.5")
 
+# sup u starts at the blowup_threshold of 3, and mu = 0 keeps the constant
+# data still; with u0=4 it starts above it.
+THRESHOLD_CFG = """
+[grid] dim=1 extent=1 cells=8
+[model] chi=1 mu=0
+[solver] T_end=1 blowup_threshold=3
+[scenario] name=constant u0=3 v0=3 w0=0
+[outputs] dir={out}
+"""
+
 SWEEP_CFG = """
 [grid] dim=1 extent=2 cells=16
 [model] chi=1 xi=1 mu=10
@@ -422,12 +432,27 @@ class TestSweepCommand:
         assert main(["sweep", str(cfg)]) == 1
         assert "[sweep]" in capsys.readouterr().err
 
-    def test_writes_table_and_summary(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, SWEEP_CFG.format(out=tmp_path / "out"))
+    @pytest.mark.parametrize(
+        "text",
+        [
+            SWEEP_CFG,
+            # sup u starts at the threshold, which it never crosses, and
+            # decays from there: no run ends on a crossing.
+            THRESHOLD_CFG.replace("mu=0", "mu=1")
+            + "[sweep] mode=fix_mu_vary_chi fixed_value=1 theta_values=0.5,1\n",
+        ],
+        ids=["steady", "at-threshold"],
+    )
+    def test_writes_table_and_summary(self, tmp_path, capsys, text):
+        cfg = write_cfg(tmp_path, text.format(out=tmp_path / "out"))
         assert main(["sweep", str(cfg)]) == 0
         table = (tmp_path / "out" / "sweep.csv").read_text().splitlines()
         assert table[0].startswith("theta,chi,mu,")
         assert len(table) == 3
+        # A blew_up row is a run that ended on a crossing, and its failure
+        # cell names the Diverged that ended it.
+        for row in csv.DictReader(table):
+            assert row["failure"] or row["classification"] != "blew_up"
         out = capsys.readouterr().out
         assert "threshold bracket" in out
         assert (tmp_path / "out" / "sweep_summary.txt").exists()
@@ -495,8 +520,12 @@ class TestCheckCommand:
             (BLOWUP_CFG, 2, "verdict: blew_up", "mass bound: pass"),
             # Substrate renewal (eta > 0): the mass bound does not apply.
             (RENEWAL_CFG, 0, "verdict: bounded", "mass bound: skipped (needs mu > 0 and eta = 0)"),
+            # sup u stays at the threshold, which it never crosses.
+            (THRESHOLD_CFG, 0, "verdict: bounded", "mass bound: skipped"),
+            # sup u starts above the threshold: the run ends at t = 0.
+            (THRESHOLD_CFG.replace("u0=3", "u0=4"), 2, "verdict: blew_up", "mass bound: skipped"),
         ],
-        ids=["blowup", "renewal"],
+        ids=["blowup", "renewal", "at-threshold", "above-threshold"],
     )
     def test_repeats_the_run_verdict_from_its_effective_cfg(
         self, tmp_path, capsys, text, exit_code, verdict, mass
@@ -562,18 +591,26 @@ class TestCheckCommand:
         assert captured.out == ""
         assert captured.err.startswith(f"error: cannot read time series {series}: ")
 
-    def test_a_series_with_a_p_the_config_refuses_is_an_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "label, message",
+        [
+            ("Lp_u_0.5", "p_values entry must be in [1, inf), got 0.5"),
+            # p = 2 is accepted, but no run writes it under this label.
+            ("Lp_u_2.0", "taxisim writes p = 2.0 as 'Lp_u_2'"),
+        ],
+        ids=["p-refused", "label-not-written"],
+    )
+    def test_a_series_with_a_column_no_run_writes_is_an_error(
+        self, tmp_path, capsys, label, message
+    ):
         assert main(["run", str(write_cfg(tmp_path, STEADY_CFG.format(out=tmp_path / "out")))]) == 0
         capsys.readouterr()
         series = tmp_path / "out" / "timeseries.csv"
-        series.write_text(series.read_text().replace(",Lp_u_2\n", ",Lp_u_0.5\n", 1))
+        series.write_text(series.read_text().replace(",Lp_u_2\n", f",{label}\n", 1))
         assert main(["check", str(series)]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == (
-            f"error: {series}: time-series column 'Lp_u_0.5':"
-            " p_values entry must be in [1, inf), got 0.5\n"
-        )
+        assert captured.err == f"error: {series}: time-series column {label!r}: {message}\n"
 
     @pytest.mark.filterwarnings("error")
     def test_an_overflowing_lp_norm_is_not_blow_up(self, tmp_path, capsys):

@@ -321,11 +321,13 @@ class TestClassify:
         assert v.classification == "bounded"
 
     def test_threshold_crossing_is_blew_up(self):
+        # sup u = 10 sits at the threshold and does not cross it; 12 does.
         cfg = SolverConfig(t_end=1.0, output_every=0.5, blowup_threshold=10.0)
-        recs = series([1.0, 2.0, 5.0, 12.0])
+        recs = series([1.0, 2.0, 5.0, 10.0, 12.0])
         v = classify(recs, cfg)
         assert v.classification == "blew_up"
         assert v.crossing_time == pytest.approx(1.0)
+        assert classify(series([10.0] * 9), cfg).classification == "bounded"
 
     def test_nonfinite_record_is_blew_up(self):
         recs = series([1.0, 2.0, 3.0])

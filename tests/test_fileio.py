@@ -145,10 +145,27 @@ class TestTimeseries:
                 EXPECTED_HEADER + ",Lp_u_2,Lp_u_2.0\n",
                 "time-series column 'Lp_u_2.0': p_values entries must be distinct",
             ),
+            # An accepted p under a label lp_column does not write: reading
+            # and writing it back would change the header.
+            *(
+                (
+                    EXPECTED_HEADER + f",{label}\n",
+                    f"time-series column {label!r}: taxisim writes p = {p} as {written!r}",
+                )
+                for label, p, written in [
+                    ("Lp_u_2.0", 2.0, "Lp_u_2"),
+                    ("Lp_u_02", 2.0, "Lp_u_2"),
+                    ("Lp_u_ 2", 2.0, "Lp_u_2"),
+                    ("Lp_u_1e0", 1.0, "Lp_u_1"),
+                    ("Lp_u_+2", 2.0, "Lp_u_2"),
+                    ("Lp_u_2e0", 2.0, "Lp_u_2"),
+                ]
+            ),
         ],
         ids=[
             "empty", "foreign-norm-column", "non-numeric-p",
             "p-below-one", "p-negative", "p-nan", "p-inf", "p-repeated",
+            "label-2.0", "label-02", "label-space", "label-1e0", "label-plus", "label-2e0",
         ],
     )
     def test_read_rejects_an_empty_file_and_a_foreign_column(self, tmp_path, text, message):

@@ -923,15 +923,21 @@ class TestRun:
         diff = np.max(np.abs(out.final_state.Iv.values - offline))
         assert diff <= 5.0 * cadence**2
 
-    def test_blowup_threshold_terminates_run(self):
+    @pytest.mark.parametrize("u0", [0.5, 2.0], ids=["crossed-mid-run", "above-at-t0"])
+    def test_blowup_threshold_terminates_run(self, u0):
         g = GridSpec((4.0,), (8,))
         p = ModelParams(chi=1.0, mu=1.0)
-        init = ScenarioSpec(name="constant", u0=0.5, v0=0.5, w0=0.0).build(g)
+        init = ScenarioSpec(name="constant", u0=u0, v0=0.5, w0=0.0).build(g)
         cfg = SolverConfig(t_end=5.0, output_every=0.5, blowup_threshold=0.9)
         out = run(init, p, cfg)
         assert out.status == "blew_up"
         assert out.failure is not None and out.final_state.t < cfg.t_end
         assert out.records[-1].sup_u >= 0.9
+        # The t = 0 state is judged by the rule every step's state meets, so
+        # data above the threshold end the run there, before any step.
+        assert (out.steps == 0) == (u0 > 0.9)
+        if u0 > 0.9:
+            assert out.final_state.t == 0.0 and [rec.t for rec in out.records] == [0.0]
 
     def test_trackers_match_the_accepted_states(self, monkeypatch):
         # run takes its trackers from the extrema step computes; recompute

@@ -29,6 +29,7 @@ from .grid import (
     _as_int,
     _max,
     _min,
+    _wrap,
     laplacian,
     taxis_divergence,
 )
@@ -141,7 +142,7 @@ def rhs_w(u: Field, v: Field, w: Field, params: ModelParams) -> Field:
     """dw/dt: degradation by the signal plus logistic renewal at rate eta."""
     out = -v.values * w.values
     out += params.eta * w.values * (1.0 - u.values - w.values)
-    return Field(w.grid, out)
+    return _wrap(w.grid, out)
 
 
 SCENARIO_NAMES = ("steady", "constant", "gaussian-bump", "random-perturb")

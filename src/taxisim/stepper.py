@@ -39,6 +39,7 @@ from .grid import (
     _max,
     _min,
     _screened_solve,
+    _wrap,
     gradient,
     laplacian,
     magnitude,
@@ -397,7 +398,7 @@ def solve_elliptic(u: Field, cfg: SolverConfig | None = None) -> Field:
     """
     if not u.is_finite():
         raise ValueError("elliptic right-hand side must be finite")
-    return Field(u.grid, _screened_solve(u.grid, u.values, 1.0))
+    return _wrap(u.grid, _screened_solve(u.grid, u.values, 1.0))
 
 
 def _clamp_negatives(values: np.ndarray, floor: float) -> float:
@@ -438,14 +439,14 @@ def _signal_phase(
         else:
             b, alpha = (1.0 - dt) * v.values + dt * u.values, dt
             sup_b = (1.0 - dt) * ext.max_v + dt * ext.max_u
-        v_new_vals = _screened_solve(state.grid, b, alpha)
+        v_new = _wrap(state.grid, _screened_solve(state.grid, b, alpha))
         floor = max(floor, sup_b)
     else:
-        v_new_vals = rhs_v(u, v, params).values
-        v_new_vals *= dt
-        v_new_vals += v.values
-    min_v = _clamp_negatives(v_new_vals, _ROUNDOFF_CLAMP * floor)
-    return Field(state.grid, v_new_vals), min_v
+        v_new = rhs_v(u, v, params)
+        v_new.values *= dt
+        v_new.values += v.values
+    min_v = _clamp_negatives(v_new.values, _ROUNDOFF_CLAMP * floor)
+    return v_new, min_v
 
 
 def _substrate_phase(
@@ -477,16 +478,18 @@ def _substrate_phase(
         w_new_vals = np.negative(iv_new_vals)
         np.exp(w_new_vals, out=w_new_vals)
         w_new_vals *= anchor.w_s0.values
+        w_new = _wrap(grid, w_new_vals)
     else:
         u = state.u
-        v_half = Field(grid, 0.5 * (v.values + v_new.values))
-        w_half = Field(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
-        w_new_vals = rhs_w(u, v_half, w_half, params).values
+        v_half = _wrap(grid, 0.5 * (v.values + v_new.values))
+        w_half = _wrap(grid, w.values + (0.5 * dt) * rhs_w(u, v, w, params).values)
+        w_new = rhs_w(u, v_half, w_half, params)
+        w_new_vals = w_new.values
         w_new_vals *= dt
         w_new_vals += w.values
         np.minimum(w_new_vals, _substrate_ceiling(anchor, params.eta), out=w_new_vals)
     min_w = _clamp_negatives(w_new_vals, _ROUNDOFF_CLAMP * state.extrema.max_w)
-    return Field(grid, iv_new_vals), Field(grid, w_new_vals), min_w
+    return _wrap(grid, iv_new_vals), w_new, min_w
 
 
 def _cell_phase(
@@ -494,11 +497,10 @@ def _cell_phase(
 ) -> tuple[Field, float]:
     """Phase 3: u at t + dt from the new v and w, and its minimum after the
     round-off clamp (sup u at t, kept above 1e-30, scales the clamp floor)."""
-    u = state.u
-    u_new_vals = rhs_u(u, v_new, w_new, params, dt=dt).values
-    u_new_vals += u.values
-    min_u = _clamp_negatives(u_new_vals, _ROUNDOFF_CLAMP * max(state.extrema.max_u, _EPS_RATE))
-    return Field(state.grid, u_new_vals), min_u
+    u_new = rhs_u(state.u, v_new, w_new, params, dt=dt)
+    u_new.values += state.u.values
+    min_u = _clamp_negatives(u_new.values, _ROUNDOFF_CLAMP * max(state.extrema.max_u, _EPS_RATE))
+    return u_new, min_u
 
 
 def _attempt_step(

@@ -591,14 +591,42 @@ class TestFlatStrideOracle:
         assert np.max(np.abs(out.values - (single_v + single_w))) <= 1e-15 * sup
 
 
+# Outs a stencil must refuse before it writes: another dtype, byte order,
+# stride, shape or size, or no array; and ("input <i>") the array of one of
+# its inputs, which the face pass reads while it writes out.
+BAD_OUTS = {
+    "float32": lambda g: np.zeros(g.num_cells, np.float32),
+    "strided": lambda g: np.zeros(2 * g.num_cells)[::2],
+    "big-endian": lambda g: np.zeros(g.num_cells, ">f8"),
+    "column": lambda g: np.zeros((g.num_cells, 1)),
+    "short": lambda g: np.zeros(g.num_cells - 1),
+    "list": lambda g: [0.0] * g.num_cells,
+}
+
+
+def assert_out_refused(stencil, g, inputs, bad):
+    """stencil(out) raises a ValueError naming out and writes nothing."""
+    out = inputs[int(bad[len("input "):])] if bad.startswith("input ") else BAD_OUTS[bad](g)
+    before = [np.array(out, copy=True), *(x.copy() for x in inputs)]
+    with pytest.raises(ValueError, match="^out must"):
+        stencil(out)
+    for old, new in zip(before, [out, *inputs]):
+        np.testing.assert_array_equal(np.asarray(new), old)
+
+
 class TestAccumulators:
-    """With out, the face pass of a stencil adds its rate into out in place."""
+    """With out, the face pass of a stencil adds its rate into out in place;
+    an out it cannot add into is refused."""
 
     @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
-    def test_laplacian_adds_into_out(self, extent, cells):
+    @pytest.mark.parametrize("bad", [None, *BAD_OUTS, "input 0"])
+    def test_laplacian_adds_into_out(self, extent, cells, bad):
         g = GridSpec(extent, cells)
         rng = np.random.default_rng(7 * sum(cells))
         f = Field(g, rng.uniform(-1.0, 2.0, g.num_cells))
+        if bad is not None:
+            assert_out_refused(lambda out: laplacian(f, out=out), g, [f.values], bad)
+            return
         lap = laplacian(f).values
         acc = rng.uniform(-1.0, 1.0, g.num_cells) * np.max(np.abs(lap))
         ref = acc + lap
@@ -609,13 +637,20 @@ class TestAccumulators:
 
     @pytest.mark.parametrize("extent,cells", ORACLE_GRIDS)
     @pytest.mark.parametrize("diffusion", [0.0, 0.3])
-    def test_taxis_divergence_subtracts_from_out(self, extent, cells, diffusion):
+    @pytest.mark.parametrize("bad", [None, *BAD_OUTS, "input 0", "input 1", "input 2"])
+    def test_taxis_divergence_subtracts_from_out(self, extent, cells, diffusion, bad):
         g = GridSpec(extent, cells)
         rng = np.random.default_rng(5 * sum(cells))
         carrier = Field(g, rng.uniform(0.0, 3.0, g.num_cells))
         pot_v = Field(g, rng.uniform(-2.0, 2.0, g.num_cells))
         pot_w = Field(g, rng.uniform(0.0, 1.0, g.num_cells))
         args = (carrier, pot_v, 1.7, (pot_w, 0.6))
+        if bad is not None:
+            inputs = [carrier.values, pot_v.values, pot_w.values]
+            assert_out_refused(
+                lambda out: taxis_divergence(*args, diffusion=diffusion, out=out), g, inputs, bad
+            )
+            return
         div = taxis_divergence(*args, diffusion=diffusion).values
         acc = rng.uniform(-1.0, 1.0, g.num_cells) * np.max(np.abs(div))
         ref = acc - div

@@ -1063,6 +1063,53 @@ class TestRun:
         np.testing.assert_array_equal(scanned[0], init.u0.values)
         assert_extrema_are_fresh(initial_state(init))
 
+    # name: (state, params, time scheme, whether stable_dt computes the
+    # gradients)
+    UNCHECKED_STEPS = {
+        "imex-1d": (
+            lambda: _random_state(GridSpec((6.0,), (64,)), 9),
+            ModelParams(chi=64.0, xi=1.0, mu=10.0), "imex-diffusion", True,
+        ),
+        "explicit-2d": (
+            lambda: _random_state(GridSpec((1.0, 1.5), (12, 16)), 5),
+            ModelParams(chi=4.0, xi=1.0, mu=1.0), "explicit", True,
+        ),
+        "tau0-3d": (
+            lambda: _smooth_state(GridSpec((1.0,) * 3, (6, 5, 7)), 3),
+            ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=0), "explicit", False,
+        ),
+        "renewal-1d": (
+            lambda: _random_state(GridSpec((2.0,), (32,)), 4),
+            ModelParams(chi=1.0, xi=1.0, mu=1.0, eta=0.5), "explicit", False,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(UNCHECKED_STEPS))
+    def test_a_step_checks_no_field(self, monkeypatch, case):
+        # Field(grid, values) checks values that come from outside. Every
+        # array a step makes is one taxisim allocated, wrapped as made, so a
+        # step runs no check.
+        make, params, scheme, gradients = self.UNCHECKED_STEPS[case]
+        state = make()
+        cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
+        checked = []
+        original = grid_mod.Field.__post_init__
+
+        def counting(f):
+            checked.append(f)
+            original(f)
+
+        monkeypatch.setattr(grid_mod.Field, "__post_init__", counting)
+        calls = count_gradients(monkeypatch)
+        new = step(state, params, cfg)
+        assert new.t > state.t
+        assert len(calls) == (2 if gradients else 0)
+        assert checked == []
+        # Each new field holds an array the checks would keep as it is.
+        for f in (new.u, new.v, new.w, new.Iv):
+            assert Field(f.grid, f.values).values is f.values
+        assert_extrema_are_fresh(new)
+
     def test_slaved_signal_run_completes(self):
         g = GridSpec((2.0,), (24,))
         p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=0)

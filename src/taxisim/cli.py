@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from .config import ConfigError, RunConfig, ValidationError, format_number, parse_config, render_config
@@ -78,7 +77,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     series_path = write_timeseries(
         outcome.records, outdir / "timeseries.csv", cfg.outputs.p_values
     )
-    verdict = outcome_verdict(outcome, classify(outcome.records, cfg.solver))
+    seen = classify(outcome.records, cfg.solver)
+    verdict = outcome_verdict(seen, outcome.status, outcome.final_state.t)
     mass = mass_bound_check(outcome.records, cfg.grid, cfg.model)
 
     print(f"outcome: {outcome.status} (t_final={format_number(outcome.final_state.t)})")
@@ -144,21 +144,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
     The run's effective.cfg beside the series supplies the grid, the model
     and the solver settings; a series without one is an error. A completed
     run's series ends exactly at its T_end; one that stops before it ended
-    early and is inconclusive, unless its records show blow-up.
+    early, which outcome_verdict judges as run judges an early stop.
     """
     records, _ = read_timeseries(args.timeseries)
     if not records:
         raise ConfigError(f"{args.timeseries}: no records to check")
     run_cfg = _load_config(str(Path(args.timeseries).with_name("effective.cfg")))
 
-    verdict = classify(records, run_cfg.solver)
+    status = "completed"
     if records[-1].t < run_cfg.solver.t_end:
         print(
             f"ended early: the series stops at t={format_number(records[-1].t)}"
             f" before T_end={format_number(run_cfg.solver.t_end)}"
         )
-        if verdict.classification != "blew_up":
-            verdict = replace(verdict, classification="inconclusive")
+        status = "ended early"
+    verdict = outcome_verdict(classify(records, run_cfg.solver), status, records[-1].t)
     _report(verdict, mass_bound_check(records, run_cfg.grid, run_cfg.model))
     return 0
 

@@ -20,7 +20,7 @@ from .grid import GridSpec, _max, _min, gradient, integrate, laplacian, lp_norm,
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
-    from .stepper import RunOutcome, SimState, SolverConfig
+    from .stepper import SimState, SolverConfig
 
 __all__ = [
     "DiagnosticsRecord",
@@ -265,18 +265,16 @@ def classify(series: list[DiagnosticsRecord], cfg: SolverConfig) -> BoundednessV
     return BoundednessVerdict("inconclusive", max_sup, t_of_max)
 
 
-def outcome_verdict(outcome: RunOutcome, seen: BoundednessVerdict) -> BoundednessVerdict:
-    """The verdict on a run, given seen = classify(outcome.records, cfg).
-
-    How the run ended comes first: a run that diverged blew up at the time
-    of its final state, even where its records are finite, and a run whose
-    steps kept failing is inconclusive. Otherwise its records decide. The
-    peak of sup u and its time come from the records, as seen reports them.
+def outcome_verdict(seen: BoundednessVerdict, status: str, t_final: float) -> BoundednessVerdict:
+    """The verdict on a run that ended with status at t_final, given
+    seen = classify(records, cfg). How it ended comes first: a run that
+    diverged ("blew_up") blew up at t_final, even where its records are
+    finite; a completed run is judged by its records; any other end is
+    inconclusive unless its records show blow-up. The peak of sup u and its
+    time come from the records, as seen reports them.
     """
-    if outcome.status == "blew_up":
-        classification, crossing = "blew_up", outcome.final_state.t
-    elif outcome.status == "cfl_failed":
-        classification, crossing = "inconclusive", None
-    else:
-        classification, crossing = seen.classification, seen.crossing_time
-    return replace(seen, classification=classification, crossing_time=crossing)
+    if status == "blew_up":
+        return replace(seen, classification="blew_up", crossing_time=t_final)
+    if status == "completed" or seen.classification == "blew_up":
+        return seen
+    return replace(seen, classification="inconclusive", crossing_time=None)

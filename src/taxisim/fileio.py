@@ -7,10 +7,11 @@ is byte-identical; a bool is written as true or false and None as an empty
 cell. Time-series and snapshot data are floats, written by format_number
 directly; every sweep.csv cell goes through format_value. The sweep.csv
 schema is one table of columns and the SweepResult attribute each holds.
-One helper writes and one reads every file taxisim touches, and a failure
-of either is an OSError naming the file: ``cannot write <what> <path>`` or
-``cannot read <what> <path>``. Both are public, write_text and read_text:
-the command line writes its other files and reads its configs through them.
+One helper writes and one reads (UTF-8, a leading BOM skipped) every file
+taxisim touches, and a failure of either, undecodable text included, is an
+OSError naming the file: ``cannot write <what> <path>`` or ``cannot read
+<what> <path>``. Both are public, write_text and read_text: the command
+line writes its other files and reads its configs through them.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ def write_text(path: Path, noun: str, text: str, *, parents: bool = False) -> Pa
 
 
 def read_text(path: Path, noun: str) -> str:
-    """The text of path; noun names the file in a failure."""
+    """The UTF-8 text of path, a leading BOM skipped; noun names the file in a failure."""
     try:
-        return path.read_text(encoding="utf-8")
-    except OSError as exc:
+        return path.read_text(encoding="utf-8-sig")
+    except (OSError, UnicodeDecodeError) as exc:
         raise OSError(f"cannot read {noun} {path}: {exc}") from exc
 
 

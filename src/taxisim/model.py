@@ -127,7 +127,7 @@ def rhs_u(u: Field, v: Field, w: Field, params: ModelParams, dt: float = 1.0) ->
     )
 
 
-def rhs_v(u: Field, v: Field, params: ModelParams) -> Field:
+def rhs_v(u: Field, v: Field) -> Field:
     """dv/dt for tau = 1: diffusion, decay, production by the cells.
 
     The result is seeded with u - v, and the face pass of laplacian adds

@@ -442,7 +442,7 @@ def _signal_phase(
         v_new = _wrap(state.grid, _screened_solve(state.grid, b, alpha))
         floor = max(floor, sup_b)
     else:
-        v_new = rhs_v(u, v, params)
+        v_new = rhs_v(u, v)
         v_new.values *= dt
         v_new.values += v.values
     min_v = _clamp_negatives(v_new.values, _ROUNDOFF_CLAMP * floor)

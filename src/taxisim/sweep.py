@@ -127,7 +127,8 @@ def _execute_point(
         pe = check_pe_condition(model, plan.grid.dim)
         init = scenario.build(plan.grid)
         outcome = run(init, model, plan.base_solver)
-        verdict = outcome_verdict(outcome, classify(outcome.records, plan.base_solver))
+        seen = classify(outcome.records, plan.base_solver)
+        verdict = outcome_verdict(seen, outcome.status, outcome.final_state.t)
         failure = outcome.failure
     except ValueError as exc:
         # Initial data or a model that cannot run fails this point only;

@@ -127,6 +127,15 @@ class TestRunCommand:
         assert (tmp_path / "out" / "timeseries.csv").exists()
         assert (tmp_path / "out" / "effective.cfg").exists()
 
+    def test_a_config_with_a_byte_order_mark_runs_as_without_it(self, tmp_path, capsys):
+        plain = write_cfg(tmp_path, BUMP_CFG.format(out=tmp_path / "plain"))
+        bom = tmp_path / "bom.cfg"
+        bom.write_bytes(b"\xef\xbb\xbf" + BUMP_CFG.format(out=tmp_path / "bom").encode())
+        assert main(["run", str(plain)]) == 0
+        assert main(["run", str(bom)]) == 0
+        expected = (tmp_path / "plain" / "timeseries.csv").read_bytes()
+        assert (tmp_path / "bom" / "timeseries.csv").read_bytes() == expected
+
     def test_malformed_config_exits_one_and_names_key(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, "[grid] dim=1 extent=1 cells=8\n[model] chi=-1\n[solver] T_end=1")
         assert main(["run", str(cfg)]) == 1

@@ -10,6 +10,7 @@ import pytest
 
 from conftest import ORACLE_GRIDS, smooth_field
 from taxisim import (
+    BoundednessVerdict,
     DiagnosticsRecord,
     Field,
     GridSpec,
@@ -24,6 +25,7 @@ from taxisim import (
     lemma22_tolerance,
     magnitude,
     mass_bound_check,
+    outcome_verdict,
     record,
     run,
     step,
@@ -364,3 +366,30 @@ class TestClassify:
     def test_empty_series_rejected(self):
         with pytest.raises(ValueError):
             classify([], CFG)
+
+
+class TestOutcomeVerdict:
+    """How a run ended comes before what its records show."""
+
+    BOUNDED = BoundednessVerdict("bounded", 2.5, 0.25)
+    BLEW_UP = BoundednessVerdict("blew_up", 12.0, 0.75, crossing_time=0.5)
+
+    @pytest.mark.parametrize(
+        "status, seen, classification, crossing",
+        [
+            ("completed", BOUNDED, "bounded", None),
+            ("completed", BLEW_UP, "blew_up", 0.5),
+            # A run that diverged blew up at its final time, 0.9.
+            ("blew_up", BOUNDED, "blew_up", 0.9),
+            ("blew_up", BLEW_UP, "blew_up", 0.9),
+            ("cfl_failed", BOUNDED, "inconclusive", None),
+            ("cfl_failed", BLEW_UP, "blew_up", 0.5),
+            ("ended early", BOUNDED, "inconclusive", None),
+            ("ended early", BLEW_UP, "blew_up", 0.5),
+        ],
+    )
+    def test_status_then_records(self, status, seen, classification, crossing):
+        v = outcome_verdict(seen, status, 0.9)
+        assert v.classification == classification
+        assert v.crossing_time == crossing
+        assert (v.max_sup_u, v.t_of_max) == (seen.max_sup_u, seen.t_of_max)

@@ -26,6 +26,7 @@ from taxisim.fileio import (
     SWEEP_COLUMNS,
     lp_column,
     read_snapshot,
+    read_text,
     read_timeseries,
     render_sweep_summary,
     timeseries_header,
@@ -284,6 +285,22 @@ class TestWriteErrors:
         path = tmp_path / "missing" / "sweep.csv"
         with pytest.raises(OSError, match=re.escape(f"cannot write sweep table {path}")):
             write_sweep_table([], path)
+
+
+class TestReadErrors:
+    """Text that is not UTF-8 raises OSError naming the file."""
+
+    def test_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"# caf\xe9\n[grid] dim=1 extent=1 cells=8\n")
+        with pytest.raises(OSError, match=f"^{re.escape(f'cannot read config {path}: ')}"):
+            read_text(path, "config")
+
+    def test_time_series(self, tmp_path):
+        path = write_timeseries(small_run().records, tmp_path / "ts.csv", (1.0, 2.0))
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+        with pytest.raises(OSError, match=f"^{re.escape(f'cannot read time series {path}: ')}"):
+            read_timeseries(path)
 
 
 class TestSweepTable:

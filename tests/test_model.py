@@ -147,7 +147,7 @@ class TestRightHandSides:
         g = GridSpec((1.0, 0.4), (6, 5))
         u, v = smooth_field(g, rng, nonneg=True), smooth_field(g, rng, nonneg=True)
         ref = laplacian(v).values - v.values + u.values
-        out = rhs_v(u, v, ModelParams(chi=1.0)).values
+        out = rhs_v(u, v).values
         assert np.max(np.abs(out - ref)) <= 1e-15 * np.max(np.abs(ref))
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -169,12 +169,11 @@ class TestRightHandSides:
 
     def test_rhs_v_examples(self):
         g = GridSpec((1.0,), (8,))
-        p = ModelParams(chi=1.0)
         ones = Field.full(g, 1.0)
-        assert np.allclose(rhs_v(ones, ones, p).values, 0.0, atol=1e-15)
+        assert np.allclose(rhs_v(ones, ones).values, 0.0, atol=1e-15)
         c = Field.full(g, 2.7)
-        assert np.allclose(rhs_v(c, c, p).values, 0.0, atol=1e-15)
-        out = rhs_v(Field.zeros(g), Field.full(g, 2.7), p)
+        assert np.allclose(rhs_v(c, c).values, 0.0, atol=1e-15)
+        out = rhs_v(Field.zeros(g), Field.full(g, 2.7))
         assert np.allclose(out.values, -2.7, rtol=1e-15)
 
     def test_rhs_w_examples(self):
@@ -213,7 +212,7 @@ class TestRightHandSides:
                 tau=1,
             )
             assert np.allclose(rhs_u(u, v, w, p).values, 0.0, atol=1e-13)
-            assert np.allclose(rhs_v(u, v, p).values, 0.0, atol=1e-13)
+            assert np.allclose(rhs_v(u, v).values, 0.0, atol=1e-13)
             assert np.allclose(rhs_w(u, v, w, p).values, 0.0, atol=1e-13)
 
 

@@ -325,8 +325,9 @@ class TestEstimateThreshold:
 class TestImportFootprint:
     def test_import_loads_no_pool_or_logging(self):
         # The benchmark's setup_s times `import taxisim`, so the package
-        # keeps heavy standard modules off its import path (fileio imports
-        # csv lazily for the same reason).
+        # keeps heavy standard modules off its import path. (fileio, which
+        # `import taxisim` never loads, imports csv inside its sweep table
+        # writer, since only the sweep command writes a table.)
         env = dict(os.environ, PYTHONPATH=str(Path(taxisim.__file__).parents[1]))
         code = (
             "import sys, taxisim\n"

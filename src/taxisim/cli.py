@@ -117,12 +117,11 @@ def _cmd_ode(args: argparse.Namespace) -> int:
     # Thin to the output cadence while integrating, with run's output-index
     # rule: the first sample to reach each k * output_every, plus the first
     # and last samples.
-    out = cfg.solver.output_every
     lines = ["t,u,v,w"]
     emitted = -1
     unwritten = None  # the last sample, while no row holds it
     for t, y, diverged in _rk4_samples(cfg.model, y0, cfg.solver.t_end, dt):
-        reached = _outputs_reached(t, out)
+        reached = _outputs_reached(t, cfg.solver)
         if reached > emitted:
             lines.append(",".join(format_number(x) for x in (t, *y)))
             emitted, unwritten = reached, None

@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .grid import GridSpec, _max, _min, gradient, integrate, laplacian, lp_norm, magnitude
+from .grid import GridSpec, _max, _min, gradient, integrate, laplacian, lp_norm, magnitude, sup_norm
 
 if TYPE_CHECKING:  # pragma: no cover
     from .model import ModelParams
@@ -166,9 +166,15 @@ def _substrate_monitors(state: SimState) -> tuple[float, float]:
 
 
 def lemma22_tolerance(state: SimState, dt: float) -> float:
-    """Discretization-error budget for the curvature-bound slack."""
+    """Discretization-error budget for the curvature-bound slack,
+    10 (h^2 + dt) M (1 + max Iv + max |grad Iv|), h the largest spacing: M is
+    the largest of the anchor's extrema maxima, sup |grad w| and sup |lap w|."""
+    anchor = state.anchor
+    ext = anchor.extrema
+    m = max(ext.max_u, ext.max_v, ext.max_w,
+            sup_norm(magnitude(anchor.grad_w_s0)), sup_norm(anchor.lap_w_s0))
     h = max(state.grid.spacing)
-    scale = state.anchor.M * (
+    scale = m * (
         1.0
         + _max(state.Iv.values)
         + _max(magnitude(gradient(state.Iv)).values)

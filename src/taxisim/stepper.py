@@ -42,8 +42,6 @@ from .grid import (
     _wrap,
     gradient,
     laplacian,
-    magnitude,
-    sup_norm,
 )
 from .model import _MAX_STEPS, InitialData, ModelParams, rhs_u, rhs_v, rhs_w
 
@@ -97,8 +95,8 @@ class SolverConfig:
     blowup_threshold: float = 1e6
     anchor_time: float = 0.0
     time_scheme: str = "explicit"
-    # Distance below which two clock times count as one landing, set once
-    # from output_every and t_end; eq, hash and repr ignore it.
+    # Clock times this close count as one (landings, outputs reached); set
+    # once from output_every and t_end, and ignored by eq, hash and repr.
     _landing_tol: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -137,18 +135,15 @@ class SolverConfig:
 
 @dataclass(eq=False)
 class Snapshot:
-    """Frozen substrate data at the anchor time s0.
-
-    M bounds the suprema of u, v, w and of |grad w|, |lap w| at s0; it
-    scales the tolerance of the curvature lower-bound monitor.
-    """
+    """Frozen substrate data at the anchor time s0, with the extrema of the
+    state at s0: the substrate ceiling reads sup w(s0) from them, and the
+    curvature budget (diagnostics.lemma22_tolerance) the suprema."""
 
     s0: float
     w_s0: Field
     grad_w_s0: tuple[Field, ...]  # one component per axis
     lap_w_s0: Field
-    M: float
-    sup_w: float
+    extrema: Extrema
 
 
 class Extrema(NamedTuple):
@@ -219,33 +214,22 @@ class SimState:
 
 
 def take_snapshot(t: float, w: Field, extrema: Extrema) -> Snapshot:
-    """Freeze w, grad w and lap w at time t, plus the scale bound M. extrema
-    are those of the state w belongs to: u, v, w >= 0, so their maxima are
-    the suprema M and sup_w read."""
-    grad_w = gradient(w)
-    lap_w = laplacian(w)
-    m = max(
-        extrema.max_u,
-        extrema.max_v,
-        extrema.max_w,
-        sup_norm(magnitude(grad_w)),
-        sup_norm(lap_w),
-    )
+    """Freeze w, grad w and lap w at time t, with the extrema of the state w
+    belongs to (u, v, w >= 0, so their maxima are the suprema at t)."""
     return Snapshot(
         s0=t,
         w_s0=w.copy(),
-        grad_w_s0=grad_w,
-        lap_w_s0=lap_w,
-        M=m,
-        sup_w=extrema.max_w,
+        grad_w_s0=gradient(w),
+        lap_w_s0=laplacian(w),
+        extrema=extrema,
     )
 
 
 def _substrate_ceiling(anchor: Snapshot, eta: float) -> float:
-    """The bound w keeps after the anchor time s0: sup w(s0) when eta = 0,
-    where w only decays, and max(sup w(s0), 1) when eta > 0, since u, v >= 0
-    give w_t <= eta w (1 - w)."""
-    return anchor.sup_w if eta == 0.0 else max(anchor.sup_w, 1.0)
+    """The bound w keeps after the anchor time s0: sup w(s0), the anchor's
+    extrema.max_w, when eta = 0, where w only decays, and max(sup w(s0), 1)
+    when eta > 0, since u, v >= 0 give w_t <= eta w (1 - w)."""
+    return anchor.extrema.max_w if eta == 0.0 else max(anchor.extrema.max_w, 1.0)
 
 
 def initial_state(init: InitialData) -> SimState:
@@ -270,11 +254,12 @@ def _reanchor(state: SimState) -> SimState:
     )
 
 
-def _outputs_reached(t: float, out: float) -> int:
-    """How many output times k * out (k >= 1) lie before t or within
-    1e-9 * out after it: the index of the last output the clock has reached."""
+def _outputs_reached(t: float, cfg: SolverConfig) -> int:
+    """How many output times k * output_every (k >= 1) lie before t or within
+    cfg._landing_tol after it: the index of the last output the clock reached."""
+    out = cfg.output_every
     k = math.floor(t / out)
-    if (k + 1) * out <= t + 1e-9 * out:
+    if (k + 1) * out <= t + cfg._landing_tol:
         k += 1
     return k
 
@@ -286,7 +271,7 @@ def _next_landing(t: float, cfg: SolverConfig) -> float:
     below the next landing is that landing (run re-anchors there), so no
     sliver step is left."""
     tol = cfg._landing_tol
-    landing = (_outputs_reached(t, cfg.output_every) + 1) * cfg.output_every
+    landing = (_outputs_reached(t, cfg) + 1) * cfg.output_every
     if landing > cfg.t_end - tol:
         landing = cfg.t_end
     if t + tol < cfg.anchor_time < landing - tol:
@@ -637,10 +622,8 @@ def run(
 
     emit(state)
 
-    out = cfg.output_every
     tol_t = cfg._landing_tol
-    emitted = 0  # index k of the last output time k * out emitted
-    anchor_pending = cfg.anchor_time > 0.0
+    emitted = 0  # index k of the last output time k * output_every emitted
 
     try:
         _check_divergence(state, cfg)
@@ -663,11 +646,11 @@ def run(
             ):
                 violations += 1
 
-            if anchor_pending and state.t >= cfg.anchor_time - tol_t:
+            # s0 stays 0.0 until the re-anchor, which follows a step (t > 0).
+            if cfg.anchor_time > state.anchor.s0 == 0.0 and state.t >= cfg.anchor_time - tol_t:
                 state = _reanchor(state)
-                anchor_pending = False
 
-            reached = _outputs_reached(state.t, out)
+            reached = _outputs_reached(state.t, cfg)
             if reached > emitted:
                 emit(state)
                 emitted = reached

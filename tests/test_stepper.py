@@ -24,6 +24,8 @@ from taxisim import (
     initial_state,
     integrate,
     laplacian,
+    lemma22_tolerance,
+    magnitude,
     ode_reference,
     run,
     solve_elliptic,
@@ -922,6 +924,49 @@ class TestRun:
             offline += 0.5 * (tb - ta) * (va + vb)
         diff = np.max(np.abs(out.final_state.Iv.values - offline))
         assert diff <= 5.0 * cadence**2
+
+    @pytest.mark.parametrize("anchor_time", [0.0, 0.3, 0.5])
+    def test_the_anchor_record_after_a_re_anchor(self, monkeypatch, anchor_time):
+        # The run snapshots at t = 0 and once more at a positive anchor
+        # time. The re-anchored state carries its own extrema in the anchor,
+        # and the curvature budget reads its scale M from them and from the
+        # anchor substrate's derivatives.
+        taken = []
+        original = stepper_mod.take_snapshot
+
+        def counting(t, w, extrema):
+            taken.append(t)
+            return original(t, w, extrema)
+
+        monkeypatch.setattr(stepper_mod, "take_snapshot", counting)
+        g = GridSpec((4.0,), (32,))
+        init = ScenarioSpec(name="gaussian-bump").build(g)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0)
+        cfg = SolverConfig(t_end=1.0, output_every=0.25, anchor_time=anchor_time)
+        sunk = {}
+        out = run(init, p, cfg, snapshot_sink=lambda st: sunk.setdefault(st.t, st))
+        assert out.status == "completed"
+        assert taken == ([0.0] if anchor_time == 0.0 else [0.0, anchor_time])
+        assert out.final_state.anchor.s0 == anchor_time
+        if anchor_time != 0.5:
+            return
+        state = sunk[0.5]
+        ext = state.anchor.extrema
+        assert ext == stepper_mod.Extrema.of(state.u.values, state.v.values, state.w.values)
+        w_s0 = state.anchor.w_s0
+        m = max(
+            ext.max_u, ext.max_v, ext.max_w,
+            float(np.max(magnitude(gradient(w_s0)).values)),
+            float(np.max(np.abs(laplacian(w_s0).values))),
+        )
+        h = max(g.spacing)
+        scale = m * (
+            1.0
+            + float(np.max(state.Iv.values))
+            + float(np.max(magnitude(gradient(state.Iv)).values))
+        )
+        tol = 10.0 * (h * h + state.last_dt) * scale
+        assert lemma22_tolerance(state, state.last_dt) == tol
 
     @pytest.mark.parametrize("u0", [0.5, 2.0], ids=["crossed-mid-run", "above-at-t0"])
     def test_blowup_threshold_terminates_run(self, u0):

@@ -47,12 +47,17 @@ __all__ = [
 
 ODE_DIVERGENCE_LIMIT = 1e12
 # A run that needs more than this many steps cannot finish: the stepper
-# refuses a stability step, an output_every or a dt_max below
-# t_end / _MAX_STEPS, and ode_reference a dt below it. That floor sits well
-# below 1e-12 t_end (t_end = 1e9 on an 8-cell 1D grid has ordinary steps of
-# ~1e-12 t_end) and above half the spacing of floats near t_end
-# (~1.1e-16 t_end), so a step of that size still moves the clock.
+# refuses a stability step, an output_every or a dt_max, and ode_reference
+# a dt, that _over_step_budget finds over it. The floor t_end / _MAX_STEPS
+# sits well below 1e-12 t_end (t_end = 1e9 on an 8-cell 1D grid has
+# ordinary steps of ~1e-12 t_end) and above half the spacing of floats near
+# t_end (~1.1e-16 t_end), so a step of that size still moves the clock.
 _MAX_STEPS = 1e15
+
+
+def _over_step_budget(t_end: float, step: float) -> bool:
+    """t_end / step > _MAX_STEPS, the one budget rule; a step of 0.0 is over it."""
+    return not step > 0.0 or t_end / step > _MAX_STEPS
 
 
 @dataclass(frozen=True)
@@ -343,7 +348,7 @@ def _rk4_samples(
     arguments are checked when the first sample is asked for."""
     dt = _as_float(dt, "dt", 0, math.inf)
     t_end = _as_float(t_end, "t_end", 0, math.inf, "[)")
-    if t_end / dt > _MAX_STEPS:
+    if _over_step_budget(t_end, dt):
         raise ValueError(
             f"dt must be at least t_end / {_MAX_STEPS:.0e}: a smaller step needs"
             f" more than {_MAX_STEPS:.0e} steps"

@@ -43,7 +43,7 @@ from .grid import (
     gradient,
     laplacian,
 )
-from .model import _MAX_STEPS, InitialData, ModelParams, rhs_u, rhs_v, rhs_w
+from .model import _MAX_STEPS, InitialData, ModelParams, _over_step_budget, rhs_u, rhs_v, rhs_w
 
 __all__ = [
     "CFLViolation",
@@ -117,7 +117,7 @@ class SolverConfig:
         # t_end = 1e9 (exactly 10^15 steps) passes: 1e-15 * t_end rounds
         # above 1e-6.
         for key, noun in (("output_every", "interval"), ("dt_max", "cap")):
-            if self.t_end / getattr(self, key) > _MAX_STEPS:
+            if _over_step_budget(self.t_end, getattr(self, key)):
                 raise ValueError(
                     f"{key} must be at least T_end / {_MAX_STEPS:.0e}: a smaller "
                     f"{noun} needs more than {_MAX_STEPS:.0e} steps"
@@ -322,8 +322,8 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
     extrema, R_w from w itself (see SimState). A non-finite extremum, range
     of w or transport speed raises Diverged: the state is non-finite, or its
     gradient overflows (a finite v near the float limit). A stability step
-    (before the caps) below t_end / 10^15, which would take more than 10^15
-    steps, raises ValueError naming the limit that binds.
+    (before the caps) that would take more than 10^15 steps to reach t_end,
+    0.0 included, raises ValueError naming the limit that binds.
     """
     ext = state.extrema
     if not ext.finite:
@@ -343,7 +343,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
 
     w = state.w.values
     range_w = _max(w) - _min(w)
-    if not math.isfinite(range_w):
+    if not math.isfinite(range_w):  # refused before gradient(), where an inf warns
         raise Diverged(f"non-finite substrate at t={state.t!r}", state=state)
     spread = params.chi * (ext.max_v - ext.min_v) + params.xi * range_w
     if not spread * limit <= grid._h_min_sq:  # NaN and inf fail it as well
@@ -359,7 +359,7 @@ def stable_dt(state: SimState, params: ModelParams, cfg: SolverConfig) -> StepSi
                 limit, binding = transport, f"transport (axis {axis})"
 
     dt = cfg.cfl_safety * limit
-    if dt < cfg.t_end / _MAX_STEPS:
+    if _over_step_budget(cfg.t_end, dt):
         raise ValueError(
             f"the {binding} limit gives dt={dt!r} at t={state.t!r}, below "
             f"T_end / {_MAX_STEPS:.0e}: the run would need more than "
@@ -598,7 +598,7 @@ def run(
     persistent negativity) become the outcome status; the t = 0 state is
     checked for divergence too, so data above blowup_threshold end the run
     at t = 0. A run that cannot proceed raises ValueError: the stability
-    step falls below t_end / 10^15 (the message names the binding limit).
+    step needs more than 10^15 steps (the message names the binding limit).
     """
     state = initial_state(init)
     ext = state.extrema

@@ -64,6 +64,42 @@ PEAK_CFG = """
 [outputs] dir={out}
 """
 
+# |u|^200 would overflow at t = 0 on this bump (sup u = 50.2).
+LP200_CFG = """
+[grid] dim=1 extent=1 cells=32
+[model] chi=0.1 xi=0 mu=1
+[solver] T_end=2
+[scenario] name=gaussian-bump amplitude=50
+[outputs] dir={out} p_values=2,200
+"""
+
+# Homogeneous data under substrate renewal (eta = 1): w rises from 0.3 to
+# 0.54, above the eta = 0 ceiling sup w0.
+ETA1_CFG = """
+[grid] dim=1 extent=1 cells=8
+[model] chi=1 xi=1 mu=1 eta=1
+[solver] T_end=5 output_every=1
+[scenario] name=constant u0=0.1 v0=0.1 w0=0.3
+[outputs] dir={out}
+"""
+
+# The slaved screened solve (tau = 0) on a bump; a test prepends its [grid].
+SLAVED_CFG = """
+[model] chi=1 mu=1 tau=0
+[solver] T_end=0.5 output_every=0.125
+[scenario] name=gaussian-bump
+[outputs] dir={out}
+"""
+
+# Constant data on 1D/4 for ode; a test fills in [model] and [solver] settings.
+ODE_CFG = """
+[grid] dim=1 extent=4 cells=4
+[model] chi=1 mu=1 {model}
+[solver] {solver}
+[scenario] name=constant u0=2 v0=0.5 w0=0.5
+[outputs] dir={out}
+"""
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
@@ -72,10 +108,12 @@ def write_cfg(tmp_path, text, name="run.cfg"):
 
 
 def verdict_block(lines):
-    """The printed lines from verdict: through mass bound:."""
+    """The printed lines from verdict: up to the first wrote line after it,
+    or to the end: run prints what it wrote after its verdict block, check
+    prints the block last. A new verdict line is in it with no edit here."""
     start = next(i for i, x in enumerate(lines) if x.startswith("verdict:"))
-    end = next(i for i, x in enumerate(lines) if x.startswith("mass bound:"))
-    return lines[start : end + 1]
+    end = next((i for i in range(start, len(lines)) if lines[i].startswith("wrote ")), len(lines))
+    return lines[start:end]
 
 
 class TestCommandLayer:
@@ -202,6 +240,20 @@ class TestRunCommand:
         assert main(["run", str(cfg)]) == 1
         assert "reaction limit" in capsys.readouterr().err
 
+    def test_a_zero_stability_step_exits_one_and_names_the_limit(self, tmp_path, capsys):
+        # mu = 1e308 makes the reaction rate inf, so its limit is dt = 0.0:
+        # the step budget refuses it without dividing T_end by it.
+        text = (
+            "[grid] dim=1 extent=1 cells=4\n"
+            "[model] chi=1 xi=0 mu=1e308\n"
+            "[solver] T_end=0.01\n"
+            "[scenario] name=steady\n"
+            f"[outputs] dir={tmp_path / 'out'}\n"
+        )
+        assert main(["run", str(write_cfg(tmp_path, text))]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: the reaction limit gives dt=0.0 at t=0.0, ")
+
     def test_step_floor_names_the_config_key(self, tmp_path, capsys):
         # Diffusion gives dt = 0.003125 on 8 cells, below T_end / 1e15: the
         # run stops at its first step, and the message names the key T_end.
@@ -233,7 +285,8 @@ class TestRunCommand:
     ):
         # Each once ran into a failure under another key (u0 must be
         # nonnegative or finite), a sweep of failed rows that exited 0, or a
-        # ZeroDivisionError from the diffusion limit.
+        # ZeroDivisionError from the diffusion limit: amplitude 1.5 could
+        # start random-perturb data below 0, and extent 1e160 squares to inf.
         text = (
             f"[grid] dim=1 extent={extent} cells=8\n"
             "[model] chi=1 mu=1\n"
@@ -544,8 +597,8 @@ class TestCheckCommand:
         assert main(["check", str(tmp_path / "out" / "timeseries.csv")]) == 0
         checked = capsys.readouterr().out.splitlines()
         assert verdict in ran
-        # The block from verdict: to mass bound:, crossing time: included
-        # when the run blew up, is the same in both.
+        # The block from verdict: on, crossing time: included when the run
+        # blew up, is the same in both.
         assert verdict_block(checked) == verdict_block(ran)
         assert any(x.startswith("crossing time: ") for x in ran) == (exit_code == 2)
         assert any(x.startswith(mass) for x in checked)
@@ -626,13 +679,7 @@ class TestCheckCommand:
         # |u|^200 overflows at t = 0 on this bump (sup u = 50.2), but the
         # norm is computed from |u| / sup |u|, so Lp_u_200 stays finite and
         # below its Hoelder bound sup u |Omega|^(1/200), with no warning.
-        text = (
-            "[grid] dim=1 extent=1 cells=32\n"
-            "[model] chi=0.1 xi=0 mu=1\n"
-            "[solver] T_end=2\n"
-            "[scenario] name=gaussian-bump amplitude=50\n"
-            f"[outputs] dir={tmp_path / 'out'} p_values=2,200\n"
-        )
+        text = LP200_CFG.format(out=tmp_path / "out")
         assert main(["run", str(write_cfg(tmp_path, text))]) == 0
         captured = capsys.readouterr()
         assert captured.err == ""
@@ -698,3 +745,78 @@ class TestCheckCommand:
         assert "verdict: inconclusive" in checked
         rows = (tmp_path / "out" / "timeseries.csv").read_text().splitlines()
         assert len(rows) == 2  # the header and the one row at t = 0
+
+
+class TestEffectiveConfigReproduces:
+    """A command re-run from the effective.cfg it wrote exits as it did and
+    rewrites its output byte for byte."""
+
+    @pytest.mark.parametrize(
+        "text, code",
+        [
+            # Lp_u_200 stays finite, since the norm is computed from
+            # |u| / sup |u|, and only the extrema flag a record, so check must
+            # print the run's verdict (inconclusive).
+            pytest.param(LP200_CFG, 0, id="bump"),
+            # The slaved solve on unequal cell counts: in 2D with one count
+            # prime, and in 3D, where the transform reads every axis through
+            # a different view.
+            pytest.param("[grid] dim=2 extent=4,4 cells=64,67" + SLAVED_CFG, 0, id="rect"),
+            pytest.param("[grid] dim=3 extent=3,2.5,2.25 cells=12,10,9" + SLAVED_CFG, 0, id="box"),
+            # sup u peaks between the records at 0 and 0.05, so check must
+            # read the peak from the records' peak_u column, not their sup_u.
+            pytest.param(PEAK_CFG, 0, id="peak"),
+            # Homogeneous, so its records match the ode trajectory, which
+            # tests/test_stepper.py checks (test_renewal_matches_ode_oracle).
+            pytest.param(ETA1_CFG, 0, id="renewal"),
+            # sup u crosses the blowup_threshold mid-run.
+            pytest.param(BLOWUP_CFG, 2, id="blowup"),
+            # sup u starts at 4, above the threshold of 3, so the run ends at
+            # t = 0 and check must print its crossing time, 0.0.
+            pytest.param(THRESHOLD_CFG.replace("u0=3", "u0=4"), 2, id="above"),
+            # The config starts with a UTF-8 byte-order mark, which the
+            # reader must skip.
+            pytest.param("\ufeff" + BUMP_CFG, 0, id="bom"),
+        ],
+    )
+    def test_run_rewrites_its_series_and_check_repeats_its_verdict(
+        self, tmp_path, capsys, text, code
+    ):
+        out = tmp_path / "out"
+        cfg = tmp_path / "run.cfg"
+        cfg.write_bytes(text.format(out=out).encode())
+        assert main(["run", str(cfg)]) == code
+        ran = capsys.readouterr().out.splitlines()
+        series = out / "timeseries.csv"
+        first = series.read_bytes()
+        assert main(["run", str(out / "effective.cfg")]) == code
+        assert series.read_bytes() == first
+        capsys.readouterr()
+        assert main(["check", str(series)]) == 0
+        checked = capsys.readouterr().out.splitlines()
+        assert verdict_block(checked) == verdict_block(ran)
+
+    @pytest.mark.parametrize(
+        "model, solver, t_end",
+        [
+            ("eta=0.5 tau=1", "T_end=2 output_every=0.25 dt_max=0.01", 2.0),
+            ("eta=0.5 tau=0", "T_end=2 output_every=0.25 dt_max=0.01", 2.0),
+            # 1 is not a multiple of 0.3, so the last row is written after
+            # the loop.
+            ("tau=1", "T_end=1 output_every=0.3", 1.0),
+            # Three steps of dt_max fall 1e-10 of a step short of T_end.
+            ("tau=1", "T_end=1 output_every=0.25 dt_max=0.3333333333222222", 1.0),
+        ],
+        ids=["tau1", "tau0", "off-grid", "sliver"],
+    )
+    def test_ode_rewrites_its_trajectory(self, tmp_path, model, solver, t_end):
+        out = tmp_path / "out"
+        text = ODE_CFG.format(model=model, solver=solver, out=out)
+        assert main(["ode", str(write_cfg(tmp_path, text))]) == 0
+        first = (out / "ode.csv").read_bytes()
+        assert main(["ode", str(out / "effective.cfg")]) == 0
+        assert (out / "ode.csv").read_bytes() == first
+        # The trajectory ends exactly on T_end, with no sliver step before it.
+        *_, before, last = (float(row.split(",")[0]) for row in first.decode().splitlines()[1:])
+        assert last == t_end
+        assert last - before > 1e-9 * t_end

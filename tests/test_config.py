@@ -371,6 +371,9 @@ class TestValidation:
     )
     def test_messages_name_the_config_key_t_end(self, solver, key):
         # The SolverConfig field is t_end; the message names the key T_end.
+        # A dt_max or output_every of 1e-300 asks for 1e300 steps or
+        # landings: refused, not a run whose clock stops once t + dt rounds
+        # back to t.
         with pytest.raises(ValidationError) as info:
             parse_config(f"[grid] dim=1 extent=1 cells=8\n[model] chi=1\n[solver] {solver}")
         message = str(info.value)

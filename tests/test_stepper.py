@@ -224,6 +224,19 @@ class TestStableDt:
         with pytest.raises(ValueError, match="the reaction limit gives dt="):
             run(ScenarioSpec(name="steady").build(g), p, SolverConfig(t_end=0.01))
 
+    def test_a_step_that_needs_just_over_1e15_steps_is_refused(self):
+        # Diffusion gives dt = 0.000796875, which is exactly t_end / 1e15 as
+        # rounded, while t_end / dt = 1000000000000000.1: over the budget,
+        # as SolverConfig finds the same value as a dt_max.
+        g = GridSpec((1.0,), (8,))
+        state = initial_state(ScenarioSpec(name="steady").build(g))
+        t_end = 796875000000.0
+        cfg = SolverConfig(t_end=t_end, output_every=t_end, cfl_safety=0.102)
+        with pytest.raises(ValueError, match="^the diffusion limit gives dt=0.000796875 "):
+            stable_dt(state, ModelParams(chi=1.0, mu=0.0), cfg)
+        with pytest.raises(ValueError, match="^dt_max must be at least T_end / 1e[+]15"):
+            SolverConfig(t_end=t_end, dt_max=0.000796875)
+
     def test_no_step_past_the_end_names_the_config_key(self):
         # The SolverConfig field is t_end; the message names the key T_end.
         g = GridSpec((1.0,), (4,))
@@ -549,6 +562,26 @@ class TestStep:
             step(state, p, cfg)
         for new in accepted[1:]:
             assert_extrema_are_fresh(new)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tau, scheme", SCHEMES)
+    @pytest.mark.filterwarnings("error")
+    def test_an_edited_substrate_is_refused_before_any_arithmetic(self, bad, tau, scheme):
+        # stable_dt refuses a non-finite range of w before it takes
+        # gradients: an inf there would otherwise raise a RuntimeWarning
+        # (invalid value) from numpy, not Diverged.
+        # test_state_edited_after_step_signals_divergence ignores
+        # RuntimeWarnings, so it cannot see the order.
+        from taxisim import Diverged
+
+        g = GridSpec((1.0, 1.5), (6, 5))
+        sc = ScenarioSpec(name="gaussian-bump", amplitude=0.5, sigma=0.3, wbar=0.3)
+        p = ModelParams(chi=1.0, xi=1.0, mu=1.0, tau=tau)
+        cfg = SolverConfig(t_end=1e9, output_every=1e9, time_scheme=scheme)
+        state = step(initial_state(sc.build(g)), p, cfg)
+        state.w.values[0] = bad
+        with pytest.raises(Diverged, match="^non-finite substrate"):
+            step(state, p, cfg)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     @pytest.mark.parametrize("scheme", ["explicit", "imex-diffusion"])
